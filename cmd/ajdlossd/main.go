@@ -138,7 +138,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready fun
 	dataDir := fs.String("data", "", "durability directory: WAL + checkpoints per dataset, recovery at boot (empty = in-memory only)")
 	walCompact := fs.Int64("wal-compact", persist.DefaultCompactAt, "WAL bytes that trigger background checkpoint compaction (<0 disables)")
 	fsync := fs.Bool("fsync", false, "fsync the WAL on every append (power-failure durability)")
-	procs := fs.Int("procs", 0, "cap engine worker parallelism at this many goroutines (0 = GOMAXPROCS)")
+	procs := fs.Int("procs", 0, "cap worker goroutines per operation: engine plan levels, batch queries and discovery separators (0 = GOMAXPROCS)")
 	eager := fs.Bool("eager-recovery", false, "decode every recovered dataset at boot instead of on first access")
 	defaultNS := fs.String("default-ns", "default", "namespace the legacy unversioned routes alias")
 	quotaDatasets := fs.Int64("quota-datasets", 0, "max datasets per namespace (0 = unlimited)")

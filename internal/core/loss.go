@@ -49,11 +49,7 @@ func ComputeLossTree(r *relation.Relation, t *jointree.JoinTree) (Loss, error) {
 	if err := checkCoverage(r, t.Schema()); err != nil {
 		return Loss{}, err
 	}
-	rels, err := join.Projections(r, t.Schema())
-	if err != nil {
-		return Loss{}, err
-	}
-	size, err := join.CountTree(t, rels)
+	size, err := join.CountSnapshot(r.Snapshot(), t)
 	if err != nil {
 		return Loss{}, err
 	}
@@ -74,20 +70,17 @@ func lossFromJoinSize(n int, size int64) (Loss, error) {
 }
 
 // MVDLoss returns the loss ρ(R,φ) of the MVD φ = X ↠ Y|Z (Eq. 28):
-// (|Π_{XY}(R) ⋈ Π_{XZ}(R)| − |R|) / |R|, computed by a counting hash join.
+// (|Π_{XY}(R) ⋈ Π_{XZ}(R)| − |R|) / |R|, counted on r's snapshot as the
+// two-bag join tree {XY, XZ} with separator X.
 func MVDLoss(r *relation.Relation, m jointree.MVD) (Loss, error) {
 	if r.N() == 0 {
 		return Loss{}, fmt.Errorf("core: loss of an empty relation is undefined")
 	}
-	left, err := r.Project(infotheory.Union(m.X, m.Y)...)
+	size, err := join.CountMVD(r.Snapshot(), m)
 	if err != nil {
 		return Loss{}, err
 	}
-	right, err := r.Project(infotheory.Union(m.X, m.Z)...)
-	if err != nil {
-		return Loss{}, err
-	}
-	return lossFromJoinSize(r.N(), left.JoinCount(right))
+	return lossFromJoinSize(r.N(), size)
 }
 
 // SatisfiesJD reports whether R ⊨ JD(S), i.e. ρ(R,S) = 0.

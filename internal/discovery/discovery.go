@@ -20,10 +20,7 @@ package discovery
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"ajdloss/internal/core"
 	"ajdloss/internal/engine"
@@ -31,55 +28,6 @@ import (
 	"ajdloss/internal/jointree"
 	"ajdloss/internal/relation"
 )
-
-// forEachIndex runs fn(i) for i in [0,n) on a pool of GOMAXPROCS workers and
-// returns the error of the lowest failing index (deterministic regardless of
-// scheduling). Results must be written into caller-owned per-index slots so
-// the output order is independent of goroutine interleaving; the memoized
-// group-count engine makes the shared relation safe for concurrent reads.
-func forEachIndex(n int, fn func(i int) error) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstI   = n
-		firstErr error
-	)
-	next.Store(-1)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= n {
-					return
-				}
-				if err := fn(i); err != nil {
-					mu.Lock()
-					if i < firstI {
-						firstI, firstErr = i, err
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
-}
 
 // Candidate is a discovered acyclic schema with its J-measure (nats).
 type Candidate struct {
@@ -350,34 +298,19 @@ func FindMVDs(r *relation.Relation, maxSep int, threshold float64) ([]MVDCandida
 	}
 	plan.Run(0)
 	// Each separator's work — the O(|rest|²) CMI scan plus the star-schema
-	// J — is independent; fan it out on a worker pool. Per-separator slots
-	// keep the output order (and the final sort) deterministic.
+	// J — is independent; fan it out on the engine's worker pool (so the
+	// SetMaxProcs cap bounds it). Per-separator slots keep the output order,
+	// the reported error (the lowest failing separator's) and the final sort
+	// deterministic.
 	results := make([]*MVDCandidate, len(seps))
-	if err := forEachIndex(len(seps), func(k int) error {
-		sep := seps[k]
-		rest := exclude(attrs, sep)
-		if len(rest) < 2 {
-			return nil
-		}
-		comps, err := dependenceComponents(snap, rest, sep, threshold)
+	errs := make([]error, len(seps))
+	engine.ForEach(len(seps), 0, func(k int) {
+		results[k], errs[k] = separatorMVD(snap, attrs, seps[k], threshold)
+	})
+	for _, err := range errs {
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if len(comps) < 2 {
-			return nil
-		}
-		schema, err := jointree.MVDSchema(sep, comps...)
-		if err != nil {
-			return err
-		}
-		j, err := core.JMeasureSchema(snap, schema)
-		if err != nil {
-			return err
-		}
-		results[k] = &MVDCandidate{X: sep, Groups: comps, J: j}
-		return nil
-	}); err != nil {
-		return nil, err
 	}
 	var out []MVDCandidate
 	for _, c := range results {
@@ -392,6 +325,29 @@ func FindMVDs(r *relation.Relation, maxSep int, threshold float64) ([]MVDCandida
 		return len(out[i].X) < len(out[j].X)
 	})
 	return out, nil
+}
+
+// separatorMVD splits the attributes outside sep into the components of
+// the conditional-dependence graph given sep; it returns nil when fewer than
+// two components (so no MVD) arise.
+func separatorMVD(snap *engine.Snapshot, attrs, sep []string, threshold float64) (*MVDCandidate, error) {
+	rest := exclude(attrs, sep)
+	if len(rest) < 2 {
+		return nil, nil
+	}
+	comps, err := dependenceComponents(snap, rest, sep, threshold)
+	if err != nil || len(comps) < 2 {
+		return nil, err
+	}
+	schema, err := jointree.MVDSchema(sep, comps...)
+	if err != nil {
+		return nil, err
+	}
+	j, err := core.JMeasureSchema(snap, schema)
+	if err != nil {
+		return nil, err
+	}
+	return &MVDCandidate{X: sep, Groups: comps, J: j}, nil
 }
 
 // dependenceComponents partitions rest into connected components of the

@@ -2,9 +2,11 @@ package discovery
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"ajdloss/internal/core"
+	"ajdloss/internal/engine"
 	"ajdloss/internal/jointree"
 	"ajdloss/internal/randrel"
 	"ajdloss/internal/schemagen"
@@ -194,6 +196,30 @@ func TestFindMVDsRankedByJ(t *testing.T) {
 		if !jointree.IsAcyclic(s) {
 			t.Fatalf("candidate schema %v not acyclic", s)
 		}
+	}
+}
+
+// TestFindMVDsUnderProcsCap: FindMVDs fans its separators out on the
+// engine's pool, so engine.SetMaxProcs (the daemon's -procs) bounds it; the
+// candidates must be identical capped and uncapped.
+func TestFindMVDsUnderProcsCap(t *testing.T) {
+	model := randrel.Model{Attrs: []string{"A", "B", "C", "D", "E"}, Domains: []int{3, 3, 3, 3, 3}, N: 120}
+	find := func(procs int) []MVDCandidate {
+		engine.SetMaxProcs(procs)
+		defer engine.SetMaxProcs(0)
+		r, err := model.Sample(randrel.NewRand(9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cands, err := FindMVDs(r, 2, 0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cands
+	}
+	capped, uncapped := find(1), find(0)
+	if len(capped) == 0 || !reflect.DeepEqual(capped, uncapped) {
+		t.Fatalf("candidates differ under -procs 1:\n%v\n%v", capped, uncapped)
 	}
 }
 

@@ -188,7 +188,7 @@ func (s *Snapshot) RunBatch(qs []Query, workers int) ([]Result, error) {
 	p.Run(workers)
 	out := make([]Result, len(qs))
 	errs := make([]error, len(qs))
-	forEach(len(qs), workers, func(i int) {
+	ForEach(len(qs), workers, func(i int) {
 		out[i], errs[i] = qs[i].eval(s)
 	})
 	for i, err := range errs {

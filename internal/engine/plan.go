@@ -90,7 +90,7 @@ func (p *Plan) Run(workers int) {
 	}
 	for l := 0; l <= maxLevel; l++ {
 		nodes := levels[l]
-		forEach(len(nodes), workers, func(i int) {
+		ForEach(len(nodes), workers, func(i int) {
 			n := nodes[i]
 			if n.entropy {
 				p.snap.groupEntropy(n.cols)
@@ -101,11 +101,12 @@ func (p *Plan) Run(workers int) {
 	}
 }
 
-// forEach runs fn(i) for i in [0,n) on a pool of at most workers goroutines
-// (workers ≤ 0 means GOMAXPROCS, always clamped by SetMaxProcs). fn must
-// synchronize its own writes; results should land in caller-owned per-index
-// slots.
-func forEach(n, workers int, fn func(i int)) {
+// ForEach runs fn(i) for i in [0,n) on the engine's pool of at most workers
+// goroutines (workers ≤ 0 means GOMAXPROCS, always clamped by SetMaxProcs).
+// fn must synchronize its own writes; results should land in caller-owned
+// per-index slots. Callers above the engine (discovery's separator fan-out)
+// use it so the -procs cap bounds their parallelism too.
+func ForEach(n, workers int, fn func(i int)) {
 	workers = maxWorkers(workers)
 	if workers > n {
 		workers = n

@@ -140,7 +140,7 @@ func TestConcurrentSnapshotReads(t *testing.T) {
 			}
 		}
 	}()
-	forEach(64, 8, func(i int) {
+	ForEach(64, 8, func(i int) {
 		set := sets[i%len(sets)]
 		h1, err := snap.GroupEntropy(set...)
 		if err != nil {

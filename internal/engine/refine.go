@@ -9,18 +9,21 @@ import (
 // construction, copy-on-write Extend, and the batch planner: a probe
 // structure that maps (parent group id, column value) pairs to child group
 // ids — dense-table backed when the value domain is small, hash-map backed
-// otherwise — and a chunked parallel refinement that splits the row range
-// across a worker pool and merges chunk-local id spaces deterministically,
-// so the parallel path assigns group ids bit-identical to the serial one.
+// otherwise — and the serial scan that refines one lattice node. Parallelism
+// lives one level up, across the independent nodes of a plan level and
+// across batch queries. A single scan is not split across workers: inside
+// levels that already run in parallel, per-chunk probe tables and a merge
+// pass cost more than they save.
 
-// maxProcsCap, when > 0, caps the number of worker goroutines any engine
-// operation (refinement chunks, plan levels, batch evaluation) may use.
+// maxProcsCap, when > 0, caps the engine's worker pool (see SetMaxProcs).
 // Zero means "up to GOMAXPROCS". Set once at process start (cmd/ajdlossd
 // -procs); reads are atomic so tests can flip it safely.
 var maxProcsCap atomic.Int32
 
-// SetMaxProcs caps the engine's worker parallelism at n goroutines
-// (n <= 0 restores the default, GOMAXPROCS). It bounds CPU usage per
+// SetMaxProcs caps the engine's worker pool at n goroutines (n <= 0
+// restores the default, GOMAXPROCS). The pool runs the nodes of a plan
+// level, Extend levels, batch queries and discovery's separators; each
+// node's refinement is one serial scan. The cap bounds CPU usage per
 // operation, not correctness: results are bit-identical at every setting.
 func SetMaxProcs(n int) {
 	if n < 0 {
@@ -45,19 +48,9 @@ func maxWorkers(requested int) int {
 	return w
 }
 
-const (
-	// parallelRefineMinRows is the row count below which refinement always
-	// runs serially: chunk bookkeeping and the merge pass cost O(groups ×
-	// chunks), which only pays for itself on instances with enough rows per
-	// chunk to amortize it.
-	parallelRefineMinRows = 8192
-	// refineMinChunk bounds how finely a row range is split; chunks smaller
-	// than this thrash the merge pass for no scan-time win.
-	refineMinChunk = 4096
-	// probeKeyShift packs (parent id, value) into one uint64 map key; both
-	// halves are 32-bit so the pairing is injective.
-	probeKeyShift = 32
-)
+// probeKeyShift packs (parent id, value) into one uint64 map key; both
+// halves are 32-bit so the pairing is injective.
+const probeKeyShift = 32
 
 // probeKey packs a (parent group id, column value) pair into one map key.
 func probeKey(parent int32, val Value) uint64 {
@@ -163,9 +156,15 @@ func (p *probe) clone(extra int) *probe {
 	return out
 }
 
-// refineSerial splits every parent group by column values in one sequential
-// scan; ids are assigned in first-occurrence row order.
-func (s *Snapshot) refineSerial(parent *Grouping, col int, pr *probe) *Grouping {
+// refine splits every group of parent by the values of column col in one
+// sequential scan. New group ids are assigned in first-occurrence row order,
+// which makes the result — and everything derived from it — deterministic
+// and independent of the worker count. The probe is returned alongside so
+// Extend can probe it (after cloning) for appended rows: incremental and
+// from-scratch construction assign identical ids because both follow stored
+// row order.
+func (s *Snapshot) refine(parent *Grouping, col int) (*Grouping, *probe) {
+	pr := newProbe(len(parent.Counts), s.probeWidth(col), denseProbeBudget(s.n), len(parent.Counts)*2)
 	column := s.cols[col]
 	ids := make([]int32, s.n, s.n+extendHeadroom(s.n))
 	counts := make([]int, 0, len(parent.Counts)*2)
@@ -196,108 +195,7 @@ func (s *Snapshot) refineSerial(parent *Grouping, col int, pr *probe) *Grouping 
 			counts[id] += int(s.weights[i])
 		}
 	}
-	return &Grouping{IDs: ids, Counts: counts}
-}
-
-// refineChunk is one worker's share of a parallel refinement: rows [lo, hi)
-// are assigned chunk-local ids (0.. in chunk-first-occurrence order) written
-// into ids[lo:hi], and the chunk reports each local group's (parent, value)
-// key in local-id order plus its local count.
-func (s *Snapshot) refineChunk(parent *Grouping, col int, lo, hi int, ids []int32, width int32, budget int) (keys []uint64, counts []int) {
-	column := s.cols[col]
-	local := newProbe(len(parent.Counts), width, budget, (hi-lo)/4+8)
-	keys = make([]uint64, 0, len(parent.Counts)+8)
-	counts = make([]int, 0, len(parent.Counts)+8)
-	for i := lo; i < hi; i++ {
-		pid := parent.IDs[i]
-		v := column[i]
-		id := local.lookup(pid, v)
-		if id < 0 {
-			id = int32(len(counts))
-			local.insert(pid, v, id)
-			keys = append(keys, probeKey(pid, v))
-			counts = append(counts, 0)
-		}
-		ids[i] = id
-		if s.weights == nil {
-			counts[id]++
-		} else {
-			counts[id] += int(s.weights[i])
-		}
-	}
-	return keys, counts
-}
-
-// refineParallel runs the chunked refinement: chunks scan independently on
-// the worker pool, chunk-local id spaces merge serially in chunk order (which
-// reproduces global first-occurrence order exactly: a group's global first
-// occurrence is in the first chunk that saw it, and local ids are ordered by
-// first occurrence within their chunk), then a second parallel pass rewrites
-// local ids to merged ids. The merged probe is identical to the one the
-// serial scan would have built, so Extend's incremental path is oblivious to
-// which scan produced the grouping.
-func (s *Snapshot) refineParallel(parent *Grouping, col int, pr *probe, workers int) *Grouping {
-	chunks := workers
-	if max := s.n / refineMinChunk; chunks > max {
-		chunks = max
-	}
-	if chunks < 2 {
-		return s.refineSerial(parent, col, pr)
-	}
-	ids := make([]int32, s.n, s.n+extendHeadroom(s.n))
-	chunkKeys := make([][]uint64, chunks)
-	chunkCounts := make([][]int, chunks)
-	budget := denseProbeBudget(s.n)
-	forEach(chunks, workers, func(c int) {
-		lo := c * s.n / chunks
-		hi := (c + 1) * s.n / chunks
-		chunkKeys[c], chunkCounts[c] = s.refineChunk(parent, col, lo, hi, ids, pr.width, budget)
-	})
-	// Deterministic merge: assign global ids to unseen keys in (chunk,
-	// local-id) order == global first-occurrence order.
-	counts := make([]int, 0, len(chunkCounts[0])*2)
-	remaps := make([][]int32, chunks)
-	for c := 0; c < chunks; c++ {
-		keys := chunkKeys[c]
-		remap := make([]int32, len(keys))
-		for l, k := range keys {
-			pid := int32(k >> probeKeyShift)
-			v := Value(uint32(k))
-			id := pr.lookup(pid, v)
-			if id < 0 {
-				id = int32(len(counts))
-				pr.insert(pid, v, id)
-				counts = append(counts, 0)
-			}
-			remap[l] = id
-			counts[id] += chunkCounts[c][l]
-		}
-		remaps[c] = remap
-	}
-	forEach(chunks, workers, func(c int) {
-		lo := c * s.n / chunks
-		hi := (c + 1) * s.n / chunks
-		remap := remaps[c]
-		for i := lo; i < hi; i++ {
-			ids[i] = remap[ids[i]]
-		}
-	})
-	return &Grouping{IDs: ids, Counts: counts}
-}
-
-// refine splits every group of parent by the values of column col. New group
-// ids are assigned in first-occurrence row order, which makes the result —
-// and everything derived from it — deterministic and independent of the
-// worker count. The probe is returned alongside so Extend can probe it
-// (after cloning) for appended rows: incremental and from-scratch
-// construction assign identical ids because both follow stored row order.
-func (s *Snapshot) refine(parent *Grouping, col int) (*Grouping, *probe) {
-	pr := newProbe(len(parent.Counts), s.probeWidth(col), denseProbeBudget(s.n), len(parent.Counts)*2)
-	workers := maxWorkers(0)
-	if s.n >= parallelRefineMinRows && workers > 1 {
-		return s.refineParallel(parent, col, pr, workers), pr
-	}
-	return s.refineSerial(parent, col, pr), pr
+	return &Grouping{IDs: ids, Counts: counts}, pr
 }
 
 // probeWidth returns the dense-probe stride for column col (its max value

@@ -5,93 +5,48 @@ import (
 	"testing"
 )
 
-// bigRows returns enough unique rows to push refinement over the
-// parallelRefineMinRows threshold (domain^arity must exceed n for the
-// dedup in randRows to terminate).
-func bigRows(t testing.TB, n int) ([]string, []Tuple) {
-	t.Helper()
-	if n < parallelRefineMinRows {
-		t.Fatalf("bigRows(%d) below the parallel threshold %d", n, parallelRefineMinRows)
-	}
+// bigRows returns n unique rows over four attributes (domain^arity must
+// exceed n for the dedup in randRows to terminate).
+func bigRows(n int) ([]string, []Tuple) {
 	return []string{"A", "B", "C", "D"}, randRows(7, n, 4, 16)
 }
 
-// TestParallelRefineParity drives refineParallel directly against
-// refineSerial at several worker counts, level by level down a refinement
-// chain: the group ids, counts, and the probe contents must be
-// bit-identical, because Extend's incremental path later probes whichever
-// structure the cold scan built.
-func TestParallelRefineParity(t *testing.T) {
-	attrs, rows := bigRows(t, 12000)
-	s := NewSnapshot(attrs, rows)
-	for _, workers := range []int{2, 3, 8} {
-		parentS := s.trivialGrouping()
-		parentP := s.trivialGrouping()
-		for col := range attrs {
-			prS := newProbe(len(parentS.Counts), s.probeWidth(col), denseProbeBudget(s.n), len(parentS.Counts)*2)
-			prP := newProbe(len(parentP.Counts), s.probeWidth(col), denseProbeBudget(s.n), len(parentP.Counts)*2)
-			want := s.refineSerial(parentS, col, prS)
-			got := s.refineParallel(parentP, col, prP, workers)
-			sameGrouping(t, attrs[col], got, want)
-			// The merged probe must answer every (parent, value) pair exactly
-			// as the serially built one.
-			for pid := int32(0); pid < int32(len(parentS.Counts)); pid++ {
-				for v := Value(0); v < s.probeWidth(col); v++ {
-					if a, b := prS.lookup(pid, v), prP.lookup(pid, v); a != b {
-						t.Fatalf("workers=%d col=%d probe(%d,%d): serial %d, parallel %d", workers, col, pid, v, a, b)
-					}
-				}
-			}
-			parentS, parentP = want, got
+// TestRefineMapProbe forces the map-probe form (a negative value makes
+// probeWidth return 0) and checks it groups exactly as the dense form does
+// on the same rows shifted into non-negative values: group ids depend only
+// on value equality and row order, never on the probe representation.
+func TestRefineMapProbe(t *testing.T) {
+	attrs, rows := bigRows(9000)
+	shifted := make([]Tuple, len(rows))
+	for i, r := range rows {
+		shifted[i] = Tuple{r[0] + 3, r[1], r[2], r[3]}
+		rows[i] = Tuple{r[0] - 3, r[1], r[2], r[3]}
+	}
+	m, d := NewSnapshot(attrs, rows), NewSnapshot(attrs, shifted)
+	if m.probeWidth(0) != 0 || d.probeWidth(0) == 0 {
+		t.Fatalf("probe widths %d, %d: want map form then dense form", m.probeWidth(0), d.probeWidth(0))
+	}
+	for _, set := range [][]string{{"A"}, {"A", "B"}, {"A", "C", "D"}} {
+		got, err := m.Grouping(set...)
+		if err != nil {
+			t.Fatal(err)
 		}
+		want, err := d.Grouping(set...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameGrouping(t, "map-probe", got, want)
 	}
-}
-
-// TestParallelRefineParityWeighted repeats the parity check on a weighted
-// snapshot (group counts accumulate weights, not row tallies).
-func TestParallelRefineParityWeighted(t *testing.T) {
-	attrs, rows := bigRows(t, 9000)
-	weights := make([]int64, len(rows))
-	total := 0
-	for i := range weights {
-		weights[i] = int64(1 + i%5)
-		total += int(weights[i])
-	}
-	s := NewWeightedSnapshot(attrs, rows, weights, total)
-	parent := s.trivialGrouping()
-	for col := range attrs {
-		prS := newProbe(len(parent.Counts), s.probeWidth(col), denseProbeBudget(s.n), len(parent.Counts)*2)
-		prP := newProbe(len(parent.Counts), s.probeWidth(col), denseProbeBudget(s.n), len(parent.Counts)*2)
-		want := s.refineSerial(parent, col, prS)
-		got := s.refineParallel(parent, col, prP, 4)
-		sameGrouping(t, "weighted "+attrs[col], got, want)
-		parent = want
-	}
-}
-
-// TestParallelRefineMapProbe forces the map-probe form (a negative value
-// makes probeWidth return 0) and checks parity there too.
-func TestParallelRefineMapProbe(t *testing.T) {
-	attrs, rows := bigRows(t, 9000)
-	rows[17] = Tuple{-3, rows[17][1], rows[17][2], rows[17][3]}
-	s := NewSnapshot(attrs, rows)
-	if s.probeWidth(0) != 0 {
-		t.Fatalf("probeWidth = %d, want 0 for a column with negative values", s.probeWidth(0))
-	}
-	parent := s.trivialGrouping()
-	prS := newProbe(len(parent.Counts), s.probeWidth(0), denseProbeBudget(s.n), len(parent.Counts)*2)
-	prP := newProbe(len(parent.Counts), s.probeWidth(0), denseProbeBudget(s.n), len(parent.Counts)*2)
-	sameGrouping(t, "map-probe", s.refineParallel(parent, 0, prP, 8), s.refineSerial(parent, 0, prS))
 }
 
 // TestRefineDeterministicAcrossGOMAXPROCS builds the same groupings and
-// entropies at GOMAXPROCS 1, 2 and 8 through the public API (so the
-// serial/parallel dispatch in refine runs for real) and requires
-// bit-identical ids and entropies everywhere. This is the determinism
+// entropies at GOMAXPROCS 1, 2 and 8 through the public API (plan levels
+// and Extend levels run on the worker pool) and requires bit-identical ids
+// and entropies everywhere. This is the determinism
 // guarantee the daemon's -procs flag documents: worker count bounds CPU,
 // never results.
 func TestRefineDeterministicAcrossGOMAXPROCS(t *testing.T) {
-	attrs, rows := bigRows(t, 10000)
+	attrs, rows := bigRows(10000)
 	sets := [][]string{{"A"}, {"A", "B"}, {"B", "C", "D"}, {"A", "B", "C", "D"}}
 	type outcome struct {
 		ids [][]int32
@@ -102,14 +57,16 @@ func TestRefineDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
 		s := NewSnapshot(attrs, rows)
-		// Extend past the cold build so the incremental path (probing the
-		// parallel-built probes) is covered at every parallelism too.
-		s2 := s
+		// Warm the sets through one plan and extend past the cold build, so
+		// the incremental path is covered at every parallelism too.
+		p := s.Plan()
 		for _, set := range sets {
-			if _, err := s2.Grouping(set...); err != nil {
+			if err := p.AddEntropy(set...); err != nil {
 				t.Fatal(err)
 			}
 		}
+		p.Run(0)
+		s2 := s
 		s2 = s2.Extend(randRows(99, 300, 4, 16))
 		got := &outcome{}
 		for _, set := range sets {
@@ -162,7 +119,7 @@ func TestSetMaxProcsCap(t *testing.T) {
 		t.Fatalf("maxWorkers(4) after SetMaxProcs(-2) = %d", got)
 	}
 
-	attrs, rows := bigRows(t, 9000)
+	attrs, rows := bigRows(9000)
 	want := NewSnapshot(attrs, rows)
 	wantG, err := want.Grouping("A", "B", "C")
 	if err != nil {

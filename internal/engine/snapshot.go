@@ -474,7 +474,7 @@ func (s *Snapshot) Extend(fresh []Tuple) *Snapshot {
 		}
 		level := entries[lo:hi]
 		extended := make([]*memoEntry, len(level))
-		forEach(len(level), workers, func(i int) {
+		ForEach(len(level), workers, func(i int) {
 			extended[i] = extendOne(level[i])
 		})
 		for i, ent := range extended {

@@ -1,0 +1,112 @@
+package join
+
+import (
+	"math/rand/v2"
+	"runtime"
+	"testing"
+	"testing/quick"
+
+	"ajdloss/internal/jointree"
+	"ajdloss/internal/relation"
+)
+
+// atEachGOMAXPROCS runs f at GOMAXPROCS 1, 2 and 8: the snapshot count plans
+// its groupings on the engine's worker pool, and parity must not depend on
+// the pool size.
+func atEachGOMAXPROCS(t *testing.T, f func(t *testing.T)) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		f(t)
+	}
+}
+
+// oracleCount is the projection route: CountTree over the bag projections of
+// a cold copy of r, so no grouping is shared with the snapshot count.
+func oracleCount(r *relation.Relation, tree *jointree.JoinTree) (int64, error) {
+	rels, err := Projections(r.Clone(), tree.Schema())
+	if err != nil {
+		return 0, err
+	}
+	return CountTree(tree, rels)
+}
+
+// TestQuickSnapshotCountParity compares the snapshot count (CountSnapshot
+// and CountAcyclicJoin) with the projection oracle on random join trees and relations: single
+// bags, empty separators, empty relations and duplicate-heavy domains.
+func TestQuickSnapshotCountParity(t *testing.T) {
+	atEachGOMAXPROCS(t, func(t *testing.T) {
+		f := func(seed uint64) bool {
+			rng := rand.New(rand.NewPCG(seed, 47))
+			// At least one attribute per bag keeps every bag non-empty.
+			m := 1 + rng.IntN(5)
+			tree, err := randomJoinTree(rng, m, m+rng.IntN(4))
+			if err != nil {
+				t.Logf("seed %d: %v", seed, err)
+				return false
+			}
+			// Domain 1 makes every column constant; domain 2 is duplicate
+			// heavy; n = 0 is the empty relation.
+			domain := 1 + rng.IntN(4)
+			n := rng.IntN(60)
+			if rng.IntN(8) == 0 {
+				n = 0
+			}
+			r := randomRelation(rng, tree.Attrs(), domain, n)
+			want, err := oracleCount(r, tree)
+			if err != nil {
+				t.Logf("seed %d: oracle: %v", seed, err)
+				return false
+			}
+			got, err := CountSnapshot(r.Snapshot(), tree)
+			if err != nil || got != want {
+				t.Logf("seed %d: snapshot count %d (%v), oracle %d", seed, got, err, want)
+				return false
+			}
+			// Through the schema, on the GYO join tree: any join tree of the
+			// schema has the same join.
+			got, err = CountAcyclicJoin(r, tree.Schema())
+			if err != nil || got != want {
+				t.Logf("seed %d: CountAcyclicJoin %d (%v), oracle %d", seed, got, err, want)
+				return false
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestSnapshotCountEdgeCases pins the cases the random trees reach only by
+// chance: a single bag, a forest of disjoint bags (every separator empty)
+// and the empty relation.
+func TestSnapshotCountEdgeCases(t *testing.T) {
+	r := randomRelation(rand.New(rand.NewPCG(5, 6)), []string{"A", "B", "C"}, 3, 20)
+	cases := []struct {
+		name string
+		tree *jointree.JoinTree
+	}{
+		{"single bag", jointree.MustJoinTree([][]string{{"A", "B", "C"}}, nil)},
+		{"empty separators", jointree.MustJoinTree([][]string{{"A"}, {"B"}, {"C"}}, [][2]int{{0, 1}, {1, 2}})},
+		{"chain", jointree.MustJoinTree([][]string{{"A", "B"}, {"B", "C"}}, [][2]int{{0, 1}})},
+	}
+	for _, rel := range []*relation.Relation{r, relation.New("A", "B", "C")} {
+		for _, c := range cases {
+			want, err := oracleCount(rel, c.tree)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := CountSnapshot(rel.Snapshot(), c.tree)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("%s, n=%d: snapshot count %d, oracle %d", c.name, rel.N(), got, want)
+			}
+		}
+	}
+	if got, err := CountSnapshot(r.Snapshot(), jointree.MustJoinTree([][]string{{"A", "Z"}}, nil)); err == nil {
+		t.Fatalf("unknown attribute counted %d", got)
+	}
+}

@@ -10,7 +10,10 @@ package join
 import (
 	"fmt"
 	"math"
+	"slices"
 
+	"ajdloss/internal/engine"
+	"ajdloss/internal/infotheory"
 	"ajdloss/internal/jointree"
 	"ajdloss/internal/relation"
 )
@@ -218,18 +221,131 @@ func CountTree(t *jointree.JoinTree, rels []*relation.Relation) (int64, error) {
 	return aggregate(0)
 }
 
-// CountAcyclicJoin projects r onto the schema's bags and counts the acyclic
-// join cardinality without materializing it.
+// CountAcyclicJoin counts the acyclic join cardinality |⋈ᵢ R[Ωᵢ]| of r's
+// current snapshot over a GYO-constructed join tree, without projecting r
+// or materializing the join (see CountSnapshot).
 func CountAcyclicJoin(r *relation.Relation, s *jointree.Schema) (int64, error) {
 	t, err := jointree.BuildJoinTree(s)
 	if err != nil {
 		return 0, err
 	}
-	rels, err := Projections(r, s)
+	return CountSnapshot(r.Snapshot(), t)
+}
+
+// CountSnapshot returns |⋈ᵢ R[Ωᵢ]| over the join tree t, where R is the
+// relation snap holds. It is CountTree(t, Projections(R, schema)) computed
+// on the snapshot's memoized groupings instead of on projected relations:
+// each bag's distinct rows are the groups of the bag's grouping, and a
+// separator's group ID is a function of the bag group (the separator is a
+// subset of the bag), so the message passing reads the child and parent
+// separator IDs at the first row of each bag group. No projected relation,
+// row key or cross-relation alignment is built.
+func CountSnapshot(snap *engine.Snapshot, t *jointree.JoinTree) (int64, error) {
+	rooted, err := jointree.Root(t, 0)
 	if err != nil {
 		return 0, err
 	}
-	return CountTree(t, rels)
+	bags := make([][]string, len(rooted.Order))
+	for pos, b := range rooted.Order {
+		bags[pos] = t.Bags[b]
+	}
+	return countBags(snap, bags, rooted.Parent, rooted.Sep)
+}
+
+// CountMVD returns |Π_{XY}(R) ⋈ Π_{XZ}(R)| for the MVD X ↠ Y|Z, where R is
+// the relation snap holds: the count over the two-bag join tree {XY, XZ}
+// whose separator is the bags' intersection (X when Y and Z are disjoint).
+func CountMVD(snap *engine.Snapshot, m jointree.MVD) (int64, error) {
+	left := infotheory.Union(m.X, m.Y)
+	right := infotheory.Union(m.X, m.Z)
+	var sep []string
+	for _, a := range left {
+		if slices.Contains(right, a) {
+			sep = append(sep, a)
+		}
+	}
+	return countBags(snap, [][]string{left, right}, []int{-1, 0}, [][]string{nil, sep})
+}
+
+// countBags is the message passing of CountTree over a rooted tree given in
+// DFS order (parent[pos] < pos; sep[pos] = bags[pos] ∩ bags[parent[pos]]),
+// on the snapshot's groupings. All of them are planned through one engine
+// plan first, so overlapping bags and separators share refinements.
+func countBags(snap *engine.Snapshot, bags [][]string, parent []int, sep [][]string) (int64, error) {
+	m := len(bags)
+	plan := snap.Plan()
+	for pos := 0; pos < m; pos++ {
+		if err := plan.AddGrouping(bags[pos]...); err != nil {
+			return 0, fmt.Errorf("join: planning bag %d: %w", pos, err)
+		}
+		if pos > 0 {
+			if err := plan.AddGrouping(sep[pos]...); err != nil {
+				return 0, fmt.Errorf("join: planning separator %d: %w", pos, err)
+			}
+		}
+	}
+	plan.Run(0)
+	bagG := make([]*engine.Grouping, m)
+	sepG := make([]*engine.Grouping, m)
+	children := make([][]int, m)
+	for pos := 0; pos < m; pos++ {
+		var err error
+		if bagG[pos], err = snap.Grouping(bags[pos]...); err != nil {
+			return 0, err
+		}
+		if pos > 0 {
+			if sepG[pos], err = snap.Grouping(sep[pos]...); err != nil {
+				return 0, err
+			}
+			children[parent[pos]] = append(children[parent[pos]], pos)
+		}
+	}
+	// messages[pos]: extension count per separator group of edge pos.
+	messages := make([][]int64, m)
+	var total int64
+	// Leaves first: every child's message is complete before its parent runs.
+	for pos := m - 1; pos >= 0; pos-- {
+		var out []int64
+		if pos > 0 {
+			out = make([]int64, sepG[pos].Groups())
+		}
+		g := bagG[pos]
+		// Group IDs are numbered in first-occurrence row order, so row i
+		// starts a new bag group exactly when its ID is the next unseen one.
+		next := int32(0)
+		for i, b := range g.IDs {
+			if b != next {
+				continue
+			}
+			next++
+			w := int64(1)
+			for _, c := range children[pos] {
+				cw := messages[c][sepG[c].IDs[i]]
+				var err error
+				if w, err = mulCheck(w, cw); err != nil {
+					return 0, err
+				}
+				if w == 0 {
+					break
+				}
+			}
+			var err error
+			if pos > 0 {
+				id := sepG[pos].IDs[i]
+				out[id], err = addCheck(out[id], w)
+			} else {
+				total, err = addCheck(total, w)
+			}
+			if err != nil {
+				return 0, err
+			}
+			if int(next) == g.Groups() {
+				break
+			}
+		}
+		messages[pos] = out
+	}
+	return total, nil
 }
 
 // CountTreeFloat is CountTree in float64 arithmetic; it never overflows but

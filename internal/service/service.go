@@ -571,7 +571,12 @@ func (s *Service) EntropyIn(ns, dataset string, attrs, a, b, given []string) (*E
 	if err != nil {
 		return nil, err
 	}
-	return v.(*EntropyView), nil
+	// The key sorts attribute lists, so a cached or coalesced view may have
+	// been filled by a request that spelled them in another order. Echo this
+	// caller's own lists; the numbers are order-insensitive.
+	view := *v.(*EntropyView)
+	view.Attrs, view.A, view.B, view.Given = attrs, a, b, given
+	return &view, nil
 }
 
 // maxBatchQueries bounds one POST /batch body: far beyond any dashboard's
@@ -687,5 +692,13 @@ func (s *Service) BatchIn(ns, dataset string, qs []BatchQuery) (*BatchView, erro
 	if err != nil {
 		return nil, err
 	}
-	return v.(*BatchView), nil
+	// The key normalizes kinds and sorts attribute lists, so a cached or
+	// coalesced view may echo another request's spelling. Re-stamp every
+	// result with this caller's own query.
+	view := *v.(*BatchView)
+	view.Results = append([]BatchResultView(nil), view.Results...)
+	for i := range view.Results {
+		view.Results[i].Query = qs[i]
+	}
+	return &view, nil
 }

@@ -27,8 +27,10 @@ type flightCall struct {
 }
 
 // Do runs fn once per key among concurrent callers and returns its result.
-// shared reports whether the result was also delivered to other callers
-// (true for the joiners and, once joined, for the caller that computed it).
+// shared reports whether this caller joined another caller's in-flight
+// computation instead of running fn itself: true for every joiner, false
+// for the caller that computed the result, so each call counts once as
+// either computed or coalesced.
 func (g *flightGroup) Do(key string, fn func() (any, error)) (val any, err error, shared bool) {
 	g.mu.Lock()
 	if g.m == nil {
@@ -57,7 +59,6 @@ func (g *flightGroup) Do(key string, fn func() (any, error)) (val any, err error
 		}
 		g.mu.Lock()
 		delete(g.m, key)
-		shared = c.dups > 0
 		g.mu.Unlock()
 		c.wg.Done()
 		if r != nil {
@@ -65,5 +66,5 @@ func (g *flightGroup) Do(key string, fn func() (any, error)) (val any, err error
 		}
 	}()
 	c.val, c.err = fn()
-	return c.val, c.err, shared
+	return c.val, c.err, false
 }
