@@ -31,22 +31,25 @@ type appendScenario struct {
 
 // Generate implements quick.Generator. Schemas stay small (arity ≤ 4) so the
 // harness can afford to check every attribute subset after every batch.
+// Batches draw from twice the base's domain, so appended rows bring values
+// and parent groups the base never had: they spill into the overflow maps of
+// the refinement probes Extend hands down the chain.
 func (appendScenario) Generate(r *rand.Rand, _ int) reflect.Value {
 	s := appendScenario{Arity: 2 + r.Intn(3), Domain: 2 + r.Intn(3)}
-	draw := func(n int) []relation.Tuple {
+	draw := func(n, domain int) []relation.Tuple {
 		rows := make([]relation.Tuple, n)
 		for i := range rows {
 			t := make(relation.Tuple, s.Arity)
 			for c := range t {
-				t[c] = relation.Value(r.Intn(s.Domain) + 1)
+				t[c] = relation.Value(r.Intn(domain) + 1)
 			}
 			rows[i] = t
 		}
 		return rows
 	}
-	s.Base = draw(1 + r.Intn(25))
+	s.Base = draw(1+r.Intn(25), s.Domain)
 	for b := 1 + r.Intn(4); b > 0; b-- {
-		s.Batches = append(s.Batches, draw(r.Intn(12))) // empty batches allowed
+		s.Batches = append(s.Batches, draw(r.Intn(12), 2*s.Domain)) // empty batches allowed
 	}
 	return reflect.ValueOf(s)
 }

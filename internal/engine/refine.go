@@ -6,10 +6,10 @@ import (
 )
 
 // This file holds the partition-refinement machinery shared by cold grouping
-// construction, copy-on-write Extend, and the batch planner: a probe
-// structure that maps (parent group id, column value) pairs to child group
-// ids — dense-table backed when the value domain is small, hash-map backed
-// otherwise — and the serial scan that refines one lattice node. Parallelism
+// construction, Extend, and the batch planner: a probe structure that maps
+// (parent group id, column value) pairs to child group ids — dense-table
+// backed when the value domain is small, hash-map backed otherwise — and
+// the serial scan that refines one lattice node. Parallelism
 // lives one level up, across the independent nodes of a plan level and
 // across batch queries. A single scan is not split across workers: inside
 // levels that already run in parallel, per-chunk probe tables and a merge
@@ -64,17 +64,17 @@ func probeKey(parent int32, val Value) uint64 {
 //     column's values are small non-negative ints (dictionary encoding makes
 //     this the overwhelmingly common case) and the table fits the budget.
 //     Lookups are one multiply-add and a load — roughly an order of
-//     magnitude cheaper than map operations, which dominated refinement —
-//     and cloning for copy-on-write Extend is a memcpy instead of a rehash.
+//     magnitude cheaper than map operations, which dominated refinement.
 //   - m: the map fallback for wide/negative domains or huge parent counts.
 //
-// A dense probe can still absorb values >= width (a later Extend may append
-// rows with fresh dictionary codes): they spill into the overflow map.
+// A dense probe can still absorb values >= width and parent groups born
+// after it was sized (a later Extend may append rows with fresh dictionary
+// codes): they spill into the overflow map. Extend hands a probe from a
+// snapshot to its child and probes it in place, so it is never copied.
 type probe struct {
-	width    int32 // dense stride (max value + 1); 0 = map-only form
-	dense    []int32
-	m        map[uint64]int32
-	overflow int // entries in m when dense != nil (clone sizing)
+	width int32 // dense stride (max value + 1); 0 = map-only form
+	dense []int32
+	m     map[uint64]int32
 }
 
 // denseProbeBudget bounds the dense table size for an n-row refinement:
@@ -119,8 +119,8 @@ func (p *probe) lookup(parent int32, val Value) int32 {
 	return -1
 }
 
-// insert records (parent, val) -> id. The caller has already checked the
-// pair is absent.
+// insert records (parent, val) -> id. The pair is absent, or already maps
+// to id (rebuildProbe re-records every row).
 func (p *probe) insert(parent int32, val Value, id int32) {
 	if p.dense != nil && val >= 0 && val < p.width {
 		if idx := int(parent)*int(p.width) + int(val); idx < len(p.dense) {
@@ -132,37 +132,14 @@ func (p *probe) insert(parent int32, val Value, id int32) {
 		p.m = make(map[uint64]int32)
 	}
 	p.m[probeKey(parent, val)] = id
-	if p.dense != nil {
-		p.overflow++
-	}
-}
-
-// clone returns an independent copy sized to absorb about extra more
-// entries; Extend probes the clone so the parent snapshot's probe is never
-// mutated. Dense tables clone by memcpy — the allocation-diet win over
-// rehashing a map per memoized grouping per append batch.
-func (p *probe) clone(extra int) *probe {
-	out := &probe{width: p.width, overflow: p.overflow}
-	if p.dense != nil {
-		out.dense = make([]int32, len(p.dense))
-		copy(out.dense, p.dense)
-	}
-	if p.m != nil {
-		out.m = make(map[uint64]int32, len(p.m)+extra)
-		for k, v := range p.m {
-			out.m[k] = v
-		}
-	}
-	return out
 }
 
 // refine splits every group of parent by the values of column col in one
 // sequential scan. New group ids are assigned in first-occurrence row order,
 // which makes the result — and everything derived from it — deterministic
 // and independent of the worker count. The probe is returned alongside so
-// Extend can probe it (after cloning) for appended rows: incremental and
-// from-scratch construction assign identical ids because both follow stored
-// row order.
+// Extend can probe it for appended rows: incremental and from-scratch
+// construction assign identical ids because both follow stored row order.
 func (s *Snapshot) refine(parent *Grouping, col int) (*Grouping, *probe) {
 	pr := newProbe(len(parent.Counts), s.probeWidth(col), denseProbeBudget(s.n), len(parent.Counts)*2)
 	column := s.cols[col]
@@ -196,6 +173,21 @@ func (s *Snapshot) refine(parent *Grouping, col int) (*Grouping, *probe) {
 		}
 	}
 	return &Grouping{IDs: ids, Counts: counts}, pr
+}
+
+// rebuildProbe reconstructs the probe of g, the refinement of parent by
+// column col, over this snapshot's n rows: one insert per row, no lookups.
+// parent may cover more rows than the snapshot (the child's grouping of the
+// prefix set); only its first n ids are read, and they equal this
+// snapshot's. Extend needs it only when the probe has already moved to
+// another child, i.e. on a second Extend of the same snapshot.
+func (s *Snapshot) rebuildProbe(parent, g *Grouping, col int) *probe {
+	pr := newProbe(len(parent.Counts), s.probeWidth(col), denseProbeBudget(s.n), len(g.Counts))
+	column := s.cols[col]
+	for i := 0; i < s.n; i++ {
+		pr.insert(parent.IDs[i], column[i], g.IDs[i])
+	}
+	return pr
 }
 
 // probeWidth returns the dense-probe stride for column col (its max value

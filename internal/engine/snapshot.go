@@ -19,12 +19,13 @@ package engine
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"ajdloss/internal/bitset"
+	"ajdloss/internal/infotheory"
 )
 
 // Value is a single attribute value (dictionary-encoded; identical to
@@ -55,12 +56,16 @@ func (g *Grouping) Groups() int { return len(g.Counts) }
 // memoEntry is one memoized grouping together with what copy-on-write
 // extension needs: the sorted column set it projects onto (to order
 // extensions parents-first) and the probe refine built, keyed by
-// (parent group id, column value). Entries are immutable once published;
-// Extend clones Counts and the probe into the child snapshot's entry.
+// (parent group id, column value). g and cols are immutable once published.
+// next is writer-side state that moves down the snapshot chain: Extend takes
+// it with Swap(nil), probes it in place for the appended rows and stores it
+// in the child's entry, so a snapshot keeps no probe once it has been
+// extended (a second Extend of it rebuilds one, see rebuildProbe). Readers
+// never touch next.
 type memoEntry struct {
 	g    *Grouping
 	cols []int
-	next *probe // nil for the empty column set
+	next atomic.Pointer[probe] // nil for the empty column set and once handed on
 }
 
 // Snapshot is an immutable point-in-time view of a tuple set: the columnar
@@ -293,7 +298,8 @@ func (s *Snapshot) groupingKeyed(key string, cols []int) *Grouping {
 	} else {
 		parent := s.grouping(cols[:len(cols)-1])
 		g, next := s.refine(parent, cols[len(cols)-1])
-		ent = &memoEntry{g: g, cols: append([]int(nil), cols...), next: next}
+		ent = &memoEntry{g: g, cols: append([]int(nil), cols...)}
+		ent.next.Store(next)
 	}
 	s.mu.Lock()
 	if cached, ok := s.memo[key]; ok {
@@ -326,37 +332,25 @@ func (s *Snapshot) groupEntropy(cols []int) float64 {
 		return h
 	}
 	g := s.groupingKeyed(key, cols)
-	h = entropyOfCounts(g.Counts, s.total)
+	h = infotheory.EntropyFromCounts(g.Counts, s.total)
 	s.mu.Lock()
 	s.entropy[key] = h
 	s.mu.Unlock()
 	return h
 }
 
-// entropyOfCounts is H = log total − (1/total) Σ c·log c, the numerically
-// stable form for uniform-ish counts. It returns 0 for total ≤ 0.
-func entropyOfCounts(counts []int, total int) float64 {
-	if total <= 0 {
-		return 0
-	}
-	var s float64
-	for _, c := range counts {
-		if c > 1 {
-			fc := float64(c)
-			s += fc * math.Log(fc)
-		}
-	}
-	return math.Log(float64(total)) - s/float64(total)
-}
-
 // Extend returns a new snapshot covering this snapshot's rows plus the batch
 // of freshly appended (distinct) rows: columns and rows grow, every grouping
-// memoized at call time is extended copy-on-write (appended rows probe a
-// clone of the retained refine maps, so the cost is O(batch × cached sets)
-// plus the O(groups) Counts clone — never O(n)), the generation is bumped,
+// memoized at call time is extended copy-on-write, the generation is bumped,
 // and the entropy memo starts empty (every entropy changes when the total
 // does; the next query recomputes in O(groups) from the already-extended
 // grouping).
+//
+// Cost per memoized set: O(batch) probes of the refinement probe, which
+// moves from this snapshot's entry to the child's and is probed in place,
+// plus an O(groups) copy of Counts that keeps this snapshot's counts frozen.
+// A second Extend of the same snapshot finds the probe gone and rebuilds it
+// in O(n) per set; the answers are the same either way.
 //
 // The parent snapshot is left untouched: its groupings, counts and entropies
 // keep answering queries for readers that grabbed it before the extension.
@@ -448,8 +442,12 @@ func (s *Snapshot) Extend(fresh []Tuple) *Snapshot {
 			return &memoEntry{g: &Grouping{IDs: ids, Counts: []int{child.total}}}
 		}
 		parent := child.memo[colsKey(ent.cols[:len(ent.cols)-1])].g
-		column := child.cols[ent.cols[len(ent.cols)-1]]
-		next := ent.next.clone(len(fresh))
+		col := ent.cols[len(ent.cols)-1]
+		column := child.cols[col]
+		next := ent.next.Swap(nil)
+		if next == nil {
+			next = s.rebuildProbe(parent, ent.g, col)
+		}
 		counts := append(make([]int, 0, len(ent.g.Counts)+len(fresh)), ent.g.Counts...)
 		ids := ent.g.IDs[:s.n:cap(ent.g.IDs)]
 		for i := s.n; i < child.n; i++ {
@@ -464,7 +462,9 @@ func (s *Snapshot) Extend(fresh []Tuple) *Snapshot {
 			ids = append(ids, id)
 			counts[id]++
 		}
-		return &memoEntry{g: &Grouping{IDs: ids, Counts: counts}, cols: ent.cols, next: next}
+		out := &memoEntry{g: &Grouping{IDs: ids, Counts: counts}, cols: ent.cols}
+		out.next.Store(next)
+		return out
 	}
 	workers := maxWorkers(0)
 	for lo := 0; lo < len(entries); {

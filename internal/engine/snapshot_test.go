@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -189,5 +190,120 @@ func TestUnknownAttribute(t *testing.T) {
 	}
 	if _, err := snap.GroupEntropy("Z"); err == nil {
 		t.Fatal("unknown attribute accepted")
+	}
+}
+
+// TestReextendRebuildsProbe: Extend hands each memoized probe to the child,
+// so a second Extend of the same parent must rebuild it from the parent's
+// rows. After extending a warm parent, dropping the child and extending the
+// parent again with different rows, every memoized grouping and entropy must
+// equal a cold snapshot's, and so must the next link of the chain. Column C
+// holds negative values, so its probes take the map form; the appended rows
+// bring values and groups the base never had.
+func TestReextendRebuildsProbe(t *testing.T) {
+	attrs := []string{"A", "B", "C"}
+	shift := func(rows []Tuple) []Tuple {
+		for _, r := range rows {
+			r[2] -= 3
+		}
+		return rows
+	}
+	base := shift(randRows(5, 60, 3, 5))
+	inBase := make(map[[3]Value]bool)
+	for _, r := range base {
+		inBase[[3]Value{r[0], r[1], r[2]}] = true
+	}
+	var pool []Tuple
+	for _, r := range shift(randRows(6, 200, 3, 10)) {
+		if !inBase[[3]Value{r[0], r[1], r[2]}] {
+			pool = append(pool, r)
+		}
+	}
+	first, second, third := pool[:30], pool[30:60], pool[60:90]
+
+	sets := [][]string{{"A"}, {"B"}, {"C"}, {"A", "B"}, {"A", "C"}, {"B", "C"}, {"A", "B", "C"}}
+	parent := NewSnapshot(attrs, base)
+	for _, set := range sets {
+		if _, err := parent.GroupEntropy(set...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(label string, got *Snapshot, rows []Tuple) {
+		t.Helper()
+		cold := NewSnapshot(attrs, rows)
+		for _, set := range sets {
+			g, _ := got.Grouping(set...)
+			w, _ := cold.Grouping(set...)
+			sameGrouping(t, label, g, w)
+			hg, _ := got.GroupEntropy(set...)
+			hw, _ := cold.GroupEntropy(set...)
+			if hg != hw {
+				t.Fatalf("%s: entropy %v = %v, cold %v", label, set, hg, hw)
+			}
+		}
+	}
+	cat := func(parts ...[]Tuple) []Tuple {
+		var out []Tuple
+		for _, p := range parts {
+			out = append(out, p...)
+		}
+		return out
+	}
+
+	check("first child", parent.Extend(first), cat(base, first))
+	for key, ent := range parent.memo {
+		if len(ent.cols) > 0 && ent.next.Load() != nil {
+			t.Fatalf("memo %s kept its probe after Extend; the rebuild path goes untested", key)
+		}
+	}
+	child := parent.Extend(second)
+	check("re-extended child", child, cat(base, second))
+	check("grandchild", child.Extend(third), cat(base, second, third))
+	check("parent", parent, base)
+}
+
+// TestHandoffConcurrentReaders: readers compute groupings the memo does not
+// hold yet, on the parent and on each child, while one writer extends the
+// chain and takes every probe it extends. Run under -race in CI.
+func TestHandoffConcurrentReaders(t *testing.T) {
+	attrs := []string{"A", "B", "C", "D"}
+	rows := randRows(8, 500, 4, 6)
+	parent := NewSnapshot(attrs, rows[:200])
+	for _, set := range [][]string{{"A"}, {"A", "B"}, {"C", "D"}} {
+		if _, err := parent.GroupEntropy(set...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sets := [][]string{{"B"}, {"A", "C"}, {"B", "D"}, {"A", "B", "C"}, {"B", "C", "D"}, {"A", "B", "C", "D"}}
+	// Unbuffered: the writer extends each child while readers work on it.
+	chain := make(chan *Snapshot)
+	go func() {
+		defer close(chain)
+		cur := parent
+		for i := 200; i < 500; i += 50 {
+			cur = cur.Extend(rows[i : i+50])
+			chain <- cur
+		}
+	}()
+	read := func(snap *Snapshot) {
+		cold := NewSnapshot(attrs, snap.Rows())
+		ForEach(len(sets), 4, func(i int) {
+			set := sets[i]
+			h, err := snap.GroupEntropy(set...)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if w, _ := cold.GroupEntropy(set...); h != w {
+				t.Errorf("%d rows, %v: entropy %v, cold %v", snap.NumRows(), set, h, w)
+			}
+		})
+	}
+	for snap := range chain {
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { defer wg.Done(); read(parent) }()
+		go func() { defer wg.Done(); read(snap) }()
+		wg.Wait()
 	}
 }

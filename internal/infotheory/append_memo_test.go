@@ -1,8 +1,9 @@
-package infotheory
+package infotheory_test
 
 import (
 	"testing"
 
+	"ajdloss/internal/infotheory"
 	"ajdloss/internal/relation"
 )
 
@@ -16,13 +17,13 @@ func TestEntropyMemoAcrossAppends(t *testing.T) {
 
 	warm := func() (hA, hAB, mi float64) {
 		var err error
-		if hA, err = Entropy(r, "A"); err != nil {
+		if hA, err = infotheory.Entropy(r, "A"); err != nil {
 			t.Fatal(err)
 		}
-		if hAB, err = Entropy(r, "A", "B"); err != nil {
+		if hAB, err = infotheory.Entropy(r, "A", "B"); err != nil {
 			t.Fatal(err)
 		}
-		if mi, err = MutualInformation(r, []string{"A"}, []string{"B"}); err != nil {
+		if mi, err = infotheory.MutualInformation(r, []string{"A"}, []string{"B"}); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -40,15 +41,15 @@ func TestEntropyMemoAcrossAppends(t *testing.T) {
 
 	// Against a cold rebuild of the concatenated relation.
 	rebuilt := relation.FromRows([]string{"A", "B"}, r.Rows())
-	wantA, err := Entropy(rebuilt, "A")
+	wantA, err := infotheory.Entropy(rebuilt, "A")
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantAB, err := Entropy(rebuilt, "A", "B")
+	wantAB, err := infotheory.Entropy(rebuilt, "A", "B")
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantMI, err := MutualInformation(rebuilt, []string{"A"}, []string{"B"})
+	wantMI, err := infotheory.MutualInformation(rebuilt, []string{"A"}, []string{"B"})
 	if err != nil {
 		t.Fatal(err)
 	}

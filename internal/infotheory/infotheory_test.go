@@ -1,4 +1,4 @@
-package infotheory
+package infotheory_test
 
 import (
 	"math"
@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ajdloss/internal/infotheory"
 	"ajdloss/internal/relation"
 )
 
@@ -24,38 +25,38 @@ func randomRelation(rng *rand.Rand, attrs []string, domain, n int) *relation.Rel
 func TestEntropyUniform(t *testing.T) {
 	// A set-valued relation over all attributes has H = log N.
 	r := relation.FromRows([]string{"A", "B"}, []relation.Tuple{{1, 1}, {1, 2}, {2, 1}, {2, 2}})
-	h := MustEntropy(r, "A", "B")
+	h := infotheory.MustEntropy(r, "A", "B")
 	if math.Abs(h-math.Log(4)) > 1e-12 {
 		t.Fatalf("H(AB) = %v, want log 4", h)
 	}
 	// Marginal of an independent uniform square: H(A) = log 2.
-	if got := MustEntropy(r, "A"); math.Abs(got-math.Log(2)) > 1e-12 {
+	if got := infotheory.MustEntropy(r, "A"); math.Abs(got-math.Log(2)) > 1e-12 {
 		t.Fatalf("H(A) = %v", got)
 	}
 }
 
 func TestEntropyEdgeCases(t *testing.T) {
 	r := relation.FromRows([]string{"A"}, []relation.Tuple{{1}})
-	if got := MustEntropy(r, "A"); got != 0 {
+	if got := infotheory.MustEntropy(r, "A"); got != 0 {
 		t.Fatalf("singleton entropy = %v", got)
 	}
-	if got := MustEntropy(r); got != 0 {
+	if got := infotheory.MustEntropy(r); got != 0 {
 		t.Fatalf("H(∅) = %v", got)
 	}
-	if _, err := Entropy(r, "nope"); err == nil {
+	if _, err := infotheory.Entropy(r, "nope"); err == nil {
 		t.Fatal("unknown attribute did not error")
 	}
-	if got := EntropyFromCounts(nil, 0); got != 0 {
+	if got := infotheory.EntropyFromCounts(nil, 0); got != 0 {
 		t.Fatalf("empty counts entropy = %v", got)
 	}
 }
 
 func TestConstantAttribute(t *testing.T) {
 	r := relation.FromRows([]string{"A", "B"}, []relation.Tuple{{1, 1}, {1, 2}, {1, 3}})
-	if got := MustEntropy(r, "A"); got != 0 {
+	if got := infotheory.MustEntropy(r, "A"); got != 0 {
 		t.Fatalf("constant attribute entropy = %v", got)
 	}
-	mi, err := MutualInformation(r, []string{"A"}, []string{"B"})
+	mi, err := infotheory.MutualInformation(r, []string{"A"}, []string{"B"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestConstantAttribute(t *testing.T) {
 func TestFunctionalDependencyZeroCMI(t *testing.T) {
 	// B = f(A) ⇒ H(B|A) = 0.
 	r := relation.FromRows([]string{"A", "B"}, []relation.Tuple{{1, 10}, {2, 20}, {3, 30}, {4, 10}})
-	h, err := ConditionalEntropy(r, []string{"B"}, []string{"A"})
+	h, err := infotheory.ConditionalEntropy(r, []string{"B"}, []string{"A"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestCMIKnownValue(t *testing.T) {
 	for i := 1; i <= n; i++ {
 		r.Insert(relation.Tuple{relation.Value(i), relation.Value(i)})
 	}
-	mi, err := MutualInformation(r, []string{"A"}, []string{"B"})
+	mi, err := infotheory.MutualInformation(r, []string{"A"}, []string{"B"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +105,11 @@ func TestCMIConditionalIndependence(t *testing.T) {
 			}
 		}
 	}
-	cmi := MustCMI(r, []string{"A"}, []string{"B"}, []string{"C"})
+	cmi := infotheory.MustCMI(r, []string{"A"}, []string{"B"}, []string{"C"})
 	if math.Abs(cmi) > 1e-12 {
 		t.Fatalf("I(A;B|C) = %v, want 0", cmi)
 	}
-	mi, _ := MutualInformation(r, []string{"A"}, []string{"B"})
+	mi, _ := infotheory.MutualInformation(r, []string{"A"}, []string{"B"})
 	if mi <= 0.1 {
 		t.Fatalf("I(A;B) = %v, want clearly positive", mi)
 	}
@@ -119,41 +120,41 @@ func TestCMIOverlapReduction(t *testing.T) {
 	// harmless when the overlap is exactly the conditioning set.
 	rng := rand.New(rand.NewPCG(5, 6))
 	r := randomRelation(rng, []string{"A", "B", "C"}, 3, 25)
-	full := MustCMI(r, []string{"A", "C"}, []string{"B", "C"}, []string{"C"})
-	reduced := MustCMI(r, []string{"A"}, []string{"B"}, []string{"C"})
+	full := infotheory.MustCMI(r, []string{"A", "C"}, []string{"B", "C"}, []string{"C"})
+	reduced := infotheory.MustCMI(r, []string{"A"}, []string{"B"}, []string{"C"})
 	if math.Abs(full-reduced) > 1e-9 {
 		t.Fatalf("overlap reduction failed: %v vs %v", full, reduced)
 	}
 }
 
 func TestKLDivergence(t *testing.T) {
-	p := Dist{"a": 0.5, "b": 0.5}
-	q := Dist{"a": 0.9, "b": 0.1}
-	if d := KLDivergence(p, p); d != 0 {
+	p := infotheory.Dist{"a": 0.5, "b": 0.5}
+	q := infotheory.Dist{"a": 0.9, "b": 0.1}
+	if d := infotheory.KLDivergence(p, p); d != 0 {
 		t.Fatalf("D(p‖p) = %v", d)
 	}
-	if d := KLDivergence(p, q); d <= 0 {
+	if d := infotheory.KLDivergence(p, q); d <= 0 {
 		t.Fatalf("D(p‖q) = %v, want > 0", d)
 	}
 	// Mass where q has none → +Inf.
-	q2 := Dist{"a": 1}
-	if d := KLDivergence(p, q2); !math.IsInf(d, 1) {
+	q2 := infotheory.Dist{"a": 1}
+	if d := infotheory.KLDivergence(p, q2); !math.IsInf(d, 1) {
 		t.Fatalf("D with missing support = %v", d)
 	}
 	if err := p.Validate(1e-12); err != nil {
 		t.Fatal(err)
 	}
-	if err := (Dist{"a": 0.5}).Validate(1e-12); err == nil {
+	if err := (infotheory.Dist{"a": 0.5}).Validate(1e-12); err == nil {
 		t.Fatal("non-normalized dist validated")
 	}
-	if err := (Dist{"a": -0.5, "b": 1.5}).Validate(1e-12); err == nil {
+	if err := (infotheory.Dist{"a": -0.5, "b": 1.5}).Validate(1e-12); err == nil {
 		t.Fatal("negative mass validated")
 	}
 }
 
 func TestEmpiricalDist(t *testing.T) {
 	r := relation.FromRows([]string{"A", "B"}, []relation.Tuple{{1, 1}, {1, 2}, {2, 1}})
-	d, err := EmpiricalDist(r, "A")
+	d, err := infotheory.EmpiricalDist(r, "A")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,53 +164,53 @@ func TestEmpiricalDist(t *testing.T) {
 	if math.Abs(d[relation.RowKey(relation.Tuple{1})]-2.0/3) > 1e-12 {
 		t.Fatal("marginal mass wrong")
 	}
-	if math.Abs(d.Entropy()-MustEntropy(r, "A")) > 1e-12 {
+	if math.Abs(d.Entropy()-infotheory.MustEntropy(r, "A")) > 1e-12 {
 		t.Fatal("Dist.Entropy disagrees with Entropy")
 	}
 }
 
 func TestBitsNats(t *testing.T) {
-	if math.Abs(Bits(math.Ln2)-1) > 1e-15 {
+	if math.Abs(infotheory.Bits(math.Ln2)-1) > 1e-15 {
 		t.Fatal("Bits wrong")
 	}
-	if math.Abs(Nats(1)-math.Ln2) > 1e-15 {
+	if math.Abs(infotheory.Nats(1)-math.Ln2) > 1e-15 {
 		t.Fatal("Nats wrong")
 	}
 }
 
 func TestFunctionalEntropy(t *testing.T) {
 	// Constant sample ⇒ Ent = 0.
-	v, err := FunctionalEntropy([]float64{2, 2, 2})
+	v, err := infotheory.FunctionalEntropy([]float64{2, 2, 2})
 	if err != nil || math.Abs(v) > 1e-12 {
 		t.Fatalf("Ent(const) = %v, %v", v, err)
 	}
 	// Zeros are fine (t log t → 0).
-	if _, err := FunctionalEntropy([]float64{0, 0, 1}); err != nil {
+	if _, err := infotheory.FunctionalEntropy([]float64{0, 0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := FunctionalEntropy([]float64{-1}); err == nil {
+	if _, err := infotheory.FunctionalEntropy([]float64{-1}); err == nil {
 		t.Fatal("negative sample did not error")
 	}
-	if _, err := FunctionalEntropy(nil); err == nil {
+	if _, err := infotheory.FunctionalEntropy(nil); err == nil {
 		t.Fatal("empty sample did not error")
 	}
-	if v, err := FunctionalEntropy([]float64{0, 0}); err != nil || v != 0 {
+	if v, err := infotheory.FunctionalEntropy([]float64{0, 0}); err != nil || v != 0 {
 		t.Fatalf("Ent(zeros) = %v, %v", v, err)
 	}
 }
 
 func TestLogSumBound(t *testing.T) {
-	lhs, rhs, err := LogSumBound([]float64{1, 2, 3}, []float64{2, 2, 2})
+	lhs, rhs, err := infotheory.LogSumBound([]float64{1, 2, 3}, []float64{2, 2, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if lhs > rhs+1e-12 {
 		t.Fatalf("log sum inequality violated: %v > %v", lhs, rhs)
 	}
-	if _, _, err := LogSumBound([]float64{1}, []float64{1, 2}); err == nil {
+	if _, _, err := infotheory.LogSumBound([]float64{1}, []float64{1, 2}); err == nil {
 		t.Fatal("length mismatch did not error")
 	}
-	if _, rhs, _ := LogSumBound([]float64{1}, []float64{0}); !math.IsInf(rhs, 1) {
+	if _, rhs, _ := infotheory.LogSumBound([]float64{1}, []float64{0}); !math.IsInf(rhs, 1) {
 		t.Fatal("zero denominator should give +Inf rhs")
 	}
 }
@@ -220,19 +221,19 @@ func TestQuickEntropyBounds(t *testing.T) {
 		r := randomRelation(rng, []string{"A", "B", "C"}, 4, 1+rng.IntN(40))
 		n := float64(r.N())
 		for _, attrs := range [][]string{{"A"}, {"B"}, {"A", "B"}, {"A", "B", "C"}} {
-			h := MustEntropy(r, attrs...)
+			h := infotheory.MustEntropy(r, attrs...)
 			if h < -1e-12 || h > math.Log(n)+1e-12 {
 				return false
 			}
 		}
 		// Monotonicity: H(AB) ≥ H(A); subadditivity H(AB) ≤ H(A)+H(B).
-		ha, hb := MustEntropy(r, "A"), MustEntropy(r, "B")
-		hab := MustEntropy(r, "A", "B")
+		ha, hb := infotheory.MustEntropy(r, "A"), infotheory.MustEntropy(r, "B")
+		hab := infotheory.MustEntropy(r, "A", "B")
 		if hab < ha-1e-9 || hab > ha+hb+1e-9 {
 			return false
 		}
 		// Full-schema entropy is exactly log N for set-valued relations.
-		return math.Abs(MustEntropy(r, "A", "B", "C")-math.Log(n)) < 1e-9
+		return math.Abs(infotheory.MustEntropy(r, "A", "B", "C")-math.Log(n)) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
@@ -244,17 +245,17 @@ func TestQuickCMINonNegativeAndChainRule(t *testing.T) {
 		rng := rand.New(rand.NewPCG(seed, 23))
 		r := randomRelation(rng, []string{"A", "B", "C", "D"}, 3, 1+rng.IntN(40))
 		a, b, c := []string{"A"}, []string{"B"}, []string{"C"}
-		if MustCMI(r, a, b, c) < 0 {
+		if infotheory.MustCMI(r, a, b, c) < 0 {
 			return false
 		}
 		// Chain rule: I(A;BD|C) = I(A;B|C) + I(A;D|BC).
-		lhs := MustCMI(r, a, []string{"B", "D"}, c)
-		rhs := MustCMI(r, a, b, c) + MustCMI(r, a, []string{"D"}, []string{"B", "C"})
+		lhs := infotheory.MustCMI(r, a, []string{"B", "D"}, c)
+		rhs := infotheory.MustCMI(r, a, b, c) + infotheory.MustCMI(r, a, []string{"D"}, []string{"B", "C"})
 		if math.Abs(lhs-rhs) > 1e-9 {
 			return false
 		}
 		// Symmetry.
-		return math.Abs(MustCMI(r, a, b, c)-MustCMI(r, b, a, c)) < 1e-9
+		return math.Abs(infotheory.MustCMI(r, a, b, c)-infotheory.MustCMI(r, b, a, c)) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
@@ -266,7 +267,7 @@ func TestQuickKLNonNegative(t *testing.T) {
 		rng := rand.New(rand.NewPCG(seed, 29))
 		// Two random distributions over a shared support.
 		k := 2 + rng.IntN(6)
-		p, q := make(Dist, k), make(Dist, k)
+		p, q := make(infotheory.Dist, k), make(infotheory.Dist, k)
 		var sp, sq float64
 		for i := 0; i < k; i++ {
 			key := string(rune('a' + i))
@@ -279,7 +280,7 @@ func TestQuickKLNonNegative(t *testing.T) {
 			p[key] /= sp
 			q[key] /= sq
 		}
-		return KLDivergence(p, q) >= 0 && KLDivergence(p, p) == 0
+		return infotheory.KLDivergence(p, q) >= 0 && infotheory.KLDivergence(p, p) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -287,16 +288,16 @@ func TestQuickKLNonNegative(t *testing.T) {
 }
 
 func TestTotalVariation(t *testing.T) {
-	p := Dist{"a": 0.5, "b": 0.5}
-	q := Dist{"a": 0.25, "b": 0.25, "c": 0.5}
-	if tv := TotalVariation(p, q); math.Abs(tv-0.5) > 1e-12 {
+	p := infotheory.Dist{"a": 0.5, "b": 0.5}
+	q := infotheory.Dist{"a": 0.25, "b": 0.25, "c": 0.5}
+	if tv := infotheory.TotalVariation(p, q); math.Abs(tv-0.5) > 1e-12 {
 		t.Fatalf("TV = %v, want 0.5", tv)
 	}
-	if tv := TotalVariation(p, p); tv != 0 {
+	if tv := infotheory.TotalVariation(p, p); tv != 0 {
 		t.Fatalf("TV(p,p) = %v", tv)
 	}
 	// Symmetry.
-	if math.Abs(TotalVariation(p, q)-TotalVariation(q, p)) > 1e-12 {
+	if math.Abs(infotheory.TotalVariation(p, q)-infotheory.TotalVariation(q, p)) > 1e-12 {
 		t.Fatal("TV not symmetric")
 	}
 }
@@ -315,17 +316,17 @@ func TestTotalVariationEqualsSpuriousMass(t *testing.T) {
 		t.Fatal(err)
 	}
 	joined := a.NaturalJoin(b) // R′ = Π_A(R) ⋈ Π_B(R) ⊇ R
-	p, err := EmpiricalDist(r, "A", "B")
+	p, err := infotheory.EmpiricalDist(r, "A", "B")
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := EmpiricalDist(joined, "A", "B")
+	q, err := infotheory.EmpiricalDist(joined, "A", "B")
 	if err != nil {
 		t.Fatal(err)
 	}
 	rho := float64(joined.N()-r.N()) / float64(r.N())
 	want := rho / (1 + rho)
-	if tv := TotalVariation(p, q); math.Abs(tv-want) > 1e-9 {
+	if tv := infotheory.TotalVariation(p, q); math.Abs(tv-want) > 1e-9 {
 		t.Fatalf("TV = %v, want rho/(1+rho) = %v", tv, want)
 	}
 }

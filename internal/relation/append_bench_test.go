@@ -2,15 +2,17 @@ package relation
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
 // Append-vs-rebuild benchmarks: the case for incremental group-index
 // maintenance. Both benchmarks end in the same state — a relation of
 // base+batch rows with every workload entropy answered — but the
-// incremental path extends a warm engine (O(batch × memoized sets) probes
-// plus O(groups) entropy refreshes) while the rebuild path re-ingests all
-// rows and re-refines every partition from scratch (O(n × queried sets)).
+// incremental path extends a warm engine (O(batch) probes plus an O(groups)
+// counts copy and entropy refresh per memoized set) while the rebuild path
+// re-ingests all rows and re-refines every partition from scratch
+// (O(n × queried sets)).
 // The ratio is the serving-capacity win of absorbing a streaming batch
 // without a cold engine; EXPERIMENTS.md records the measured numbers.
 
@@ -60,6 +62,10 @@ func BenchmarkAppendBatchIncremental(b *testing.B) {
 		b.StopTimer()
 		r := FromRows(benchAppendAttrs(), base)
 		benchAppendQuery(b, r, workload) // warm the memo, untimed
+		// Finish the set-up's garbage collection before timing: otherwise GC
+		// work it started runs during the timed append and moves ns/op by
+		// 1.5–3× between identical binaries.
+		runtime.GC()
 		b.StartTimer()
 		if _, err := r.Append(batch); err != nil {
 			b.Fatal(err)

@@ -157,11 +157,12 @@ func (r *Relation) Insert(t Tuple) bool {
 // Append inserts a batch of tuples (copied), skipping duplicates against the
 // existing rows and within the batch, and reports how many were newly added.
 // Unlike Insert, Append maintains the columnar group engine *incrementally*:
-// memoized groupings absorb the new rows by probing the retained refinement
-// maps (O(batch × memoized sets)) instead of being discarded and rebuilt
-// (O(n × queried sets)), which is what makes streaming ingestion over a warm
-// engine cheap. Incremental maintenance assigns exactly the group ids a
-// from-scratch rebuild over the concatenated rows would.
+// each memoized grouping absorbs the new rows with O(batch) probes of the
+// refinement probe handed down from the previous snapshot, plus an O(groups)
+// copy of its counts, instead of being discarded and rebuilt (O(n × queried
+// sets)), which is what makes streaming ingestion over a warm engine cheap.
+// Incremental maintenance assigns exactly the group ids a from-scratch
+// rebuild over the concatenated rows would.
 //
 // A tuple of the wrong arity fails the whole batch with an error before any
 // mutation (no partial append), so the streaming service path never panics.
