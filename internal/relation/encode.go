@@ -42,13 +42,20 @@ func (e *Encoder) Encode(record []string) (Tuple, error) {
 	for i, s := range record {
 		v, ok := e.dicts[i][s]
 		if !ok {
-			v = Value(len(e.rev[i]) + 1)
-			e.dicts[i][s] = v
-			e.rev[i] = append(e.rev[i], s)
+			v = e.add(i, s)
 		}
 		t[i] = v
 	}
 	return t, nil
+}
+
+// add gives s, which attribute i's dictionary must not hold yet, the next
+// value of that attribute.
+func (e *Encoder) add(i int, s string) Value {
+	v := Value(len(e.rev[i]) + 1)
+	e.dicts[i][s] = v
+	e.rev[i] = append(e.rev[i], s)
+	return v
 }
 
 // Decode converts a Tuple back to its string record. Values outside the
@@ -95,8 +102,7 @@ func NewEncoderFromDictionaries(attrs []string, dicts [][]string) (*Encoder, err
 			if _, dup := e.dicts[i][s]; dup {
 				return nil, fmt.Errorf("relation: duplicate dictionary entry %q for attribute %q", s, attrs[i])
 			}
-			e.dicts[i][s] = Value(len(e.rev[i]) + 1)
-			e.rev[i] = append(e.rev[i], s)
+			e.add(i, s)
 		}
 	}
 	return e, nil
@@ -129,10 +135,15 @@ func ValidateHeader(attrs []string) error {
 // Malformed headers (duplicate, empty, or whitespace-only cells) and ragged
 // records are reported as errors — ReadCSV never panics on bad input, which
 // is what the long-running analysis service relies on.
+//
+// The stream is parsed with encoding/csv's grammar (see csvScanner), minus
+// one leading UTF-8 byte order mark. Each record is encoded in place: its
+// fields are looked up in the dictionaries without allocating, its codes are
+// written straight into the relation's row storage, and a duplicate row is
+// dropped by the row table before it takes any space.
 func ReadCSV(r io.Reader, header bool) (*Relation, *Encoder, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = -1
-	first, err := cr.Read()
+	sc := newCSVScanner(r)
+	err := sc.next()
 	if err == io.EOF {
 		return nil, nil, fmt.Errorf("relation: empty CSV input")
 	}
@@ -140,57 +151,69 @@ func ReadCSV(r io.Reader, header bool) (*Relation, *Encoder, error) {
 		return nil, nil, err
 	}
 	var attrs []string
-	var pending [][]string
 	if header {
-		if err := ValidateHeader(first); err != nil {
+		attrs = sc.record()
+		if err := ValidateHeader(attrs); err != nil {
 			return nil, nil, err
 		}
-		attrs = first
+		err = sc.next()
 	} else {
-		attrs = make([]string, len(first))
+		attrs = make([]string, len(sc.fields))
 		for i := range attrs {
 			attrs[i] = fmt.Sprintf("c%d", i+1)
 		}
-		pending = append(pending, first)
 	}
 	enc := NewEncoder(attrs)
 	rel := New(attrs...)
-	insert := func(rec []string) error {
-		t, err := enc.Encode(rec)
-		if err != nil {
-			return err
+	arity := len(attrs)
+	// Rows are carved from chunks that never move, so a chunk fills up
+	// without copying the rows before it; chunks double up to a cap that
+	// bounds the unused tail of the last one.
+	const maxChunk = 1 << 16
+	var chunk []Value
+	for ; err == nil; err = sc.next() {
+		if len(sc.fields) != arity {
+			return nil, nil, fmt.Errorf("relation: record has %d fields, schema has %d", len(sc.fields), arity)
 		}
-		rel.Insert(t)
-		return nil
+		if cap(chunk)-len(chunk) < arity {
+			chunk = make([]Value, 0, max(arity, min(2*cap(chunk), maxChunk), 64*arity))
+		}
+		row := chunk[len(chunk) : len(chunk)+arity : len(chunk)+arity]
+		for i, f := range sc.fields {
+			v, ok := enc.dicts[i][string(f)]
+			if !ok {
+				v = enc.add(i, string(f))
+			}
+			row[i] = v
+		}
+		if _, added := rel.index.insert(rel.rows, row); added {
+			rel.rows = append(rel.rows, row)
+			chunk = chunk[:len(chunk)+arity]
+		}
 	}
-	for _, rec := range pending {
-		if err := insert(rec); err != nil {
-			return nil, nil, err
-		}
-	}
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := insert(rec); err != nil {
-			return nil, nil, err
-		}
+	if err != io.EOF {
+		return nil, nil, err
 	}
 	return rel, enc, nil
 }
 
 // ReadCSVRows reads a headerless CSV stream of data records, as accepted by
-// the streaming append path. Records may be ragged here — arity is validated
-// by the caller against the target schema, so the error can say which row of
-// the batch is bad.
+// the streaming append path, with ReadCSV's grammar. Records may be ragged
+// here — arity is validated by the caller against the target schema, so the
+// error can say which row of the batch is bad.
 func ReadCSVRows(r io.Reader) ([][]string, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = -1
-	return cr.ReadAll()
+	sc := newCSVScanner(r)
+	var records [][]string
+	for {
+		err := sc.next()
+		if err == io.EOF {
+			return records, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		records = append(records, sc.record())
+	}
 }
 
 // WriteCSV writes the relation as CSV with a header row. If enc is non-nil

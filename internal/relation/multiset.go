@@ -21,7 +21,7 @@ type Multiset struct {
 	pos   map[string]int
 	rows  []Tuple
 	mult  []int64
-	index map[string]int
+	index rowTable
 	total int64
 
 	// snap is the lazily built weighted engine.Snapshot (groupindex.go).
@@ -44,7 +44,6 @@ func NewMultiset(attrs ...string) *Multiset {
 	return &Multiset{
 		attrs: append([]string(nil), attrs...),
 		pos:   pos,
-		index: make(map[string]int),
 	}
 }
 
@@ -72,14 +71,10 @@ func (m *Multiset) Add(t Tuple, k int64) {
 	if k <= 0 {
 		panic(fmt.Sprintf("relation: non-positive multiplicity %d", k))
 	}
-	key := rowKey(t)
-	if i, ok := m.index[key]; ok {
+	if i, added := m.index.insert(m.rows, t); !added {
 		m.mult[i] += k
 	} else {
-		cp := make(Tuple, len(t))
-		copy(cp, t)
-		m.index[key] = len(m.rows)
-		m.rows = append(m.rows, cp)
+		m.rows = append(m.rows, append(make(Tuple, 0, len(t)), t...))
 		m.mult = append(m.mult, k)
 	}
 	m.total += k
@@ -100,7 +95,7 @@ func (m *Multiset) Multiplicity(t Tuple) int64 {
 	if len(t) != len(m.attrs) {
 		return 0
 	}
-	if i, ok := m.index[rowKey(t)]; ok {
+	if i := m.index.find(m.rows, t); i >= 0 {
 		return m.mult[i]
 	}
 	return 0
@@ -125,7 +120,7 @@ func (m *Multiset) ProjectCounts(attrs ...string) (map[string]int, error) {
 		for j, c := range cols {
 			buf[j] = t[c]
 		}
-		counts[rowKey(buf)] += int(m.mult[i])
+		counts[RowKey(buf)] += int(m.mult[i])
 	}
 	return counts, nil
 }

@@ -30,11 +30,10 @@ type Tuple = []Value
 // Relation is a finite set of tuples over a fixed list of attributes.
 // The zero value is not usable; construct with New or FromRows.
 type Relation struct {
-	attrs  []string
-	pos    map[string]int
-	rows   []Tuple
-	index  map[string]int // row key -> index in rows (nil on frozen Views until built)
-	keyBuf []byte         // scratch for row-key encoding; owned by the single writer
+	attrs []string
+	pos   map[string]int
+	rows  []Tuple
+	index rowTable // dedupes rows (empty on frozen Views until built)
 
 	// snap is the head of the relation's engine.Snapshot chain (lazily built;
 	// see groupindex.go). Reads are safe from multiple goroutines; mutation is
@@ -69,18 +68,41 @@ func New(attrs ...string) *Relation {
 	return &Relation{
 		attrs: append([]string(nil), attrs...),
 		pos:   pos,
-		index: make(map[string]int),
 	}
 }
 
 // FromRows returns a relation over attrs containing the given rows
-// (duplicates removed). Rows are copied.
+// (duplicates removed, first occurrence kept). Rows are copied.
 func FromRows(attrs []string, rows []Tuple) *Relation {
 	r := New(attrs...)
+	r.checkArity(rows)
+	r.appendCopies(rows)
+	return r
+}
+
+// Adopt is FromRows without the copy: the relation takes ownership of rows
+// (the caller must not modify them afterwards) and keeps the first
+// occurrence of each distinct row, in order.
+func Adopt(attrs []string, rows []Tuple) *Relation {
+	r := New(attrs...)
+	r.checkArity(rows)
+	r.rows = make([]Tuple, 0, len(rows))
+	r.index.rebuild(nil, tableSize(len(rows)))
 	for _, t := range rows {
-		r.Insert(t)
+		if _, added := r.index.insert(r.rows, t); added {
+			r.rows = append(r.rows, t)
+		}
 	}
 	return r
+}
+
+// checkArity panics if any row's length differs from the schema arity.
+func (r *Relation) checkArity(rows []Tuple) {
+	for _, t := range rows {
+		if len(t) != len(r.attrs) {
+			panic(fmt.Sprintf("relation: tuple arity %d != schema arity %d", len(t), len(r.attrs)))
+		}
+	}
 }
 
 // Attrs returns the attribute names in schema order. The caller must not
@@ -112,26 +134,16 @@ func (r *Relation) Row(i int) Tuple { return r.rows[i] }
 // Rows returns all tuples. The caller must not modify them.
 func (r *Relation) Rows() []Tuple { return r.rows }
 
-// appendRowKey appends the key encoding of vals to b and returns it. Mutating
-// paths encode into a reused scratch buffer and look the key up via
-// r.index[string(buf)] — a form the compiler compiles without materializing
-// the string — so duplicate detection costs zero allocations per row.
-func appendRowKey(b []byte, vals []Value) []byte {
+// RowKey encodes a tuple as a map key; exposed for packages that hash rows.
+// Keys are only comparable between tuples of the same length.
+func RowKey(vals []Value) string {
+	b := make([]byte, 0, 4*len(vals))
 	for _, v := range vals {
 		u := uint32(v)
 		b = append(b, byte(u), byte(u>>8), byte(u>>16), byte(u>>24))
 	}
-	return b
+	return string(b)
 }
-
-// rowKey encodes vals into a map key. Keys are only comparable between
-// slices of the same length, which is guaranteed per call site.
-func rowKey(vals []Value) string {
-	return string(appendRowKey(make([]byte, 0, 4*len(vals)), vals))
-}
-
-// RowKey encodes a tuple as a map key; exposed for packages that hash rows.
-func RowKey(vals []Value) string { return rowKey(vals) }
 
 // Insert adds tuple t (copied) and reports whether it was newly added.
 // It panics if len(t) does not match the arity, or if r is a frozen View.
@@ -142,14 +154,10 @@ func (r *Relation) Insert(t Tuple) bool {
 	if len(t) != len(r.attrs) {
 		panic(fmt.Sprintf("relation: tuple arity %d != schema arity %d", len(t), len(r.attrs)))
 	}
-	r.keyBuf = appendRowKey(r.keyBuf[:0], t)
-	if _, ok := r.index[string(r.keyBuf)]; ok {
+	if _, added := r.index.insert(r.rows, t); !added {
 		return false
 	}
-	cp := make(Tuple, len(t))
-	copy(cp, t)
-	r.index[string(r.keyBuf)] = len(r.rows)
-	r.rows = append(r.rows, cp)
+	r.rows = append(r.rows, append(make(Tuple, 0, len(t)), t...))
 	r.snap = nil // invalidate the snapshot head; the next query rebuilds
 	return true
 }
@@ -180,30 +188,30 @@ func (r *Relation) Append(rows []Tuple) (int, error) {
 			return 0, fmt.Errorf("relation: tuple arity %d != schema arity %d", len(t), len(r.attrs))
 		}
 	}
-	// One backing array holds every copied tuple of the batch (carved with
-	// full slice expressions so tuples stay independent), and duplicate keys
-	// are probed through the scratch buffer without allocating — together the
-	// per-row costs of a batch are one map insert plus one key string.
-	arity := len(r.attrs)
-	backing := make([]Value, 0, len(rows)*arity)
-	fresh := make([]Tuple, 0, len(rows))
-	for _, t := range rows {
-		r.keyBuf = appendRowKey(r.keyBuf[:0], t)
-		if _, ok := r.index[string(r.keyBuf)]; ok {
-			continue
-		}
-		backing = append(backing, t...)
-		cp := backing[len(backing)-arity : len(backing) : len(backing)]
-		r.index[string(r.keyBuf)] = len(r.rows)
-		r.rows = append(r.rows, cp)
-		fresh = append(fresh, cp)
-	}
+	fresh := r.appendCopies(rows)
 	r.engMu.Lock()
 	if r.snap != nil && len(fresh) > 0 {
 		r.snap = r.snap.Extend(fresh)
 	}
 	r.engMu.Unlock()
 	return len(fresh), nil
+}
+
+// appendCopies appends a copy of each row of rows that r does not hold yet
+// (the first of any repeats within rows), in order, and returns the copies.
+// One backing array holds them all, carved with full slice expressions so
+// the tuples stay independent.
+func (r *Relation) appendCopies(rows []Tuple) []Tuple {
+	arity := len(r.attrs)
+	backing := make([]Value, 0, len(rows)*arity)
+	start := len(r.rows)
+	for _, t := range rows {
+		if _, added := r.index.insert(r.rows, t); added {
+			backing = append(backing, t...)
+			r.rows = append(r.rows, backing[len(backing)-arity:len(backing):len(backing)])
+		}
+	}
+	return r.rows[start:len(r.rows):len(r.rows)]
 }
 
 // View returns a frozen, immutable view of r pinned to its current snapshot:
@@ -234,21 +242,14 @@ func (r *Relation) Contains(t Tuple) bool {
 		return false
 	}
 	if r.frozen {
-		r.indexOnce.Do(func() {
-			idx := make(map[string]int, len(r.rows))
-			for i, row := range r.rows {
-				idx[rowKey(row)] = i
-			}
-			r.index = idx
-		})
+		r.indexOnce.Do(func() { r.index = newRowTable(r.rows) })
 	}
-	_, ok := r.index[rowKey(t)]
-	return ok
+	return r.index.find(r.rows, t) >= 0
 }
 
 // Clone returns an independent deep copy of r. Existing rows are already
 // distinct, so the copy skips duplicate detection: one backing array holds
-// all tuples and the index is rebuilt with its final size.
+// all tuples and the index is built with its final size.
 func (r *Relation) Clone() *Relation {
 	out := New(r.attrs...)
 	if len(r.rows) == 0 {
@@ -256,14 +257,12 @@ func (r *Relation) Clone() *Relation {
 	}
 	arity := len(r.attrs)
 	backing := make([]Value, 0, len(r.rows)*arity)
-	out.rows = make([]Tuple, 0, len(r.rows))
-	out.index = make(map[string]int, len(r.rows))
-	for _, t := range r.rows {
+	out.rows = make([]Tuple, len(r.rows))
+	for i, t := range r.rows {
 		backing = append(backing, t...)
-		cp := backing[len(backing)-arity : len(backing) : len(backing)]
-		out.index[rowKey(cp)] = len(out.rows)
-		out.rows = append(out.rows, cp)
+		out.rows[i] = backing[len(backing)-arity : len(backing) : len(backing)]
 	}
+	out.index = newRowTable(out.rows)
 	return out
 }
 
@@ -325,9 +324,9 @@ func (r *Relation) Project(attrs ...string) (*Relation, error) {
 			for j, c := range cols {
 				row[j] = rows[i][c]
 			}
-			out.index[rowKey(row)] = len(out.rows)
 			out.rows = append(out.rows, row)
 		}
+		out.index = newRowTable(out.rows)
 		return out, nil
 	}
 	out := New(attrs...)
@@ -368,7 +367,7 @@ func (r *Relation) ProjectCounts(attrs ...string) (map[string]int, error) {
 		for i, c := range cols {
 			buf[i] = t[c]
 		}
-		counts[rowKey(buf)]++
+		counts[RowKey(buf)]++
 	}
 	return counts, nil
 }

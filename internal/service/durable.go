@@ -58,15 +58,17 @@ func datasetFromCheckpoint(ck *persist.Checkpoint) (*relation.Relation, *relatio
 			return nil, nil, fmt.Errorf("service: checkpoint for %q: column %d has %d rows, want %d", ck.Name, c, len(col), n)
 		}
 	}
+	arity := len(ck.Columns)
+	backing := make([]relation.Value, n*arity)
 	rows := make([]relation.Tuple, n)
 	for i := range rows {
-		t := make(relation.Tuple, len(ck.Columns))
-		for c := range ck.Columns {
-			t[c] = ck.Columns[c][i]
+		t := backing[i*arity : (i+1)*arity : (i+1)*arity]
+		for c, col := range ck.Columns {
+			t[c] = col[i]
 		}
 		rows[i] = t
 	}
-	rel := relation.FromRows(ck.Attrs, rows)
+	rel := relation.Adopt(ck.Attrs, rows)
 	if rel.N() != n {
 		return nil, nil, fmt.Errorf("service: checkpoint for %q has %d duplicate rows", ck.Name, n-rel.N())
 	}
