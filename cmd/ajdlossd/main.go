@@ -84,7 +84,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/csv"
 	"errors"
 	"flag"
 	"fmt"
@@ -100,6 +99,7 @@ import (
 
 	"ajdloss/internal/engine"
 	"ajdloss/internal/persist"
+	"ajdloss/internal/relation"
 	"ajdloss/internal/replica"
 	"ajdloss/internal/service"
 )
@@ -518,15 +518,18 @@ func watchLoop(ctx context.Context, svc *service.Service, name, path string, off
 		}
 		// Parse up to the first malformed record: the clean prefix is
 		// ingested immediately (valid rows must not be hostage to a bad
-		// line behind them), and only then is the failure handled.
-		records, consumed, parseErr := parseCSVPrefix(buf)
+		// line behind them), and only then is the failure handled. The
+		// chunk at offset 0 is read as Register read the file, byte order
+		// mark skipped, so its header row matches the schema.
+		records, consumed, parseErr := relation.ReadCSVPrefix(buf, offset == 0)
 		if len(records) > 0 {
 			// Drop ragged rows rather than letting one of them fail the
 			// whole batch (Dataset.Append is all-or-nothing). The schema is
 			// immutable after registration, so reading the arity needs no
-			// lock.
+			// lock. Info has it even while a lazily recovered dataset is
+			// not yet decoded (its Rel is still nil then).
 			if d, ok := svc.Registry().Get(name); ok {
-				arity := len(d.Rel.Attrs())
+				arity := len(d.Info().Attrs)
 				kept := records[:0]
 				for _, rec := range records {
 					if len(rec) == arity {
@@ -615,26 +618,4 @@ func advanceSentinel(prev, chunk []byte) []byte {
 		combined = combined[len(combined)-sentinelLen:]
 	}
 	return combined
-}
-
-// parseCSVPrefix reads CSV records from buf until the first parse error,
-// returning the clean-prefix records, the byte count they consumed, and the
-// error (nil when the whole buffer parsed; then the count covers trailing
-// blank lines too). Records may be ragged — the caller filters by arity.
-func parseCSVPrefix(buf []byte) ([][]string, int64, error) {
-	cr := csv.NewReader(bytes.NewReader(buf))
-	cr.FieldsPerRecord = -1
-	var records [][]string
-	var consumed int64
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			return records, int64(len(buf)), nil
-		}
-		if err != nil {
-			return records, consumed, err
-		}
-		records = append(records, rec)
-		consumed = cr.InputOffset()
-	}
 }

@@ -223,3 +223,68 @@ func TestDaemonWatchStableTail(t *testing.T) {
 		t.Fatalf("graceful shutdown: %v", err)
 	}
 }
+
+// TestDaemonWatchBOMRestart: a watched spreadsheet export starts with a
+// UTF-8 byte order mark. Register skips the mark, so the tailer must skip it
+// too whenever it re-reads the file from the top — after a restart over
+// -data and after the file shrinks — or the header row no longer matches
+// the schema and every row in the chunk is lost.
+func TestDaemonWatchBOMRestart(t *testing.T) {
+	dir := t.TempDir()
+	csvPath := filepath.Join(dir, "w.csv")
+	const bom = "\xef\xbb\xbf"
+	if err := os.WriteFile(csvPath, []byte(bom+"A,B\n1,1\n2,2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	args := []string{"-addr", "127.0.0.1:0", "-data", filepath.Join(dir, "data"),
+		"-watch", "w=" + csvPath, "-watch-interval", "25ms"}
+	var stderr syncBuffer
+	waitRows := func(base string, want float64, what string) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			info := getJSON(t, base+"/datasets")["datasets"].([]any)[0].(map[string]any)
+			if info["rows"] == want {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %v\nstderr:\n%s", what, info, stderr.String())
+			}
+			time.Sleep(25 * time.Millisecond)
+		}
+	}
+	base, shutdown := bootDaemonStderr(t, args, &stderr)
+	waitRows(base, 2, "initial load")
+	if err := shutdown(); err != nil {
+		t.Fatalf("graceful shutdown: %v", err)
+	}
+
+	// Rows written while the daemon is down reach it through the re-read
+	// from the top that follows recovery.
+	f, err := os.OpenFile(csvPath, os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString("3,3\n4,4\n"); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	base, shutdown = bootDaemonStderr(t, args, &stderr)
+	waitRows(base, 4, "rows written during the restart never ingested")
+
+	// A rotated (shorter) file is re-read from the top as well.
+	if err := os.WriteFile(csvPath, []byte(bom+"A,B\n9,9\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	waitRows(base, 5, "rows of the rotated file never ingested")
+	if got := getJSON(t, base+"/analyze?dataset=w&schema=A|B"); got["error"] != nil {
+		t.Fatalf("schema over the header's names: %v", got)
+	}
+	stats := getJSON(t, base+"/stats")
+	if skipped, ok := stats["skipped_lines"].(map[string]any); ok && skipped["w"] != nil {
+		t.Fatalf("watcher dropped lines: %v\nstderr:\n%s", stats, stderr.String())
+	}
+	if err := shutdown(); err != nil {
+		t.Fatalf("graceful shutdown: %v", err)
+	}
+}

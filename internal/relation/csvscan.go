@@ -15,13 +15,13 @@ const utf8BOM = "\xef\xbb\xbf"
 // Reader at its defaults plus FieldsPerRecord = -1: comma-separated fields,
 // double-quoted fields with "" escapes and embedded newlines, \r\n read as
 // \n, a trailing \r dropped at EOF, blank lines skipped, ragged records
-// allowed, and the same *csv.ParseError positions and kinds. One leading
-// UTF-8 byte order mark is stripped. A record without quotes is split in
-// place in the read buffer; only records with quotes are unescaped into a
-// scratch buffer.
+// allowed, and the same *csv.ParseError positions and kinds. A record
+// without quotes is split in place in the read buffer; only records with
+// quotes are unescaped into a scratch buffer.
 type csvScanner struct {
 	r       *bufio.Reader
 	numLine int      // lines read so far, counted like csv.Reader
+	off     int64    // input bytes read so far, counted like csv.Reader
 	raw     []byte   // a line longer than the bufio buffer
 	buf     []byte   // the unescaped fields of a quoted record, back to back
 	ends    []int    // end offset of each field in buf
@@ -29,11 +29,15 @@ type csvScanner struct {
 }
 
 func newCSVScanner(r io.Reader) *csvScanner {
-	br := bufio.NewReader(r)
-	if b, err := br.Peek(len(utf8BOM)); err == nil && string(b) == utf8BOM {
-		_, _ = br.Discard(len(utf8BOM)) // cannot fail: the bytes are buffered
+	return &csvScanner{r: bufio.NewReader(r)}
+}
+
+// skipBOM skips one UTF-8 byte order mark at the start of the input.
+func (s *csvScanner) skipBOM() {
+	if b, err := s.r.Peek(len(utf8BOM)); err == nil && string(b) == utf8BOM {
+		_, _ = s.r.Discard(len(utf8BOM)) // cannot fail: the bytes are buffered
+		s.off += int64(len(utf8BOM))
 	}
-	return &csvScanner{r: br}
 }
 
 // readLine is csv.Reader.readLine: the next line with its \n (\r\n
@@ -49,6 +53,7 @@ func (s *csvScanner) readLine() ([]byte, error) {
 		}
 		line = s.raw
 	}
+	s.off += int64(len(line))
 	if len(line) > 0 && err == io.EOF {
 		err = nil
 		if line[len(line)-1] == '\r' {

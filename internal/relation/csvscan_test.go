@@ -13,37 +13,24 @@ import (
 	"testing/quick"
 )
 
-// csvReaderRecords reads data with encoding/csv at the grammar csvScanner
-// implements, returning the records read before the first error.
-func csvReaderRecords(data []byte) ([][]string, error) {
+// csvReaderPrefix is ReadCSVPrefix(data, false) through encoding/csv at the
+// grammar csvScanner implements (FieldsPerRecord = -1), with the byte count
+// taken from InputOffset.
+func csvReaderPrefix(data []byte) ([][]string, int64, error) {
 	cr := csv.NewReader(bytes.NewReader(data))
 	cr.FieldsPerRecord = -1
 	var out [][]string
+	var consumed int64
 	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
-			return out, nil
+			return out, int64(len(data)), nil
 		}
 		if err != nil {
-			return out, err
+			return out, consumed, err
 		}
 		out = append(out, rec)
-	}
-}
-
-// scannerRecords is csvReaderRecords through csvScanner.
-func scannerRecords(data []byte) ([][]string, error) {
-	sc := newCSVScanner(bytes.NewReader(data))
-	var out [][]string
-	for {
-		err := sc.next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, sc.record())
+		consumed = cr.InputOffset()
 	}
 }
 
@@ -83,19 +70,33 @@ var csvScannerSeeds = []string{
 	utf8BOM + "\"A\",B\n",
 	utf8BOM,
 	utf8BOM + utf8BOM + "A\n", // only one mark is stripped
+	utf8BOM + "\"a\"b\n",      // no clean record after the mark
+	utf8BOM + "a\n\"b\"c\n",   // a clean record, then an error
+	"a\n" + utf8BOM + "b\n",   // a mark inside the file is data
 	"\"" + strings.Repeat("x", 4100) + "\n\"\",y\n", // a record longer than the bufio buffer
 }
 
 // checkScanner fails t unless csvScanner reads data as encoding/csv
-// (FieldsPerRecord = -1) reads it minus one leading byte order mark: the
-// same records, then the same error text or none.
+// (FieldsPerRecord = -1) reads it: the same records spanning the same
+// bytes, then the same error text or none. At the start of a file one
+// leading byte order mark is skipped first; anywhere else it is data.
 func checkScanner(t *testing.T, data []byte) {
 	t.Helper()
-	want, wantErr := csvReaderRecords(bytes.TrimPrefix(data, []byte(utf8BOM)))
-	got, gotErr := scannerRecords(data)
-	if !sameError(gotErr, wantErr) || !reflect.DeepEqual(got, want) {
-		t.Fatalf("input %q:\nscanner      %q, %v\nencoding/csv %q, %v", data, got, gotErr, want, wantErr)
+	check := func(fileStart bool, body []byte, skipped int64) {
+		t.Helper()
+		want, wantN, wantErr := csvReaderPrefix(body)
+		if len(want) > 0 || wantErr == nil {
+			wantN += skipped // the mark is spanned by the first record
+		}
+		got, gotN, gotErr := ReadCSVPrefix(data, fileStart)
+		if !sameError(gotErr, wantErr) || !reflect.DeepEqual(got, want) || gotN != wantN {
+			t.Fatalf("input %q fileStart=%v:\nscanner      %q, %d bytes, %v\nencoding/csv %q, %d bytes, %v",
+				data, fileStart, got, gotN, gotErr, want, wantN, wantErr)
+		}
 	}
+	body := bytes.TrimPrefix(data, []byte(utf8BOM))
+	check(true, body, int64(len(data)-len(body)))
+	check(false, data, 0)
 }
 
 // FuzzCSVScanner is the differential fuzzer behind checkScanner.

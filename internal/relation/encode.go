@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"bytes"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -136,13 +137,14 @@ func ValidateHeader(attrs []string) error {
 // records are reported as errors — ReadCSV never panics on bad input, which
 // is what the long-running analysis service relies on.
 //
-// The stream is parsed with encoding/csv's grammar (see csvScanner), minus
-// one leading UTF-8 byte order mark. Each record is encoded in place: its
-// fields are looked up in the dictionaries without allocating, its codes are
-// written straight into the relation's row storage, and a duplicate row is
-// dropped by the row table before it takes any space.
+// The stream is parsed with encoding/csv's grammar (see csvScanner) after
+// one leading UTF-8 byte order mark is skipped. Each record is encoded in
+// place: its fields are looked up in the dictionaries without allocating,
+// its codes are written straight into the relation's row storage, and a
+// duplicate row is dropped by the row table before it takes any space.
 func ReadCSV(r io.Reader, header bool) (*Relation, *Encoder, error) {
 	sc := newCSVScanner(r)
+	sc.skipBOM()
 	err := sc.next()
 	if err == io.EOF {
 		return nil, nil, fmt.Errorf("relation: empty CSV input")
@@ -202,17 +204,44 @@ func ReadCSV(r io.Reader, header bool) (*Relation, *Encoder, error) {
 // here — arity is validated by the caller against the target schema, so the
 // error can say which row of the batch is bad.
 func ReadCSVRows(r io.Reader) ([][]string, error) {
+	records, _, err := readCSVRecords(r, true)
+	if err != nil {
+		return nil, err
+	}
+	return records, nil
+}
+
+// ReadCSVPrefix reads buf, a chunk of a CSV file that starts at a record
+// boundary, with ReadCSVRows's grammar up to its first parse error. It
+// returns the records before the error, the number of bytes they span, and
+// the error; when the whole chunk parses, the count is len(buf), trailing
+// blank lines included. One leading UTF-8 byte order mark is skipped only
+// when fileStart says buf begins at the start of the file. This is what a
+// tailer needs to resume at the byte after the last clean record.
+func ReadCSVPrefix(buf []byte, fileStart bool) ([][]string, int64, error) {
+	return readCSVRecords(bytes.NewReader(buf), fileStart)
+}
+
+// readCSVRecords reads records until the first parse error, which it returns
+// with the records before it and the input bytes they span, or until EOF,
+// returning every record and the length of the input.
+func readCSVRecords(r io.Reader, skipBOM bool) ([][]string, int64, error) {
 	sc := newCSVScanner(r)
+	if skipBOM {
+		sc.skipBOM()
+	}
 	var records [][]string
+	var consumed int64
 	for {
 		err := sc.next()
 		if err == io.EOF {
-			return records, nil
+			return records, sc.off, nil
 		}
 		if err != nil {
-			return nil, err
+			return records, consumed, err
 		}
 		records = append(records, sc.record())
+		consumed = sc.off
 	}
 }
 

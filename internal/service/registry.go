@@ -267,7 +267,10 @@ func (d *Dataset) Append(records [][]string, header bool) (added, dups, rows int
 			return 0, 0, cur.N(), cur.Generation(), fmt.Errorf("service: append header has %d fields, schema has %d", len(records[0]), len(attrs))
 		}
 		for i, a := range records[0] {
-			if a != attrs[i] {
+			// Datasets registered while the CSV readers kept a leading UTF-8
+			// byte order mark name their first attribute "\ufeffA"; the
+			// readers strip it now, so a header read today spells it "A".
+			if a != attrs[i] && (i > 0 || a != strings.TrimPrefix(attrs[0], "\ufeff")) {
 				return 0, 0, cur.N(), cur.Generation(), fmt.Errorf("service: append header %q does not match schema attribute %q", a, attrs[i])
 			}
 		}
