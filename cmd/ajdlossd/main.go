@@ -42,14 +42,16 @@
 // by namespace and describes itself — GET /v1/namespaces, per-dataset
 // schemas at GET /v1/{ns}/datasets/{name}/schema, published JSON Schemas
 // under GET /v1/schemas/ that POST /v1/{ns}/batch validates against. The
-// legacy unversioned routes below are frozen aliases for the -default-ns
-// namespace (byte-identical responses):
+// routes that predate /v1 are served by the same handlers at their bare
+// path, in the -default-ns namespace; their responses are unchanged since
+// before namespaces existed:
 //
 //	GET    /healthz
 //	GET    /stats
 //	GET    /datasets
 //	POST   /datasets?name=X[&noheader=1]      (CSV request body)
 //	POST   /datasets/{name}/append[?header=1] (CSV or JSON rows body)
+//	POST   /datasets/{name}/checkpoint
 //	DELETE /datasets/{name}
 //	GET    /analyze?dataset=X&schema=A,B|B,C
 //	GET    /discover?dataset=X[&target=0.01][&maxsep=1]
@@ -246,7 +248,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready fun
 		// With -data, a dataset recovered at boot wins over its -load/-watch
 		// spec: the durable state carries appends the file alone does not.
 		if durable {
-			if _, ok := svc.Registry().Get(name); ok {
+			if _, ok := svc.Registry().GetIn(*defaultNS, name); ok {
 				fmt.Fprintf(stderr, "dataset %q already recovered from -data; skipping %s of %s\n", name, flagName, path)
 				return name, path, true, nil
 			}
@@ -255,7 +257,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready fun
 		if err != nil {
 			return "", "", false, err
 		}
-		d, err := svc.Registry().Register(name, f, true)
+		d, err := svc.Registry().RegisterIn(*defaultNS, name, f, true)
 		f.Close()
 		if err != nil {
 			return "", "", false, fmt.Errorf("loading %s: %w", path, err)
@@ -280,7 +282,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready fun
 	}()
 	for _, spec := range watches {
 		// Snapshot the size *before* the load: everything up to here is
-		// ingested by Register, so the tail starts at this offset — rows a
+		// ingested by RegisterIn, so the tail starts at this offset — rows a
 		// producer appends between the Stat and the load are re-read once
 		// and deduped (appends are idempotent). Without the snapshot the
 		// first tick would re-read and re-encode the entire file under the
@@ -429,6 +431,8 @@ func watchLoop(ctx context.Context, svc *service.Service, name, path string, off
 	// is skipped as permanently malformed.
 	const parseRetries = 3
 	retries := parseRetries
+	// -watch tails into the default namespace, like -load.
+	ns := svc.DefaultNamespace()
 	// sentinel is the last ≤64 bytes ending at offset, re-verified against
 	// the file on every poll; the caller captured it when it snapshotted the
 	// start offset. Without one, start from the top.
@@ -451,7 +455,7 @@ func watchLoop(ctx context.Context, svc *service.Service, name, path string, off
 		// A removed dataset cannot absorb appends again (re-registration
 		// builds a new dataset that -watch knows nothing about): stop rather
 		// than spam stderr on every poll forever.
-		if _, ok := svc.Registry().Get(name); !ok {
+		if _, ok := svc.Registry().GetIn(ns, name); !ok {
 			fmt.Fprintf(stderr, "watch %q: dataset %q was removed; watcher stopped\n", path, name)
 			return
 		}
@@ -519,7 +523,7 @@ func watchLoop(ctx context.Context, svc *service.Service, name, path string, off
 		// Parse up to the first malformed record: the clean prefix is
 		// ingested immediately (valid rows must not be hostage to a bad
 		// line behind them), and only then is the failure handled. The
-		// chunk at offset 0 is read as Register read the file, byte order
+		// chunk at offset 0 is read as RegisterIn read the file, byte order
 		// mark skipped, so its header row matches the schema.
 		records, consumed, parseErr := relation.ReadCSVPrefix(buf, offset == 0)
 		if len(records) > 0 {
@@ -528,7 +532,7 @@ func watchLoop(ctx context.Context, svc *service.Service, name, path string, off
 			// immutable after registration, so reading the arity needs no
 			// lock. Info has it even while a lazily recovered dataset is
 			// not yet decoded (its Rel is still nil then).
-			if d, ok := svc.Registry().Get(name); ok {
+			if d, ok := svc.Registry().GetIn(ns, name); ok {
 				arity := len(d.Info().Attrs)
 				kept := records[:0]
 				for _, rec := range records {
@@ -544,7 +548,7 @@ func watchLoop(ctx context.Context, svc *service.Service, name, path string, off
 			}
 			// The chunk at offset 0 starts with the header row; later tails
 			// are bare data lines.
-			v, err := svc.Append(name, records, offset == 0)
+			v, err := svc.AppendIn(ns, name, records, offset == 0)
 			if err != nil {
 				if errors.Is(err, service.ErrUnknownDataset) {
 					// Removed between the top-of-tick check and the append.

@@ -175,7 +175,7 @@ func (f *Follower) SyncOnce(ctx context.Context) error {
 	}
 	for key := range f.known {
 		if !seen[key] {
-			f.svc.ReplicaRemove(key.ns, key.name)
+			f.svc.RemoveIn(key.ns, key.name)
 		}
 	}
 	f.known = seen

@@ -8,7 +8,6 @@ import (
 	"net"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -411,7 +410,3 @@ func writeRouterJSON(w http.ResponseWriter, status int, v any) {
 func writeRouterError(w http.ResponseWriter, status int, err error) {
 	writeRouterJSON(w, status, map[string]string{"error": err.Error()})
 }
-
-// routerPathIsV1 reports whether the path belongs to the versioned surface;
-// kept for symmetry with the daemon's logging of unrouted legacy traffic.
-func routerPathIsV1(path string) bool { return strings.HasPrefix(path, "/v1/") }

@@ -1,10 +1,12 @@
 package service
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -21,12 +23,12 @@ func appendRecords(start, b int) [][]string {
 
 func TestServiceAppend(t *testing.T) {
 	s := newTestService(t, 16)
-	d, _ := s.Registry().Get("block")
+	d, _ := s.Registry().GetIn("default", "block")
 	if g := d.Generation(); g != 1 {
 		t.Fatalf("fresh dataset generation = %d, want 1", g)
 	}
 
-	before, err := s.Entropy("block", []string{"A"}, nil, nil, nil)
+	before, err := s.EntropyIn("default", "block", []string{"A"}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +37,7 @@ func TestServiceAppend(t *testing.T) {
 	}
 
 	// A batch with one duplicate of an existing row and two new rows.
-	v, err := s.Append("block", [][]string{{"11", "101", "1"}, {"77", "88", "9"}, {"78", "88", "9"}}, false)
+	v, err := s.AppendIn("default", "block", [][]string{{"11", "101", "1"}, {"77", "88", "9"}, {"78", "88", "9"}}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +47,7 @@ func TestServiceAppend(t *testing.T) {
 
 	// The post-append answer must equal a cold service over the concatenated
 	// data — the memoized engine absorbed the rows, it did not go stale.
-	after, err := s.Entropy("block", []string{"A"}, nil, nil, nil)
+	after, err := s.EntropyIn("default", "block", []string{"A"}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,10 +55,10 @@ func TestServiceAppend(t *testing.T) {
 		t.Fatalf("post-append entropy view: %+v", after)
 	}
 	cold := New(16)
-	if _, err := cold.Registry().Register("block", strings.NewReader(blockCSV(3, 2, 2)+"77,88,9\n78,88,9\n"), true); err != nil {
+	if _, err := cold.Registry().RegisterIn("default", "block", strings.NewReader(blockCSV(3, 2, 2)+"77,88,9\n78,88,9\n"), true); err != nil {
 		t.Fatal(err)
 	}
-	want, err := cold.Entropy("block", []string{"A"}, nil, nil, nil)
+	want, err := cold.EntropyIn("default", "block", []string{"A"}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +68,7 @@ func TestServiceAppend(t *testing.T) {
 
 	// Re-sending the same batch is idempotent: nothing added, generation
 	// stays, so cached generation-2 results remain valid (and are kept).
-	v2, err := s.Append("block", [][]string{{"77", "88", "9"}, {"78", "88", "9"}}, false)
+	v2, err := s.AppendIn("default", "block", [][]string{{"77", "88", "9"}, {"78", "88", "9"}}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,20 +78,20 @@ func TestServiceAppend(t *testing.T) {
 
 	// header=1: a matching header row is skipped, a mismatched one rejects
 	// the batch, as does a ragged record — all without partial application.
-	if v, err := s.Append("block", [][]string{{"A", "B", "C"}, {"90", "90", "90"}}, true); err != nil || v.Appended != 1 {
+	if v, err := s.AppendIn("default", "block", [][]string{{"A", "B", "C"}, {"90", "90", "90"}}, true); err != nil || v.Appended != 1 {
 		t.Fatalf("append with header: %+v, %v", v, err)
 	}
-	if _, err := s.Append("block", [][]string{{"X", "Y", "Z"}, {"91", "91", "91"}}, true); err == nil {
+	if _, err := s.AppendIn("default", "block", [][]string{{"X", "Y", "Z"}, {"91", "91", "91"}}, true); err == nil {
 		t.Fatal("mismatched header accepted")
 	}
-	if _, err := s.Append("block", [][]string{{"92", "92", "92"}, {"93", "93"}}, false); err == nil {
+	if _, err := s.AppendIn("default", "block", [][]string{{"92", "92", "92"}, {"93", "93"}}, false); err == nil {
 		t.Fatal("ragged append row accepted")
 	}
-	d, _ = s.Registry().Get("block")
+	d, _ = s.Registry().GetIn("default", "block")
 	if got := d.Rel.N(); got != 15 {
 		t.Fatalf("rows after rejected batches = %d, want 15", got)
 	}
-	if _, err := s.Append("nope", [][]string{{"1", "2", "3"}}, false); err == nil {
+	if _, err := s.AppendIn("default", "nope", [][]string{{"1", "2", "3"}}, false); err == nil {
 		t.Fatal("append to unknown dataset accepted")
 	}
 
@@ -114,7 +116,7 @@ func TestStatsAcrossAppends(t *testing.T) {
 	s := newTestService(t, 16)
 	query := func() *EntropyView {
 		t.Helper()
-		v, err := s.Entropy("block", []string{"A", "B"}, nil, nil, nil)
+		v, err := s.EntropyIn("default", "block", []string{"A", "B"}, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +134,7 @@ func TestStatsAcrossAppends(t *testing.T) {
 		t.Fatalf("generation = %d, want 1", v.Generation)
 	}
 
-	if _, err := s.Append("block", appendRecords(0, 3), false); err != nil {
+	if _, err := s.AppendIn("default", "block", appendRecords(0, 3), false); err != nil {
 		t.Fatal(err)
 	}
 	st3 := s.Stats()
@@ -235,5 +237,52 @@ func TestAppendGenerationRace(t *testing.T) {
 	code, body := doReq(t, "GET", srv.URL+"/entropy?dataset=block&attrs=A,B", "")
 	if code != 200 || body["generation"].(float64) != float64(batches+1) || body["rows"].(float64) != float64(rowsAt(batches+1)) {
 		t.Fatalf("final state: %d %v", code, body)
+	}
+}
+
+// TestAppendRegisterRace: malformed appends racing the first registration of
+// their namespace. An append may find no namespace and then, a moment later,
+// the freshly registered dataset; its failure must still be counted, against
+// the dataset's namespace, without a nil dereference. Every attempt counts
+// exactly once, as an append and as an error.
+func TestAppendRegisterRace(t *testing.T) {
+	s := New(0)
+	const namespaces = 200
+	var attempts atomic.Int64
+	for i := 0; i < namespaces; i++ {
+		ns := fmt.Sprintf("t%d", i)
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			if _, err := s.Registry().RegisterIn(ns, "d", strings.NewReader(blockCSV(1, 1, 1)), true); err != nil {
+				t.Error(err)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			// Wrong-arity batches until one reaches the registered dataset.
+			for {
+				attempts.Add(1)
+				_, err := s.AppendIn(ns, "d", [][]string{{"1"}}, false)
+				if err == nil {
+					t.Error("wrong-arity append accepted")
+					return
+				}
+				if !errors.Is(err, ErrUnknownDataset) {
+					return
+				}
+			}
+		}()
+		wg.Wait()
+	}
+	st := s.Stats()
+	if st.Appends != attempts.Load() || st.Errors != st.Appends {
+		t.Fatalf("appends %d, errors %d, want both %d", st.Appends, st.Errors, attempts.Load())
+	}
+	for _, ns := range s.Registry().Namespaces() {
+		if nst, _ := s.Registry().NamespaceStats(ns); nst.Appends < 1 || nst.Errors != nst.Appends {
+			t.Fatalf("namespace %s: appends %d, errors %d", ns, nst.Appends, nst.Errors)
+		}
 	}
 }

@@ -20,7 +20,7 @@ func TestBatchMatchesSingles(t *testing.T) {
 		{Kind: "fd", X: []string{"C"}, Y: []string{"A"}},
 		{Kind: "distinct", Attrs: []string{"A", "B", "C"}},
 	}
-	bv, err := s.Batch("block", qs)
+	bv, err := s.BatchIn("default", "block", qs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestBatchMatchesSingles(t *testing.T) {
 		{4, nil, []string{"A"}, []string{"B"}, []string{"C"}},
 	}
 	for _, c := range singles {
-		ev, err := s.Entropy("block", c.attrs, c.a, c.b, c.g)
+		ev, err := s.EntropyIn("default", "block", c.attrs, c.a, c.b, c.g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +63,7 @@ func TestBatchMatchesSingles(t *testing.T) {
 
 	// A repeated identical batch is served from the LRU.
 	before := s.Stats()
-	if _, err := s.Batch("block", qs); err != nil {
+	if _, err := s.BatchIn("default", "block", qs); err != nil {
 		t.Fatal(err)
 	}
 	after := s.Stats()
@@ -88,11 +88,11 @@ func TestBatchErrors(t *testing.T) {
 		{{Kind: "entropy", Attrs: []string{"nope"}}},
 	}
 	for i, qs := range cases {
-		if _, err := s.Batch("block", qs); err == nil {
+		if _, err := s.BatchIn("default", "block", qs); err == nil {
 			t.Fatalf("case %d: invalid batch accepted", i)
 		}
 	}
-	if _, err := s.Batch("missing", []BatchQuery{{Kind: "entropy", Attrs: []string{"A"}}}); err == nil {
+	if _, err := s.BatchIn("default", "missing", []BatchQuery{{Kind: "entropy", Attrs: []string{"A"}}}); err == nil {
 		t.Fatal("unknown dataset accepted")
 	}
 }
@@ -133,7 +133,7 @@ func TestBatchReadsDuringAppends(t *testing.T) {
 					return
 				default:
 				}
-				bv, err := s.Batch("block", qs)
+				bv, err := s.BatchIn("default", "block", qs)
 				if err != nil {
 					t.Error(err)
 					return
@@ -161,7 +161,7 @@ func TestBatchReadsDuringAppends(t *testing.T) {
 			defer writerWG.Done()
 			for i := 0; i < appendsEach; i++ {
 				start := 1000 + (w*appendsEach+i)*batchSize
-				if _, err := s.Append("block", appendRecords(start, batchSize), false); err != nil {
+				if _, err := s.AppendIn("default", "block", appendRecords(start, batchSize), false); err != nil {
 					t.Error(err)
 					return
 				}
@@ -173,12 +173,12 @@ func TestBatchReadsDuringAppends(t *testing.T) {
 	readerWG.Wait()
 
 	// After the dust settles: final generation saw every append batch.
-	d, _ := s.Registry().Get("block")
+	d, _ := s.Registry().GetIn("default", "block")
 	wantRows := 12 + writers*appendsEach*batchSize
 	if v := d.View(); v.N() != wantRows {
 		t.Fatalf("final rows = %d, want %d", v.N(), wantRows)
 	}
-	bv, err := s.Batch("block", qs)
+	bv, err := s.BatchIn("default", "block", qs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestBatchReadsDuringAppends(t *testing.T) {
 // of snapshot immutability.
 func TestViewFrozenAcrossAppend(t *testing.T) {
 	s := newTestService(t, 16)
-	d, _ := s.Registry().Get("block")
+	d, _ := s.Registry().GetIn("default", "block")
 	old := d.View()
 	if old.Generation() != 1 || old.N() != 12 {
 		t.Fatalf("fresh view: gen %d rows %d", old.Generation(), old.N())
@@ -201,7 +201,7 @@ func TestViewFrozenAcrossAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Append("block", appendRecords(5000, 7), false); err != nil {
+	if _, err := s.AppendIn("default", "block", appendRecords(5000, 7), false); err != nil {
 		t.Fatal(err)
 	}
 	if old.Generation() != 1 || old.N() != 12 {

@@ -29,7 +29,7 @@ func benchService(b *testing.B, n, cacheSize int) *Service {
 		b.Fatal(err)
 	}
 	s := New(cacheSize)
-	if _, err := s.Registry().Register("bench", bytes.NewReader(csv.Bytes()), true); err != nil {
+	if _, err := s.Registry().RegisterIn("default", "bench", bytes.NewReader(csv.Bytes()), true); err != nil {
 		b.Fatal(err)
 	}
 	return s
@@ -54,16 +54,16 @@ func BenchmarkServeMixed(b *testing.B) {
 					i++
 					switch i % 8 {
 					case 0:
-						if _, err := s.Discover("bench", 0.01, 1); err != nil {
+						if _, err := s.DiscoverIn("default", "bench", 0.01, 1); err != nil {
 							b.Fatal(err)
 						}
 					case 1, 2, 3:
-						if _, err := s.Analyze("bench", schemas[i%len(schemas)]); err != nil {
+						if _, err := s.AnalyzeIn("default", "bench", schemas[i%len(schemas)]); err != nil {
 							b.Fatal(err)
 						}
 					default:
 						attrs := entropies[i%len(entropies)]
-						if _, err := s.Entropy("bench", attrs, nil, nil, nil); err != nil {
+						if _, err := s.EntropyIn("default", "bench", attrs, nil, nil, nil); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -96,7 +96,7 @@ func BenchmarkServeColdAnalyze(b *testing.B) {
 		i := 0
 		for pb.Next() {
 			i++
-			if _, err := s.Analyze("bench", schemas[i%len(schemas)]); err != nil {
+			if _, err := s.AnalyzeIn("default", "bench", schemas[i%len(schemas)]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -128,7 +128,7 @@ func benchDurableService(b *testing.B, dir string, n int, sync bool) *Service {
 	if err := relation.WriteCSV(&csv, r, nil); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := s.Registry().Register("bench", bytes.NewReader(csv.Bytes()), true); err != nil {
+	if _, err := s.Registry().RegisterIn("default", "bench", bytes.NewReader(csv.Bytes()), true); err != nil {
 		b.Fatal(err)
 	}
 	return s
@@ -162,7 +162,7 @@ func BenchmarkAppendBatchDurable(b *testing.B) {
 					}
 					records[j] = rec
 				}
-				if _, err := s.Append("bench", records, false); err != nil {
+				if _, err := s.AppendIn("default", "bench", records, false); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -187,12 +187,12 @@ func BenchmarkRecovery(b *testing.B) {
 			}
 			records[j] = rec
 		}
-		if _, err := s0.Append("bench", records, false); err != nil {
+		if _, err := s0.AppendIn("default", "bench", records, false); err != nil {
 			b.Fatal(err)
 		}
 	}
 	var csv bytes.Buffer
-	d, _ := s0.Registry().Get("bench")
+	d, _ := s0.Registry().GetIn("default", "bench")
 	if err := relation.WriteCSV(&csv, d.View(), d.Enc); err != nil {
 		b.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func BenchmarkRecovery(b *testing.B) {
 	b.Run("cold-reingest", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s := New(0)
-			if _, err := s.Registry().Register("bench", bytes.NewReader(csv.Bytes()), true); err != nil {
+			if _, err := s.Registry().RegisterIn("default", "bench", bytes.NewReader(csv.Bytes()), true); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -255,7 +255,7 @@ func BenchmarkMultiDatasetBoot(b *testing.B) {
 		}
 		for i := 0; i < datasets; i++ {
 			name := fmt.Sprintf("bench-%02d", i)
-			if _, err := s.Registry().Register(name, bytes.NewReader(csv.Bytes()), true); err != nil {
+			if _, err := s.Registry().RegisterIn("default", name, bytes.NewReader(csv.Bytes()), true); err != nil {
 				b.Fatal(err)
 			}
 		}

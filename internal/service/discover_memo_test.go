@@ -107,37 +107,37 @@ func TestDiscoverMemoCountersViaStats(t *testing.T) {
 func TestDiscoverMemoParityAfterAppends(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	warm := New(32)
-	if _, err := warm.Registry().Register("d", strings.NewReader(blockCSV(3, 2, 2)), true); err != nil {
+	if _, err := warm.Registry().RegisterIn("default", "d", strings.NewReader(blockCSV(3, 2, 2)), true); err != nil {
 		t.Fatal(err)
 	}
 	var appended [][]string
 	for step := 0; step < 5; step++ {
 		// Touch the memo at every generation so later refreshes are warm.
-		if _, err := warm.Discover("d", 0.01, 1); err != nil {
+		if _, err := warm.DiscoverIn("default", "d", 0.01, 1); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := warm.Batch("d", []BatchQuery{{Kind: "fd", X: []string{"A"}, Y: []string{"C"}}}); err != nil {
+		if _, err := warm.BatchIn("default", "d", []BatchQuery{{Kind: "fd", X: []string{"A"}, Y: []string{"C"}}}); err != nil {
 			t.Fatal(err)
 		}
 		rows := randCSVRows(rng, 3)
-		if _, err := warm.Append("d", rows, false); err != nil {
+		if _, err := warm.AppendIn("default", "d", rows, false); err != nil {
 			t.Fatal(err)
 		}
 		appended = append(appended, rows...)
 	}
-	got, err := warm.Discover("d", 0.01, 1)
+	got, err := warm.DiscoverIn("default", "d", 0.01, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	cold := New(32)
-	if _, err := cold.Registry().Register("d", strings.NewReader(blockCSV(3, 2, 2)), true); err != nil {
+	if _, err := cold.Registry().RegisterIn("default", "d", strings.NewReader(blockCSV(3, 2, 2)), true); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cold.Append("d", appended, false); err != nil {
+	if _, err := cold.AppendIn("default", "d", appended, false); err != nil {
 		t.Fatal(err)
 	}
-	want, err := cold.Discover("d", 0.01, 1)
+	want, err := cold.DiscoverIn("default", "d", 0.01, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,11 +153,11 @@ func TestDiscoverMemoParityAfterAppends(t *testing.T) {
 		t.Fatalf("memo-served discover diverged from cold service:\n got: %s\nwant: %s", gotJSON, wantJSON)
 	}
 
-	gb, err := warm.Batch("d", []BatchQuery{{Kind: "fd", X: []string{"A"}, Y: []string{"C"}}})
+	gb, err := warm.BatchIn("default", "d", []BatchQuery{{Kind: "fd", X: []string{"A"}, Y: []string{"C"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wb, err := cold.Batch("d", []BatchQuery{{Kind: "fd", X: []string{"A"}, Y: []string{"C"}}})
+	wb, err := cold.BatchIn("default", "d", []BatchQuery{{Kind: "fd", X: []string{"A"}, Y: []string{"C"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestDiscoverMemoParityAfterAppends(t *testing.T) {
 // contention; meaningful chiefly under -race.
 func TestDiscoverMemoConcurrentAppends(t *testing.T) {
 	s := New(32)
-	if _, err := s.Registry().Register("d", strings.NewReader(blockCSV(3, 2, 2)), true); err != nil {
+	if _, err := s.Registry().RegisterIn("default", "d", strings.NewReader(blockCSV(3, 2, 2)), true); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -180,7 +180,7 @@ func TestDiscoverMemoConcurrentAppends(t *testing.T) {
 		defer wg.Done()
 		rng := rand.New(rand.NewSource(33))
 		for i := 0; i < 20; i++ {
-			if _, err := s.Append("d", randCSVRows(rng, 2), false); err != nil {
+			if _, err := s.AppendIn("default", "d", randCSVRows(rng, 2), false); err != nil {
 				t.Error(err)
 				return
 			}
@@ -191,11 +191,11 @@ func TestDiscoverMemoConcurrentAppends(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				if _, err := s.Discover("d", 0.01, 1); err != nil {
+				if _, err := s.DiscoverIn("default", "d", 0.01, 1); err != nil {
 					t.Error(err)
 					return
 				}
-				if _, err := s.Batch("d", []BatchQuery{
+				if _, err := s.BatchIn("default", "d", []BatchQuery{
 					{Kind: "fd", X: []string{"A"}, Y: []string{"C"}},
 					{Kind: "fd", X: []string{"B"}, Y: []string{"A"}},
 					{Kind: "entropy", Attrs: []string{"A", "B"}},

@@ -244,7 +244,7 @@ func (s *Service) recoverDataset(store *persist.Store, ns, name string) (*Recove
 		ds.Close()
 		return nil, fmt.Errorf("service: replaying WAL for %q: %w", name, err)
 	}
-	// Same warm-up as Register: singleton entropies build the column
+	// Same warm-up as RegisterIn: singleton entropies build the column
 	// mirror and seed the memo before the dataset is reachable.
 	for _, a := range rel.Attrs() {
 		if _, err := infotheory.Entropy(rel, a); err != nil {
@@ -279,33 +279,26 @@ func (s *Service) MaterializeAll() error {
 	return nil
 }
 
-// Checkpoint folds the named dataset's current state into a fresh durable
+// CheckpointIn folds the named dataset's current state into a fresh durable
 // checkpoint and compacts its WAL. The view and its matching dictionaries
 // are captured under the append lock (a few pointer loads and a dictionary
 // copy); serialization and the atomic file swap run outside it, against the
 // immutable frozen view — readers are never blocked and writers only for
 // the capture.
-func (s *Service) Checkpoint(name string) (*CheckpointView, error) {
-	return s.CheckpointIn(s.reg.DefaultNamespace(), name)
-}
-
-// CheckpointIn is Checkpoint against the named dataset in the given
-// namespace.
 func (s *Service) CheckpointIn(ns, name string) (*CheckpointView, error) {
-	nsObj := s.reg.lookupNS(ns)
 	if err := s.reg.errIfFollower(); err != nil {
-		return nil, s.reject(nsObj, err)
+		return nil, reject(s.countersFor(ns), err)
 	}
 	d, ok := s.reg.GetIn(ns, name)
 	if !ok {
-		return nil, s.reject(nsObj, fmt.Errorf("service: %w %q", ErrUnknownDataset, name))
+		return nil, reject(s.countersFor(ns), fmt.Errorf("service: %w %q", ErrUnknownDataset, name))
 	}
 	if d.store == nil {
-		return nil, s.reject(nsObj, fmt.Errorf("service: dataset %q is not durable (start the daemon with -data)", name))
+		return nil, reject(&d.ns.counters, fmt.Errorf("service: dataset %q is not durable (start the daemon with -data)", name))
 	}
 	v, err := s.checkpointDataset(d)
 	if err != nil {
-		s.errors.Add(1)
+		d.ns.errors.Add(1)
 		return nil, err
 	}
 	return v, nil

@@ -42,21 +42,21 @@ func TestDurableRoundTrip(t *testing.T) {
 	if len(recovered) != 0 {
 		t.Fatalf("fresh store recovered %v", recovered)
 	}
-	if _, err := s1.Registry().Register("block", strings.NewReader(blockCSV(3, 2, 2)), true); err != nil {
+	if _, err := s1.Registry().RegisterIn("default", "block", strings.NewReader(blockCSV(3, 2, 2)), true); err != nil {
 		t.Fatal(err)
 	}
 	// Two appends: fresh rows (bump) and a pure-duplicate batch (no bump).
-	if _, err := s1.Append("block", [][]string{{"991", "992", "9"}, {"993", "994", "9"}}, false); err != nil {
+	if _, err := s1.AppendIn("default", "block", [][]string{{"991", "992", "9"}, {"993", "994", "9"}}, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s1.Append("block", [][]string{{"991", "992", "9"}}, false); err != nil {
+	if _, err := s1.AppendIn("default", "block", [][]string{{"991", "992", "9"}}, false); err != nil {
 		t.Fatal(err)
 	}
-	wantInfo := s1.Registry().List()[0]
+	wantInfo := s1.Registry().All()[0].Info()
 	if wantInfo.Generation != 2 || wantInfo.Rows != 14 {
 		t.Fatalf("pre-crash state: %+v", wantInfo)
 	}
-	wantAnalyze, err := s1.Analyze("block", "A,C;B,C")
+	wantAnalyze, err := s1.AnalyzeIn("default", "block", "A,C;B,C")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestDurableRoundTrip(t *testing.T) {
 	if r.Name != "block" || r.Rows != 14 || r.Generation != 2 || r.CheckpointGeneration != 1 || r.ReplayedRows != 2 {
 		t.Fatalf("recovery summary: %+v", r)
 	}
-	gotAnalyze, err := s2.Analyze("block", "A,C;B,C")
+	gotAnalyze, err := s2.AnalyzeIn("default", "block", "A,C;B,C")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestDurableRoundTrip(t *testing.T) {
 		t.Fatalf("recovered analyze differs:\n got %s\nwant %s", gotJSON, wantJSON)
 	}
 	// Appends continue cleanly after recovery (generation chain intact).
-	v, err := s2.Append("block", [][]string{{"995", "996", "9"}}, false)
+	v, err := s2.AppendIn("default", "block", [][]string{{"995", "996", "9"}}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,10 +94,10 @@ func TestDurableRoundTrip(t *testing.T) {
 func TestDurableCheckpointAndCompaction(t *testing.T) {
 	dir := t.TempDir()
 	s1, _ := newDurableService(t, dir, 16)
-	if _, err := s1.Registry().Register("block", strings.NewReader(blockCSV(3, 2, 2)), true); err != nil {
+	if _, err := s1.Registry().RegisterIn("default", "block", strings.NewReader(blockCSV(3, 2, 2)), true); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s1.Append("block", [][]string{{"991", "992", "9"}}, false); err != nil {
+	if _, err := s1.AppendIn("default", "block", [][]string{{"991", "992", "9"}}, false); err != nil {
 		t.Fatal(err)
 	}
 	st := s1.Stats()
@@ -105,7 +105,7 @@ func TestDurableCheckpointAndCompaction(t *testing.T) {
 	if !ok || dur.WALBytes == 0 || dur.LastCheckpoint != 1 || dur.Checkpoints != 1 {
 		t.Fatalf("pre-checkpoint durability: %+v", st.Durability)
 	}
-	ck, err := s1.Checkpoint("block")
+	ck, err := s1.CheckpointIn("default", "block")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,12 +121,12 @@ func TestDurableCheckpointAndCompaction(t *testing.T) {
 	if len(recovered) != 1 || recovered[0].Generation != 2 || recovered[0].Rows != 13 || recovered[0].ReplayedRows != 0 {
 		t.Fatalf("recovery after checkpoint: %+v", recovered)
 	}
-	if _, err := s2.Checkpoint("nope"); err == nil {
+	if _, err := s2.CheckpointIn("default", "nope"); err == nil {
 		t.Fatal("checkpoint of unknown dataset accepted")
 	}
 	// Non-durable service: checkpoint is a clean client error.
 	s3 := newTestService(t, 4)
-	if _, err := s3.Checkpoint("block"); err == nil {
+	if _, err := s3.CheckpointIn("default", "block"); err == nil {
 		t.Fatal("checkpoint without a store accepted")
 	}
 }
@@ -136,13 +136,13 @@ func TestDurableCheckpointAndCompaction(t *testing.T) {
 func TestDurableRemove(t *testing.T) {
 	dir := t.TempDir()
 	s1, _ := newDurableService(t, dir, 16)
-	if _, err := s1.Registry().Register("block", strings.NewReader(blockCSV(2, 2, 2)), true); err != nil {
+	if _, err := s1.Registry().RegisterIn("default", "block", strings.NewReader(blockCSV(2, 2, 2)), true); err != nil {
 		t.Fatal(err)
 	}
 	if entries, _ := os.ReadDir(filepath.Join(dir, "default")); len(entries) != 1 {
 		t.Fatalf("store dir entries: %v", entries)
 	}
-	if !s1.Remove("block") {
+	if !s1.RemoveIn("default", "block") {
 		t.Fatal("remove failed")
 	}
 	if entries, _ := os.ReadDir(filepath.Join(dir, "default")); len(entries) != 0 {
@@ -159,7 +159,7 @@ func TestDurableRemove(t *testing.T) {
 func TestDurableHTTPCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := newDurableService(t, dir, 16)
-	if _, err := s.Registry().Register("block", strings.NewReader(blockCSV(2, 2, 2)), true); err != nil {
+	if _, err := s.Registry().RegisterIn("default", "block", strings.NewReader(blockCSV(2, 2, 2)), true); err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(NewHandler(s))
@@ -201,11 +201,11 @@ func TestDurableSizeTriggeredCompaction(t *testing.T) {
 	if _, err := s.EnableDurability(store); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Registry().Register("block", strings.NewReader(blockCSV(2, 2, 2)), true); err != nil {
+	if _, err := s.Registry().RegisterIn("default", "block", strings.NewReader(blockCSV(2, 2, 2)), true); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 40; i++ {
-		if _, err := s.Append("block", [][]string{{fmt.Sprint(1000 + i), fmt.Sprint(2000 + i), "7"}}, false); err != nil {
+		if _, err := s.AppendIn("default", "block", [][]string{{fmt.Sprint(1000 + i), fmt.Sprint(2000 + i), "7"}}, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -228,11 +228,11 @@ func TestDurableSizeTriggeredCompaction(t *testing.T) {
 	if len(recovered) != 1 || recovered[0].Rows != 8+40 {
 		t.Fatalf("recovery after compaction: %+v", recovered)
 	}
-	h1, err := s.Entropy("block", []string{"A", "B", "C"}, nil, nil, nil)
+	h1, err := s.EntropyIn("default", "block", []string{"A", "B", "C"}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2, err := s2.Entropy("block", []string{"A", "B", "C"}, nil, nil, nil)
+	h2, err := s2.EntropyIn("default", "block", []string{"A", "B", "C"}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestDurableSizeTriggeredCompaction(t *testing.T) {
 func TestDurableConcurrentAppends(t *testing.T) {
 	dir := t.TempDir()
 	s1, _ := newDurableService(t, dir, 16)
-	if _, err := s1.Registry().Register("block", strings.NewReader(blockCSV(2, 2, 2)), true); err != nil {
+	if _, err := s1.Registry().RegisterIn("default", "block", strings.NewReader(blockCSV(2, 2, 2)), true); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -256,19 +256,19 @@ func TestDurableConcurrentAppends(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
 				rec := []string{fmt.Sprint(100*g + i), fmt.Sprint(200*g + i), fmt.Sprint(g)}
-				if _, err := s1.Append("block", [][]string{rec}, false); err != nil {
+				if _, err := s1.AppendIn("default", "block", [][]string{rec}, false); err != nil {
 					t.Error(err)
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	live := s1.Registry().List()[0]
+	live := s1.Registry().All()[0].Info()
 	s2, recovered := newDurableService(t, dir, 16)
 	if len(recovered) != 1 {
 		t.Fatalf("recovered: %+v", recovered)
 	}
-	got := s2.Registry().List()[0]
+	got := s2.Registry().All()[0].Info()
 	if got.Rows != live.Rows || got.Generation != live.Generation {
 		t.Fatalf("recovered %+v != live %+v", got, live)
 	}
@@ -276,11 +276,11 @@ func TestDurableConcurrentAppends(t *testing.T) {
 	// compare the full-schema entropy and a per-pair MI, which are
 	// order-sensitive in float summation.
 	for _, attrs := range [][]string{{"A"}, {"A", "B"}, {"A", "B", "C"}} {
-		e1, err := s1.Entropy("block", attrs, nil, nil, nil)
+		e1, err := s1.EntropyIn("default", "block", attrs, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e2, err := s2.Entropy("block", attrs, nil, nil, nil)
+		e2, err := s2.EntropyIn("default", "block", attrs, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,10 +299,10 @@ func TestDurableConcurrentAppends(t *testing.T) {
 func TestCrashRecoveryTruncatedWAL(t *testing.T) {
 	dir := t.TempDir()
 	s1, _ := newDurableService(t, dir, 16)
-	if _, err := s1.Registry().Register("d", strings.NewReader(blockCSV(2, 2, 2)), true); err != nil {
+	if _, err := s1.Registry().RegisterIn("default", "d", strings.NewReader(blockCSV(2, 2, 2)), true); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s1.Append("d", [][]string{{"51", "52", "5"}, {"53", "54", "5"}}, false); err != nil {
+	if _, err := s1.AppendIn("default", "d", [][]string{{"51", "52", "5"}, {"53", "54", "5"}}, false); err != nil {
 		t.Fatal(err)
 	}
 	walPath := filepath.Join(dir, "default", "d", "wal.log")
@@ -311,7 +311,7 @@ func TestCrashRecoveryTruncatedWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	preLen := int64(len(intact))
-	if _, err := s1.Append("d", [][]string{{"61", "62", "6"}, {"63", "64", "6"}}, false); err != nil {
+	if _, err := s1.AppendIn("default", "d", [][]string{{"61", "62", "6"}, {"63", "64", "6"}}, false); err != nil {
 		t.Fatal(err)
 	}
 	full, err := os.ReadFile(walPath)
@@ -355,7 +355,7 @@ func TestCrashRecoveryTruncatedWAL(t *testing.T) {
 // every attribute subset, identical entropies, identical fd.Holds verdicts.
 func assertMatchesColdRebuild(t *testing.T, s *Service, name string) {
 	t.Helper()
-	d, ok := s.Registry().Get(name)
+	d, ok := s.Registry().GetIn("default", name)
 	if !ok {
 		t.Fatal("recovered dataset missing")
 	}
@@ -437,15 +437,15 @@ func TestAppendHeaderLegacyBOM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, err := s.Append("legacy", records, true); err != nil || v.Appended != 1 {
+	if v, err := s.AppendIn("default", "legacy", records, true); err != nil || v.Appended != 1 {
 		t.Fatalf("BOM-prefixed append to a legacy dataset: %+v, %v", v, err)
 	}
-	if v, err := s.Append("legacy", [][]string{{"\ufeffA", "\ufeffB"}, {"5", "6"}}, true); err != nil || v.Appended != 1 {
+	if v, err := s.AppendIn("default", "legacy", [][]string{{"\ufeffA", "\ufeffB"}, {"5", "6"}}, true); err != nil || v.Appended != 1 {
 		t.Fatalf("exact header append to a legacy dataset: %+v, %v", v, err)
 	}
 	// Only the mark at the start of the header is forgiven; one inside the
 	// header is part of an attribute name.
-	if _, err := s.Append("legacy", [][]string{{"A", "B"}, {"7", "8"}}, true); err == nil {
+	if _, err := s.AppendIn("default", "legacy", [][]string{{"A", "B"}, {"7", "8"}}, true); err == nil {
 		t.Fatal("header without the second attribute's mark accepted")
 	}
 }

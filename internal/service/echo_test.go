@@ -27,7 +27,7 @@ func echoCSV() string {
 // numbers.
 func TestCachedEntropyEchoesOwnOrder(t *testing.T) {
 	s := New(32)
-	if _, err := s.Registry().Register("e", strings.NewReader(echoCSV()), true); err != nil {
+	if _, err := s.Registry().RegisterIn("default", "e", strings.NewReader(echoCSV()), true); err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(NewHandler(s))
@@ -60,17 +60,17 @@ func TestCachedEntropyEchoesOwnOrder(t *testing.T) {
 // must be bit-identical.
 func TestCachedBatchEchoesOwnQueries(t *testing.T) {
 	s := New(32)
-	if _, err := s.Registry().Register("e", strings.NewReader(echoCSV()), true); err != nil {
+	if _, err := s.Registry().RegisterIn("default", "e", strings.NewReader(echoCSV()), true); err != nil {
 		t.Fatal(err)
 	}
 	upper := []BatchQuery{{Kind: "MI", A: []string{"X1"}, B: []string{"X2"}}, {Kind: "entropy", Attrs: []string{"X3", "X1"}}}
 	lower := []BatchQuery{{Kind: "mi", A: []string{"X1"}, B: []string{"X2"}}, {Kind: "entropy", Attrs: []string{"X1", "X3"}}}
-	first, err := s.Batch("e", upper)
+	first, err := s.BatchIn("default", "e", upper)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hits := s.Stats().CacheHits
-	second, err := s.Batch("e", lower)
+	second, err := s.BatchIn("default", "e", lower)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestCachedBatchEchoesOwnQueries(t *testing.T) {
 	}
 	// A repeat of the first spelling, now served from the entry the second
 	// spelling's view was cut from, must still echo the first spelling.
-	again, err := s.Batch("e", upper)
+	again, err := s.BatchIn("default", "e", upper)
 	if err != nil {
 		t.Fatal(err)
 	}

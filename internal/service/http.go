@@ -5,55 +5,59 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
-
-	"ajdloss/internal/relation"
 )
 
 // maxUploadBytes caps a POST /datasets body. 512 MiB of CSV is far beyond
 // the in-memory relation sizes the analysis engine targets.
 const maxUploadBytes = 512 << 20
 
-// NewHandler returns the HTTP API of the analysis service. The versioned,
-// namespace-scoped surface lives under /v1 (see registerV1 in http_v1.go):
+// NewHandler returns the HTTP API of the analysis service. Every dataset
+// route is written once, in registerV1's route table, and served under the
+// namespace named in its path:
 //
 //	GET    /v1/namespaces                 list namespaces
 //	GET    /v1/{ns}/stats                 one namespace's counters and quotas
 //	GET    /v1/{ns}/datasets              list the namespace's datasets
-//	POST   /v1/{ns}/datasets?name=X       register the CSV request body
+//	POST   /v1/{ns}/datasets?name=X[&noheader=1]  register the CSV request body
 //	GET    /v1/{ns}/datasets/{name}/schema  self-description: attributes with
 //	                                      distinct counts, rows, generation,
 //	                                      available measures
-//	POST   /v1/{ns}/datasets/{name}/append[?header=1]
-//	POST   /v1/{ns}/datasets/{name}/checkpoint
-//	DELETE /v1/{ns}/datasets/{name}
-//	GET    /v1/{ns}/analyze, /v1/{ns}/discover, /v1/{ns}/entropy
-//	POST   /v1/{ns}/batch                 schema-validated batch queries
+//	POST   /v1/{ns}/datasets/{name}/append[?header=1]  append rows (CSV body,
+//	                                      or JSON rows with Content-Type:
+//	                                      application/json)
+//	POST   /v1/{ns}/datasets/{name}/checkpoint  fold the dataset into a fresh
+//	                                      durable checkpoint and compact its WAL
+//	DELETE /v1/{ns}/datasets/{name}       deregister a dataset
+//	GET    /v1/{ns}/datasets/{name}/snapshot, .../wal?from=G  replication export
+//	GET    /v1/{ns}/analyze?dataset=X&schema=A,B|B,C   ('|' or %3B between bags)
+//	GET    /v1/{ns}/discover?dataset=X[&target=0.01][&maxsep=1]
+//	GET    /v1/{ns}/entropy?dataset=X&attrs=A,B[&given=C]
+//	GET    /v1/{ns}/entropy?dataset=X&a=A&b=B[&given=C]
+//	POST   /v1/{ns}/batch                 {"dataset": X, "queries": [...]} —
+//	                                      many entropy/mi/cmi/fd/distinct
+//	                                      queries against one snapshot
 //	GET    /v1/schemas                    published JSON Schema names
 //	GET    /v1/schemas/{name}             one published JSON Schema document
 //
-// The original unversioned routes remain, byte-identical, as aliases of the
-// default namespace:
+// The nine routes that predate /v1 (GET and POST /datasets, append,
+// checkpoint, DELETE, analyze, discover, entropy and batch) are also served
+// at their bare path, without the /v1/{ns} prefix, in the default namespace.
+// Such a legacy alias runs the same handler and differs from its /v1 twin at
+// exactly four points, each a check of legacyRoute:
+//
+//   - GET /datasets omits "namespace", and lists [] with 200 when the
+//     default namespace does not exist yet (/v1 answers 404);
+//   - DELETE /datasets/{name} omits "namespace" from its echo;
+//   - POST /batch bodies are not validated against the JSON Schema;
+//   - JSON append bodies are not validated against the JSON Schema.
+//
+// Two more unversioned routes have no /v1 twin:
 //
 //	GET    /healthz                      liveness probe
-//	GET    /stats                        request counters
-//	GET    /datasets                     list registered datasets
-//	POST   /datasets?name=X[&noheader=1] register the CSV request body
-//	POST   /datasets/{name}/append[?header=1]  append rows (CSV body, or JSON
-//	                                     rows with Content-Type: application/json)
-//	POST   /datasets/{name}/checkpoint   fold the dataset into a fresh durable
-//	                                     checkpoint and compact its WAL
-//	DELETE /datasets/{name}              deregister a dataset
-//	GET    /analyze?dataset=X&schema=A,B|B,C   ('|' or %3B between bags)
-//	GET    /discover?dataset=X[&target=0.01][&maxsep=1]
-//	GET    /entropy?dataset=X&attrs=A,B[&given=C]
-//	GET    /entropy?dataset=X&a=A&b=B[&given=C]
-//	POST   /batch                        {"dataset": X, "queries": [...]} —
-//	                                     many entropy/mi/cmi/fd/distinct
-//	                                     queries against one snapshot
+//	GET    /stats                        service-wide request counters
 //
 // Every response is JSON, and every analysis response echoes the dataset
 // generation it was computed against (appends bump the generation). Errors
@@ -69,155 +73,6 @@ func NewHandler(s *Service) http.Handler {
 	})
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.Stats())
-	})
-	mux.HandleFunc("GET /datasets", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"datasets": s.Registry().List()})
-	})
-	mux.HandleFunc("POST /datasets", func(w http.ResponseWriter, r *http.Request) {
-		name := r.URL.Query().Get("name")
-		noHeader, err := queryBool(r.URL.Query().Get("noheader"))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		// Bound the upload: a single unbounded (or endless chunked) body must
-		// not be able to OOM the long-running daemon.
-		d, err := s.Registry().Register(name, http.MaxBytesReader(w, r.Body, maxUploadBytes), !noHeader)
-		if err != nil {
-			status := statusFor(err)
-			if errors.Is(err, ErrAlreadyRegistered) {
-				status = http.StatusConflict
-			}
-			writeError(w, status, err)
-			return
-		}
-		writeJSON(w, http.StatusCreated, d.Info())
-	})
-	mux.HandleFunc("POST /datasets/{name}/append", func(w http.ResponseWriter, r *http.Request) {
-		name := r.PathValue("name")
-		header, err := queryBool(r.URL.Query().Get("header"))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxUploadBytes))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("service: reading append body: %w", err))
-			return
-		}
-		// JSON is detected by Content-Type or — when no CSV type was claimed
-		// — by shape: a body whose first non-space byte is '[' or '{' is
-		// almost certainly a JSON batch sent without the header, and parsing
-		// it as CSV would silently append mangled rows like "[[1" when the
-		// field count happens to match the schema. An explicit csv/text
-		// Content-Type suppresses the sniff for data whose first cell really
-		// does start with a bracket.
-		ct := r.Header.Get("Content-Type")
-		isJSON := strings.Contains(ct, "json")
-		if !isJSON && !strings.Contains(ct, "csv") && !strings.Contains(ct, "text/plain") {
-			if tr := bytes.TrimLeft(data, " \t\r\n"); len(tr) > 0 && (tr[0] == '[' || tr[0] == '{') {
-				isJSON = true
-			}
-		}
-		var records [][]string
-		if isJSON {
-			records, err = decodeJSONRows(data)
-		} else {
-			records, err = relation.ReadCSVRows(bytes.NewReader(data))
-		}
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("service: parsing append body: %w", err))
-			return
-		}
-		v, err := s.Append(name, records, header)
-		if err != nil {
-			writeError(w, statusFor(err), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, v)
-	})
-	mux.HandleFunc("POST /datasets/{name}/checkpoint", func(w http.ResponseWriter, r *http.Request) {
-		v, err := s.Checkpoint(r.PathValue("name"))
-		if err != nil {
-			writeError(w, statusFor(err), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, v)
-	})
-	mux.HandleFunc("DELETE /datasets/{name}", func(w http.ResponseWriter, r *http.Request) {
-		if err := s.FollowerError(); err != nil {
-			writeError(w, statusFor(err), err)
-			return
-		}
-		name := r.PathValue("name")
-		if !s.Remove(name) {
-			writeError(w, http.StatusNotFound, fmt.Errorf("service: unknown dataset %q", name))
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]string{"removed": name})
-	})
-	mux.HandleFunc("GET /analyze", func(w http.ResponseWriter, r *http.Request) {
-		schema, err := schemaParam(r)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		v, err := s.Analyze(r.URL.Query().Get("dataset"), schema)
-		if err != nil {
-			writeError(w, statusFor(err), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, v)
-	})
-	mux.HandleFunc("POST /batch", func(w http.ResponseWriter, r *http.Request) {
-		data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxUploadBytes))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("service: reading batch body: %w", err))
-			return
-		}
-		var req struct {
-			Dataset string       `json:"dataset"`
-			Queries []BatchQuery `json:"queries"`
-		}
-		if err := unmarshalNumbers(data, &req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("service: parsing batch body: %w", err))
-			return
-		}
-		v, err := s.Batch(req.Dataset, req.Queries)
-		if err != nil {
-			writeError(w, statusFor(err), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, v)
-	})
-	mux.HandleFunc("GET /discover", func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		target, err := queryFloat("target", q.Get("target"), 0.01)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		maxSep, err := queryInt("maxsep", q.Get("maxsep"), 1)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		v, err := s.Discover(q.Get("dataset"), target, maxSep)
-		if err != nil {
-			writeError(w, statusFor(err), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, v)
-	})
-	mux.HandleFunc("GET /entropy", func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		v, err := s.Entropy(q.Get("dataset"),
-			queryList(q.Get("attrs")), queryList(q.Get("a")), queryList(q.Get("b")), queryList(q.Get("given")))
-		if err != nil {
-			writeError(w, statusFor(err), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, v)
 	})
 	registerV1(mux, s)
 	// /v1/schemas/{name} would conflict with the /v1/{ns}/... wildcards on

@@ -14,10 +14,11 @@ import (
 	"ajdloss/internal/relation"
 )
 
-// This file is the versioned, namespace-scoped HTTP surface (/v1) plus the
-// routing wrapper shared with the legacy routes: schema-document dispatch
-// and the JSON 404/405 fallback. The legacy unversioned routes in http.go
-// are frozen aliases of the default namespace; everything new lands here.
+// This file is the route table of the HTTP API (registerV1), the JSON
+// Schema documents, and the routing wrapper: schema-document dispatch and
+// the JSON 404/405 fallback. Every dataset route is written once, under
+// /v1/{ns}; nine of them are also served at their bare pre-/v1 path in the
+// default namespace. http.go keeps /healthz, /stats and the shared helpers.
 
 // apiHandler is the root handler: it sends /v1/schemas[/...] to its own mux
 // (those literal paths would conflict with the /v1/{ns} wildcards if they
@@ -135,15 +136,42 @@ type datasetSchemaView struct {
 	Measures   []string              `json:"measures"`
 }
 
-// registerV1 adds the namespace-scoped /v1 routes to the mux. Handlers
-// reuse the same service paths as the legacy routes — the views, the error
-// envelope, and the status mapping are identical — with three additions:
-// the namespace comes from the path (validated before anything else), POST
-// bodies are validated against the published JSON Schemas with errors that
-// name the offending field, and quota rejections surface as 429.
+// The two values of route's alias argument.
+const (
+	aliased = true  // also served at the bare legacy path, in the default namespace
+	v1Only  = false // served under /v1/{ns} only
+)
+
+// legacyRoute reports whether r arrived on a bare legacy path instead of
+// under /v1/{ns}. It is the one predicate that separates the two surfaces,
+// and exactly four handlers consult it (see NewHandler).
+func legacyRoute(r *http.Request) bool { return r.PathValue("ns") == "" }
+
+// registerV1 adds the route table to the mux. Each route is written once:
+// route registers it at /v1/{ns}<path>, with the namespace validated from
+// the path before the handler runs, and the nine aliased routes also at the
+// bare <path>, with the handler called in the default namespace. Batch and
+// JSON append bodies under /v1 are validated against the published JSON
+// Schemas, with errors that name the offending field.
 func registerV1(mux *http.ServeMux, s *Service) {
 	batchSchema := apischema.BatchRequest()
 	appendSchema := apischema.AppendRequest()
+
+	route := func(method, path string, alias bool, h func(w http.ResponseWriter, r *http.Request, ns string)) {
+		mux.HandleFunc(method+" /v1/{ns}"+path, func(w http.ResponseWriter, r *http.Request) {
+			ns, err := nsParam(r)
+			if err != nil {
+				writeError(w, http.StatusBadRequest, err)
+				return
+			}
+			h(w, r, ns)
+		})
+		if alias {
+			mux.HandleFunc(method+" "+path, func(w http.ResponseWriter, r *http.Request) {
+				h(w, r, s.DefaultNamespace())
+			})
+		}
+	}
 
 	mux.HandleFunc("GET /v1/namespaces", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, namespaceListView{
@@ -151,12 +179,7 @@ func registerV1(mux *http.ServeMux, s *Service) {
 			Namespaces: s.Registry().Namespaces(),
 		})
 	})
-	mux.HandleFunc("GET /v1/{ns}/stats", func(w http.ResponseWriter, r *http.Request) {
-		ns, err := nsParam(r)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
+	route("GET", "/stats", v1Only, func(w http.ResponseWriter, r *http.Request, ns string) {
 		st, ok := s.Registry().NamespaceStats(ns)
 		if !ok {
 			writeError(w, http.StatusNotFound, fmt.Errorf("service: unknown namespace %q", ns))
@@ -164,31 +187,29 @@ func registerV1(mux *http.ServeMux, s *Service) {
 		}
 		writeJSON(w, http.StatusOK, st)
 	})
-	mux.HandleFunc("GET /v1/{ns}/datasets", func(w http.ResponseWriter, r *http.Request) {
-		ns, err := nsParam(r)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+	route("GET", "/datasets", aliased, func(w http.ResponseWriter, r *http.Request, ns string) {
+		infos, ok := s.Registry().ListIn(ns)
+		if legacyRoute(r) {
+			// The legacy listing predates namespaces: it names none, and a
+			// default namespace that does not exist yet lists empty.
+			writeJSON(w, http.StatusOK, map[string]any{"datasets": infos})
 			return
 		}
-		infos, ok := s.Registry().ListIn(ns)
 		if !ok {
 			writeError(w, http.StatusNotFound, fmt.Errorf("service: unknown namespace %q", ns))
 			return
 		}
 		writeJSON(w, http.StatusOK, datasetListView{Namespace: ns, Datasets: infos})
 	})
-	mux.HandleFunc("POST /v1/{ns}/datasets", func(w http.ResponseWriter, r *http.Request) {
-		ns, err := nsParam(r)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
+	route("POST", "/datasets", aliased, func(w http.ResponseWriter, r *http.Request, ns string) {
 		name := r.URL.Query().Get("name")
 		noHeader, err := queryBool(r.URL.Query().Get("noheader"))
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
+		// Bound the upload: a single unbounded (or endless chunked) body must
+		// not be able to OOM the long-running daemon.
 		d, err := s.Registry().RegisterIn(ns, name, http.MaxBytesReader(w, r.Body, maxUploadBytes), !noHeader)
 		if err != nil {
 			status := statusFor(err)
@@ -200,12 +221,7 @@ func registerV1(mux *http.ServeMux, s *Service) {
 		}
 		writeJSON(w, http.StatusCreated, d.Info())
 	})
-	mux.HandleFunc("GET /v1/{ns}/datasets/{name}/schema", func(w http.ResponseWriter, r *http.Request) {
-		ns, err := nsParam(r)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
+	route("GET", "/datasets/{name}/schema", v1Only, func(w http.ResponseWriter, r *http.Request, ns string) {
 		name := r.PathValue("name")
 		d, ok := s.Registry().GetIn(ns, name)
 		if !ok {
@@ -242,13 +258,7 @@ func registerV1(mux *http.ServeMux, s *Service) {
 		}
 		writeJSON(w, http.StatusOK, out)
 	})
-	mux.HandleFunc("POST /v1/{ns}/datasets/{name}/append", func(w http.ResponseWriter, r *http.Request) {
-		ns, err := nsParam(r)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		name := r.PathValue("name")
+	route("POST", "/datasets/{name}/append", aliased, func(w http.ResponseWriter, r *http.Request, ns string) {
 		header, err := queryBool(r.URL.Query().Get("header"))
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
@@ -259,10 +269,13 @@ func registerV1(mux *http.ServeMux, s *Service) {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("service: reading append body: %w", err))
 			return
 		}
-		// Same JSON-vs-CSV sniff as the legacy route (see http.go), but JSON
-		// bodies are validated against the published append_request schema
-		// first, so a malformed body 400s naming the offending element
-		// instead of a decoder error.
+		// JSON is detected by Content-Type or — when no CSV type was claimed
+		// — by shape: a body whose first non-space byte is '[' or '{' is
+		// almost certainly a JSON batch sent without the header, and parsing
+		// it as CSV would silently append mangled rows like "[[1" when the
+		// field count happens to match the schema. An explicit csv/text
+		// Content-Type suppresses the sniff for data whose first cell really
+		// does start with a bracket.
 		ct := r.Header.Get("Content-Type")
 		isJSON := strings.Contains(ct, "json")
 		if !isJSON && !strings.Contains(ct, "csv") && !strings.Contains(ct, "text/plain") {
@@ -272,9 +285,15 @@ func registerV1(mux *http.ServeMux, s *Service) {
 		}
 		var records [][]string
 		if isJSON {
-			if err := appendSchema.ValidateJSON(data); err != nil {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("service: append body does not match /v1/schemas/append_request: %w", err))
-				return
+			// Under /v1 a JSON body is validated against the published
+			// append_request schema first, so a malformed body 400s naming
+			// the offending element instead of a decoder error. The legacy
+			// route predates the schema and stays lenient.
+			if !legacyRoute(r) {
+				if err := appendSchema.ValidateJSON(data); err != nil {
+					writeError(w, http.StatusBadRequest, fmt.Errorf("service: append body does not match /v1/schemas/append_request: %w", err))
+					return
+				}
 			}
 			records, err = decodeJSONRows(data)
 		} else {
@@ -284,19 +303,14 @@ func registerV1(mux *http.ServeMux, s *Service) {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("service: parsing append body: %w", err))
 			return
 		}
-		v, err := s.AppendIn(ns, name, records, header)
+		v, err := s.AppendIn(ns, r.PathValue("name"), records, header)
 		if err != nil {
 			writeError(w, statusFor(err), err)
 			return
 		}
 		writeJSON(w, http.StatusOK, v)
 	})
-	mux.HandleFunc("POST /v1/{ns}/datasets/{name}/checkpoint", func(w http.ResponseWriter, r *http.Request) {
-		ns, err := nsParam(r)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
+	route("POST", "/datasets/{name}/checkpoint", aliased, func(w http.ResponseWriter, r *http.Request, ns string) {
 		v, err := s.CheckpointIn(ns, r.PathValue("name"))
 		if err != nil {
 			writeError(w, statusFor(err), err)
@@ -304,12 +318,7 @@ func registerV1(mux *http.ServeMux, s *Service) {
 		}
 		writeJSON(w, http.StatusOK, v)
 	})
-	mux.HandleFunc("DELETE /v1/{ns}/datasets/{name}", func(w http.ResponseWriter, r *http.Request) {
-		ns, err := nsParam(r)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
+	route("DELETE", "/datasets/{name}", aliased, func(w http.ResponseWriter, r *http.Request, ns string) {
 		if err := s.FollowerError(); err != nil {
 			writeError(w, statusFor(err), err)
 			return
@@ -319,7 +328,12 @@ func registerV1(mux *http.ServeMux, s *Service) {
 			writeError(w, http.StatusNotFound, fmt.Errorf("service: unknown dataset %q", name))
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]string{"namespace": ns, "removed": name})
+		echo := map[string]string{"removed": name}
+		if !legacyRoute(r) {
+			// The legacy echo predates namespaces and names none.
+			echo["namespace"] = ns
+		}
+		writeJSON(w, http.StatusOK, echo)
 	})
 	// Replication export surface: a follower bootstraps a dataset from
 	// .../snapshot (the exact current frozen state in checkpoint wire format)
@@ -327,12 +341,7 @@ func registerV1(mux *http.ServeMux, s *Service) {
 	// generation > gen, re-verified end to end on the follower. A cursor the
 	// primary has compacted past answers 410 Gone with the horizon generation
 	// in X-Ajdloss-Horizon: the follower must re-bootstrap from the snapshot.
-	mux.HandleFunc("GET /v1/{ns}/datasets/{name}/snapshot", func(w http.ResponseWriter, r *http.Request) {
-		ns, err := nsParam(r)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
+	route("GET", "/datasets/{name}/snapshot", v1Only, func(w http.ResponseWriter, r *http.Request, ns string) {
 		data, gen, err := s.SnapshotExport(ns, r.PathValue("name"))
 		if err != nil {
 			writeError(w, statusFor(err), err)
@@ -342,14 +351,10 @@ func registerV1(mux *http.ServeMux, s *Service) {
 		w.Header().Set("X-Ajdloss-Generation", strconv.FormatInt(gen, 10))
 		_, _ = w.Write(data)
 	})
-	mux.HandleFunc("GET /v1/{ns}/datasets/{name}/wal", func(w http.ResponseWriter, r *http.Request) {
-		ns, err := nsParam(r)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
+	route("GET", "/datasets/{name}/wal", v1Only, func(w http.ResponseWriter, r *http.Request, ns string) {
 		from := int64(0)
 		if v := r.URL.Query().Get("from"); v != "" {
+			var err error
 			from, err = strconv.ParseInt(v, 10, 64)
 			if err != nil || from < 0 {
 				writeError(w, http.StatusBadRequest, fmt.Errorf("service: bad generation cursor from=%q", v))
@@ -370,12 +375,7 @@ func registerV1(mux *http.ServeMux, s *Service) {
 		w.Header().Set("X-Ajdloss-Max-Generation", strconv.FormatInt(maxGen, 10))
 		_, _ = w.Write(raw)
 	})
-	mux.HandleFunc("GET /v1/{ns}/analyze", func(w http.ResponseWriter, r *http.Request) {
-		ns, err := nsParam(r)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
+	route("GET", "/analyze", aliased, func(w http.ResponseWriter, r *http.Request, ns string) {
 		schema, err := schemaParam(r)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
@@ -388,12 +388,7 @@ func registerV1(mux *http.ServeMux, s *Service) {
 		}
 		writeJSON(w, http.StatusOK, v)
 	})
-	mux.HandleFunc("GET /v1/{ns}/discover", func(w http.ResponseWriter, r *http.Request) {
-		ns, err := nsParam(r)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
+	route("GET", "/discover", aliased, func(w http.ResponseWriter, r *http.Request, ns string) {
 		q := r.URL.Query()
 		target, err := queryFloat("target", q.Get("target"), 0.01)
 		if err != nil {
@@ -412,12 +407,7 @@ func registerV1(mux *http.ServeMux, s *Service) {
 		}
 		writeJSON(w, http.StatusOK, v)
 	})
-	mux.HandleFunc("GET /v1/{ns}/entropy", func(w http.ResponseWriter, r *http.Request) {
-		ns, err := nsParam(r)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
+	route("GET", "/entropy", aliased, func(w http.ResponseWriter, r *http.Request, ns string) {
 		q := r.URL.Query()
 		v, err := s.EntropyIn(ns, q.Get("dataset"),
 			queryList(q.Get("attrs")), queryList(q.Get("a")), queryList(q.Get("b")), queryList(q.Get("given")))
@@ -427,25 +417,22 @@ func registerV1(mux *http.ServeMux, s *Service) {
 		}
 		writeJSON(w, http.StatusOK, v)
 	})
-	mux.HandleFunc("POST /v1/{ns}/batch", func(w http.ResponseWriter, r *http.Request) {
-		ns, err := nsParam(r)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
+	route("POST", "/batch", aliased, func(w http.ResponseWriter, r *http.Request, ns string) {
 		data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxUploadBytes))
 		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("service: reading batch body: %w", err))
 			return
 		}
-		// The published contract is enforced here: a body that does not
-		// match /v1/schemas/batch_request 400s with the offending field
-		// named (e.g. `queries[1].kind`), before any query is planned. The
-		// legacy /batch stays lenient (case-insensitive kinds, no unknown-
-		// field rejection) for old clients.
-		if err := batchSchema.ValidateJSON(data); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("service: batch body does not match /v1/schemas/batch_request: %w", err))
-			return
+		// Under /v1 the published contract is enforced here: a body that
+		// does not match /v1/schemas/batch_request 400s with the offending
+		// field named (e.g. `queries[1].kind`), before any query is planned.
+		// The legacy /batch stays lenient (case-insensitive kinds, no
+		// unknown-field rejection) for old clients.
+		if !legacyRoute(r) {
+			if err := batchSchema.ValidateJSON(data); err != nil {
+				writeError(w, http.StatusBadRequest, fmt.Errorf("service: batch body does not match /v1/schemas/batch_request: %w", err))
+				return
+			}
 		}
 		var req struct {
 			Dataset string       `json:"dataset"`
@@ -467,17 +454,19 @@ func registerV1(mux *http.ServeMux, s *Service) {
 // nsParam extracts and validates the {ns} path segment.
 func nsParam(r *http.Request) (string, error) {
 	ns := r.PathValue("ns")
-	if err := validateNamespace(ns); err != nil {
+	if err := ValidateNamespace(ns); err != nil {
 		return "", err
 	}
 	return ns, nil
 }
 
-// validateNamespace bounds what a namespace may be called at the API edge:
-// short, lowercase, filesystem- and URL-friendly. The persistence layer can
-// encode any name, so this is an interface contract (stable URLs, no
+// ValidateNamespace reports whether ns is a legal namespace name for the
+// /v1 API and the -default-ns flag: non-empty, at most 64 bytes of
+// lowercase letters, digits, '.', '_' or '-', not "." or "..", and not a
+// word the router reserves ("schemas", "namespaces"). The persistence layer
+// can encode any name, so this is an interface contract (stable URLs, no
 // case-folding surprises, no reserved-path collisions), not a storage limit.
-func validateNamespace(ns string) error {
+func ValidateNamespace(ns string) error {
 	switch ns {
 	case "":
 		return fmt.Errorf("service: namespace must be non-empty")

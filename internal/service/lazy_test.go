@@ -60,16 +60,16 @@ var lazyParityRequests = []struct {
 func seedCleanStore(t *testing.T, dir string) {
 	t.Helper()
 	s, _ := newDurableService(t, dir, 16)
-	if _, err := s.Registry().Register("block", strings.NewReader(blockCSV(3, 2, 2)), true); err != nil {
+	if _, err := s.Registry().RegisterIn("default", "block", strings.NewReader(blockCSV(3, 2, 2)), true); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Append("block", [][]string{{"991", "992", "9"}, {"993", "994", "9"}}, false); err != nil {
+	if _, err := s.AppendIn("default", "block", [][]string{{"991", "992", "9"}, {"993", "994", "9"}}, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Append("block", [][]string{{"995", "996", "8"}}, false); err != nil {
+	if _, err := s.AppendIn("default", "block", [][]string{{"995", "996", "8"}}, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Checkpoint("block"); err != nil {
+	if _, err := s.CheckpointIn("default", "block"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -90,7 +90,7 @@ func TestLazyRecoveryParity(t *testing.T) {
 	if recLazy[0].Rows != 15 || recLazy[0].Generation != 3 {
 		t.Fatalf("lazy recovery header state: %+v", recLazy[0])
 	}
-	dLazy, _ := sLazy.Registry().Get("block")
+	dLazy, _ := sLazy.Registry().GetIn("default", "block")
 	if dLazy.Materialized() {
 		t.Fatal("dataset materialized at boot despite lazy recovery")
 	}
@@ -121,8 +121,8 @@ func TestLazyRecoveryParity(t *testing.T) {
 					stage, r.name, lazyCode, lazyBody, eagerCode, eagerBody)
 			}
 		}
-		dL, _ := sLazy.Registry().Get("block")
-		dE, _ := sEager.Registry().Get("block")
+		dL, _ := sLazy.Registry().GetIn("default", "block")
+		dE, _ := sEager.Registry().GetIn("default", "block")
 		for _, f := range []fd.FD{
 			{X: []string{"C"}, Y: []string{"A"}},
 			{X: []string{"A"}, Y: []string{"B", "C"}},
@@ -153,11 +153,11 @@ func TestLazyRecoveryParity(t *testing.T) {
 	// Post-recovery appends: both sides extend their recovered state with
 	// the same batch and must stay in lockstep.
 	batch := [][]string{{"71", "72", "7"}, {"73", "74", "7"}}
-	vL, err := sLazy.Append("block", batch, false)
+	vL, err := sLazy.AppendIn("default", "block", batch, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vE, err := sEager.Append("block", batch, false)
+	vE, err := sEager.AppendIn("default", "block", batch, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,11 +184,11 @@ func TestLazyRecoveryAppendFirst(t *testing.T) {
 	}
 
 	batch := [][]string{{"81", "82", "6"}}
-	vL, err := sLazy.Append("block", batch, false)
+	vL, err := sLazy.AppendIn("default", "block", batch, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vE, err := sEager.Append("block", batch, false)
+	vE, err := sEager.AppendIn("default", "block", batch, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,11 +225,11 @@ func TestLazyCheckpointSkippedUntilTouched(t *testing.T) {
 	if errs := s.CheckpointAll(); len(errs) != 0 {
 		t.Fatalf("CheckpointAll on untouched lazy dataset: %v", errs)
 	}
-	d, _ := s.Registry().Get("block")
+	d, _ := s.Registry().GetIn("default", "block")
 	if d.Materialized() {
 		t.Fatal("CheckpointAll materialized an untouched lazy dataset")
 	}
-	if _, err := s.Append("block", [][]string{{"61", "62", "5"}}, false); err != nil {
+	if _, err := s.AppendIn("default", "block", [][]string{{"61", "62", "5"}}, false); err != nil {
 		t.Fatal(err)
 	}
 	if errs := s.CheckpointAll(); len(errs) != 0 {

@@ -68,15 +68,9 @@ type namespace struct {
 	maxRows     atomic.Int64
 	cacheShare  atomic.Int64
 
-	// Per-namespace mirrors of the service-wide request counters, surfaced
-	// by the v1 per-namespace stats endpoint.
-	requests  atomic.Int64
-	cacheHits atomic.Int64
-	coalesced atomic.Int64
-	computed  atomic.Int64
-	errors    atomic.Int64
-	appends   atomic.Int64
-	batches   atomic.Int64
+	// The namespace's request counters: surfaced by GET /v1/{ns}/stats and
+	// summed into the service-wide Stats.
+	counters
 }
 
 func (n *namespace) setQuotas(q Quotas) {
@@ -121,13 +115,7 @@ type NamespaceStats struct {
 	QuotaRows       int64 `json:"quota_rows"`
 	QuotaCacheShare int64 `json:"quota_cache_share"`
 
-	Requests  int64 `json:"requests"`
-	CacheHits int64 `json:"cache_hits"`
-	Coalesced int64 `json:"coalesced"`
-	Computed  int64 `json:"computed"`
-	Errors    int64 `json:"errors"`
-	Appends   int64 `json:"appends"`
-	Batches   int64 `json:"batches"`
+	RequestCounts
 
 	// Discovery holds the per-dataset discovery-memo counters, keyed by
 	// dataset name; a dataset appears once a discovery request (or batch FD
@@ -136,8 +124,7 @@ type NamespaceStats struct {
 	Discovery map[string]discovery.MemoCounters `json:"discovery,omitempty"`
 }
 
-// lookupNS returns the namespace if it exists; nil otherwise. Counters on a
-// nil namespace are silently dropped (the request still counts service-wide).
+// lookupNS returns the namespace if it exists; nil otherwise.
 func (g *Registry) lookupNS(ns string) *namespace {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
@@ -171,6 +158,18 @@ func (g *Registry) Namespaces() []string {
 	return out
 }
 
+// allNamespaces returns every namespace that currently exists, in no
+// particular order.
+func (g *Registry) allNamespaces() []*namespace {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	out := make([]*namespace, 0, len(g.namespaces))
+	for _, n := range g.namespaces {
+		out = append(out, n)
+	}
+	return out
+}
+
 // HasNamespace reports whether the namespace exists.
 func (g *Registry) HasNamespace(ns string) bool { return g.lookupNS(ns) != nil }
 
@@ -187,12 +186,6 @@ func (g *Registry) SetDefaultNamespace(ns string) {
 	}
 	g.defaultNS.Store(&ns)
 }
-
-// ValidateNamespace reports whether ns is a legal namespace name for the
-// /v1 API and the -default-ns flag: non-empty, at most 64 bytes of
-// lowercase letters, digits, '.', '_' or '-', not "." or "..", and not a
-// word the router reserves ("schemas", "namespaces").
-func ValidateNamespace(ns string) error { return validateNamespace(ns) }
 
 // SetDefaultQuotas sets the quotas applied to namespaces created from now
 // on; namespaces that already exist keep theirs (use SetQuotas to change
@@ -239,13 +232,7 @@ func (g *Registry) NamespaceStats(ns string) (NamespaceStats, bool) {
 		QuotaDatasets:   n.maxDatasets.Load(),
 		QuotaRows:       n.maxRows.Load(),
 		QuotaCacheShare: n.cacheShare.Load(),
-		Requests:        n.requests.Load(),
-		CacheHits:       n.cacheHits.Load(),
-		Coalesced:       n.coalesced.Load(),
-		Computed:        n.computed.Load(),
-		Errors:          n.errors.Load(),
-		Appends:         n.appends.Load(),
-		Batches:         n.batches.Load(),
+		RequestCounts:   n.load(),
 		Discovery:       disc,
 	}, true
 }

@@ -16,7 +16,7 @@ import (
 	"ajdloss/internal/relation"
 )
 
-// ErrAlreadyRegistered is wrapped by Register when the name is taken; the
+// ErrAlreadyRegistered is wrapped by RegisterIn when the name is taken; the
 // HTTP layer maps it to 409 via errors.Is.
 var ErrAlreadyRegistered = errors.New("dataset already registered")
 
@@ -50,8 +50,8 @@ type Dataset struct {
 	RegisteredAt time.Time
 
 	// ns is the owning namespace's live state: Append reserves rows against
-	// its quota and the request path charges its counters. Always non-nil
-	// for datasets created through the registry.
+	// its quota and the request path charges its counters. Never nil:
+	// every dataset is created through the registry.
 	ns *namespace
 	// keyPrefix is nsPrefix(Namespace)+datasetPrefix(ID), precomputed when
 	// the ID is assigned: requestKey runs on every request, and quoting the
@@ -79,7 +79,7 @@ type Dataset struct {
 	// lazy, when non-nil, holds the deferred recovery state of a dataset
 	// adopted from a clean checkpoint without decoding it: Rel, Enc and the
 	// view stay unset until the first query or append materializes them (see
-	// ensure). Info/List are served from the checkpoint header meanwhile.
+	// ensure). Info/ListIn are served from the checkpoint header meanwhile.
 	lazy *lazyState
 	// removed latches (under appendMu) when the dataset leaves the registry:
 	// an Append through a stale pointer grabbed before the removal must fail
@@ -293,10 +293,8 @@ func (d *Dataset) Append(records [][]string, header bool) (added, dups, rows int
 	// side effect (WAL write included — an over-quota batch must leave no
 	// trace). Duplicate rows are released after the apply, when we know how
 	// many; on any failure the whole reservation rolls back.
-	if d.ns != nil {
-		if err := d.ns.reserveRows(int64(len(tuples))); err != nil {
-			return 0, 0, cur.N(), cur.Generation(), err
-		}
+	if err := d.ns.reserveRows(int64(len(tuples))); err != nil {
+		return 0, 0, cur.N(), cur.Generation(), err
 	}
 	// Write-ahead: the validated batch hits the WAL before any row is applied
 	// and before the new view is published, so an acknowledged append can
@@ -307,24 +305,18 @@ func (d *Dataset) Append(records [][]string, header bool) (added, dups, rows int
 	if d.store != nil {
 		//ajdlint:ignore lockio WAL writes must be ordered under appendMu: replay correctness requires the log order to match the apply order, and the lock is per-dataset so only this dataset's appenders wait.
 		if err := d.store.AppendWAL(cur.Generation()+1, records); err != nil {
-			if d.ns != nil {
-				d.ns.releaseRows(int64(len(tuples)))
-			}
+			d.ns.releaseRows(int64(len(tuples)))
 			return 0, 0, cur.N(), cur.Generation(), fmt.Errorf("service: %w: %w", ErrStore, err)
 		}
 	}
 	added, err = d.Rel.Append(tuples)
 	if err != nil {
-		if d.ns != nil {
-			d.ns.releaseRows(int64(len(tuples)))
-		}
+		d.ns.releaseRows(int64(len(tuples)))
 		return 0, 0, cur.N(), cur.Generation(), err
 	}
-	if d.ns != nil {
-		// Only the rows that actually landed stay reserved; duplicates go
-		// back to the budget.
-		d.ns.releaseRows(int64(len(tuples) - added))
-	}
+	// Only the rows that actually landed stay reserved; duplicates go back
+	// to the budget.
+	d.ns.releaseRows(int64(len(tuples) - added))
 	if added > 0 {
 		cur = d.Rel.View()
 		d.view.Store(cur)
@@ -334,20 +326,19 @@ func (d *Dataset) Append(records [][]string, header bool) (added, dups, rows int
 
 // Registry holds datasets for the analysis service, keyed by (namespace,
 // dataset name). CSV ingestion happens exactly once per dataset; every later
-// request reads the same warm Relation. The unversioned legacy methods
-// (Register, Get, Remove, List) alias the configurable default namespace.
+// request reads the same warm Relation.
 type Registry struct {
 	mu         sync.RWMutex
 	namespaces map[string]*namespace
-	// defaultNS is the namespace the legacy unversioned API operates on.
+	// defaultNS is the namespace the legacy unversioned routes operate on.
 	// Atomic (not guarded by mu): every legacy request reads it, and an
 	// RLock here measurably dents serving throughput under parallelism.
 	defaultNS atomic.Pointer[string]
 	// defaultQuota is copied into every namespace at creation.
 	defaultQuota Quotas
 	nextID       int64
-	// store, when non-nil, makes every dataset durable: Register writes an
-	// initial checkpoint, Append write-ahead-logs batches, Remove deletes the
+	// store, when non-nil, makes every dataset durable: RegisterIn writes an
+	// initial checkpoint, Append write-ahead-logs batches, RemoveIn deletes the
 	// dataset's directory. Set once (before serving) via Service durability.
 	store *persist.Store
 	// primary, when non-nil, marks this registry as a read-only follower of
@@ -363,12 +354,6 @@ func NewRegistry() *Registry {
 	def := "default"
 	g.defaultNS.Store(&def)
 	return g
-}
-
-// Register ingests a CSV stream under the given name in the default
-// namespace (the legacy unversioned API).
-func (g *Registry) Register(name string, r io.Reader, header bool) (*Dataset, error) {
-	return g.RegisterIn(g.DefaultNamespace(), name, r, header)
 }
 
 // validateDatasetName rejects names the API cannot address. "schemas" and
@@ -399,7 +384,7 @@ func validateDatasetName(name string) error {
 // Malformed CSV input (duplicate/empty header cells, ragged records) is
 // reported as an error — the ingestion path must never panic in a
 // long-running service. Registering an existing (namespace, name) pair is an
-// error; Remove it first. Registration is quota-checked: the namespace must
+// error; remove it first. Registration is quota-checked: the namespace must
 // have a dataset slot and row budget for the whole ingested relation.
 func (g *Registry) RegisterIn(ns, name string, r io.Reader, header bool) (*Dataset, error) {
 	if err := g.errIfFollower(); err != nil {
@@ -570,11 +555,6 @@ func (g *Registry) adoptLazy(ns, name string, ds *persist.DatasetStore, lck *per
 	return d, nil
 }
 
-// Get returns the dataset registered under name in the default namespace.
-func (g *Registry) Get(name string) (*Dataset, bool) {
-	return g.GetIn(g.DefaultNamespace(), name)
-}
-
 // GetIn returns the dataset registered under (namespace, name).
 func (g *Registry) GetIn(ns, name string) (*Dataset, bool) {
 	g.mu.RLock()
@@ -585,11 +565,6 @@ func (g *Registry) GetIn(ns, name string) (*Dataset, bool) {
 	}
 	d, ok := n.byName[name]
 	return d, ok
-}
-
-// Remove deregisters name from the default namespace.
-func (g *Registry) Remove(name string) (*Dataset, bool) {
-	return g.RemoveIn(g.DefaultNamespace(), name)
 }
 
 // RemoveIn deregisters (namespace, name) and returns the removed dataset, if
@@ -639,9 +614,7 @@ func (d *Dataset) retire() {
 	d.removed.Store(true)
 	rows := int64(d.Info().Rows)
 	d.appendMu.Unlock()
-	if d.ns != nil {
-		d.ns.rows.Add(-rows)
-	}
+	d.ns.rows.Add(-rows)
 	d.closeLazy()
 }
 
@@ -693,13 +666,6 @@ func (g *Registry) All() []*Dataset {
 		return out[i].Name < out[j].Name
 	})
 	return out
-}
-
-// List returns summaries of the default namespace's datasets, sorted by
-// name.
-func (g *Registry) List() []Info {
-	infos, _ := g.ListIn(g.DefaultNamespace())
-	return infos
 }
 
 // ListIn returns summaries of one namespace's datasets, sorted by name; ok

@@ -205,17 +205,9 @@ func (d *Dataset) applyReplicated(recs []persist.WALRecord) (int, int64, error) 
 		return 0, cur.Generation(), err
 	}
 	if applied > 0 {
-		if d.ns != nil {
-			d.ns.rows.Add(int64(applied))
-		}
+		d.ns.rows.Add(int64(applied))
 		cur = d.Rel.View()
 		d.view.Store(cur)
 	}
 	return applied, cur.Generation(), nil
-}
-
-// ReplicaRemove drops (ns, name) locally because the primary no longer has
-// it; unlike RemoveIn it works in follower mode.
-func (s *Service) ReplicaRemove(ns, name string) bool {
-	return s.removeIn(ns, name)
 }

@@ -65,7 +65,7 @@ func mustJSON(t *testing.T, v any) string {
 // same generation, same JSON.
 func TestReplicationRoundTrip(t *testing.T) {
 	primary, _ := newDurableService(t, t.TempDir(), 16)
-	if _, err := primary.Registry().Register("block", strings.NewReader(blockCSV(3, 2, 2)), true); err != nil {
+	if _, err := primary.Registry().RegisterIn("default", "block", strings.NewReader(blockCSV(3, 2, 2)), true); err != nil {
 		t.Fatal(err)
 	}
 	follower := New(16)
@@ -97,10 +97,10 @@ func TestReplicationRoundTrip(t *testing.T) {
 
 	// Ordinary appends ship through the WAL tail (one includes duplicates, so
 	// applied rows != shipped rows — the idempotent replay must agree).
-	if _, err := primary.Append("block", [][]string{{"991", "992", "9"}, {"993", "994", "9"}}, false); err != nil {
+	if _, err := primary.AppendIn("default", "block", [][]string{{"991", "992", "9"}, {"993", "994", "9"}}, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := primary.Append("block", [][]string{{"991", "992", "9"}, {"995", "996", "9"}}, false); err != nil {
+	if _, err := primary.AppendIn("default", "block", [][]string{{"991", "992", "9"}, {"995", "996", "9"}}, false); err != nil {
 		t.Fatal(err)
 	}
 	syncFollower(t, primary, follower, "default", "block")
@@ -108,10 +108,10 @@ func TestReplicationRoundTrip(t *testing.T) {
 
 	// Compaction on the primary invalidates the follower's cursor; the next
 	// sync must detect ErrCompacted and re-bootstrap, not skip records.
-	if _, err := primary.Checkpoint("block"); err != nil {
+	if _, err := primary.CheckpointIn("default", "block"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := primary.Append("block", [][]string{{"997", "998", "9"}}, false); err != nil {
+	if _, err := primary.AppendIn("default", "block", [][]string{{"997", "998", "9"}}, false); err != nil {
 		t.Fatal(err)
 	}
 	// A stale cursor (pre-checkpoint) must answer ErrCompacted, never a gap.
@@ -123,14 +123,14 @@ func TestReplicationRoundTrip(t *testing.T) {
 
 	// The primary removes the dataset; the follower mirrors it even though it
 	// is in follower mode.
-	if !primary.Remove("block") {
+	if !primary.RemoveIn("default", "block") {
 		t.Fatal("primary remove failed")
 	}
-	if !follower.ReplicaRemove("default", "block") {
-		t.Fatal("follower ReplicaRemove failed")
+	if !follower.RemoveIn("default", "block") {
+		t.Fatal("follower RemoveIn failed")
 	}
 	if _, ok := follower.Registry().GetIn("default", "block"); ok {
-		t.Fatal("dataset still on follower after ReplicaRemove")
+		t.Fatal("dataset still on follower after RemoveIn")
 	}
 }
 
@@ -145,16 +145,16 @@ func TestFollowerRejectsWrites(t *testing.T) {
 		t.Fatalf("Primary() = %q", s.Primary())
 	}
 
-	if _, err := s.Registry().Register("other", strings.NewReader("A\n1\n"), true); !errors.Is(err, ErrNotPrimary) {
+	if _, err := s.Registry().RegisterIn("default", "other", strings.NewReader("A\n1\n"), true); !errors.Is(err, ErrNotPrimary) {
 		t.Fatalf("register on follower: %v, want ErrNotPrimary", err)
 	}
-	if _, err := s.Append("block", [][]string{{"1", "2", "3"}}, false); !errors.Is(err, ErrNotPrimary) {
+	if _, err := s.AppendIn("default", "block", [][]string{{"1", "2", "3"}}, false); !errors.Is(err, ErrNotPrimary) {
 		t.Fatalf("append on follower: %v, want ErrNotPrimary", err)
 	}
-	if _, err := s.Checkpoint("block"); !errors.Is(err, ErrNotPrimary) {
+	if _, err := s.CheckpointIn("default", "block"); !errors.Is(err, ErrNotPrimary) {
 		t.Fatalf("checkpoint on follower: %v, want ErrNotPrimary", err)
 	}
-	if _, err := s.Analyze("block", "A,C;B,C"); err != nil {
+	if _, err := s.AnalyzeIn("default", "block", "A,C;B,C"); err != nil {
 		t.Fatalf("read on follower: %v", err)
 	}
 
@@ -203,7 +203,7 @@ func TestFollowerRejectsWrites(t *testing.T) {
 	}
 
 	s.SetPrimary("")
-	if _, err := s.Append("block", [][]string{{"52", "62", "7"}}, false); err != nil {
+	if _, err := s.AppendIn("default", "block", [][]string{{"52", "62", "7"}}, false); err != nil {
 		t.Fatalf("append after clearing primary: %v", err)
 	}
 }
@@ -326,7 +326,7 @@ func TestAppendWALFailureReleasesQuota(t *testing.T) {
 func TestReservedDatasetNames(t *testing.T) {
 	s := New(16)
 	for _, name := range []string{"schemas", "namespaces", "a/b", `a\b`, ".", "..", ""} {
-		if _, err := s.Registry().Register(name, strings.NewReader("A\n1\n"), true); err == nil {
+		if _, err := s.Registry().RegisterIn("default", name, strings.NewReader("A\n1\n"), true); err == nil {
 			t.Errorf("dataset name %q accepted", name)
 		}
 	}

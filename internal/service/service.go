@@ -21,9 +21,9 @@ import (
 // dataset name; the HTTP layer maps it to 404 via errors.Is.
 var ErrUnknownDataset = errors.New("unknown dataset")
 
-// Stats are the service's monotonic request counters, readable while the
-// service is under load.
-type Stats struct {
+// RequestCounts are the monotonic request counters: service-wide in Stats,
+// per namespace in NamespaceStats.
+type RequestCounts struct {
 	Requests  int64 `json:"requests"`   // analysis requests received (a batch counts once)
 	CacheHits int64 `json:"cache_hits"` // answered from the LRU cache
 	Coalesced int64 `json:"coalesced"`  // joined an identical in-flight computation
@@ -31,6 +31,53 @@ type Stats struct {
 	Errors    int64 `json:"errors"`     // requests (including appends) that returned an error
 	Appends   int64 `json:"appends"`    // streaming append batches received (accepted or not)
 	Batches   int64 `json:"batches"`    // POST /batch requests received
+}
+
+func (a *RequestCounts) add(b RequestCounts) {
+	a.Requests += b.Requests
+	a.CacheHits += b.CacheHits
+	a.Coalesced += b.Coalesced
+	a.Computed += b.Computed
+	a.Errors += b.Errors
+	a.Appends += b.Appends
+	a.Batches += b.Batches
+}
+
+// counters are the live request counters. Each namespace embeds one set,
+// and the Service keeps one more for requests naming a namespace that does
+// not exist; a request adds to exactly one set. Stats sums the sets when it
+// is read, and since namespaces are never deleted the sums stay monotone.
+type counters struct {
+	requests  atomic.Int64
+	cacheHits atomic.Int64
+	coalesced atomic.Int64
+	computed  atomic.Int64
+	errors    atomic.Int64
+	appends   atomic.Int64
+	batches   atomic.Int64
+}
+
+// load snapshots the counters. Errors are read first: each error is counted
+// after the request or append it belongs to, so a snapshot taken under load
+// never shows an error without its request.
+func (c *counters) load() RequestCounts {
+	errs := c.errors.Load()
+	return RequestCounts{
+		Requests:  c.requests.Load(),
+		CacheHits: c.cacheHits.Load(),
+		Coalesced: c.coalesced.Load(),
+		Computed:  c.computed.Load(),
+		Errors:    errs,
+		Appends:   c.appends.Load(),
+		Batches:   c.batches.Load(),
+	}
+}
+
+// Stats are the service's monotonic counters, readable while the service is
+// under load. The request counters are the sum over every namespace plus the
+// requests whose namespace does not exist.
+type Stats struct {
+	RequestCounts
 	// Checkpoints counts durable checkpoints written across the currently
 	// registered datasets (registration, manual POST, size-triggered
 	// compaction, shutdown); CheckpointErrors counts background compactions
@@ -74,13 +121,9 @@ type Service struct {
 	sf    flightGroup
 	cache *lruCache
 
-	requests         atomic.Int64
-	cacheHits        atomic.Int64
-	coalesced        atomic.Int64
-	computed         atomic.Int64
-	errors           atomic.Int64
-	appends          atomic.Int64
-	batches          atomic.Int64
+	// unattributed counts the requests whose namespace does not exist; every
+	// other request is counted in its namespace (see counters).
+	unattributed     counters
 	checkpointErrors atomic.Int64
 
 	// compactAt is the WAL size that triggers background compaction for a
@@ -107,26 +150,15 @@ func (s *Service) Registry() *Registry { return s.reg }
 // DefaultNamespace returns the namespace the legacy unversioned API aliases.
 func (s *Service) DefaultNamespace() string { return s.reg.DefaultNamespace() }
 
-// SetDefaultNamespace points the legacy unversioned API (and every
-// dataset-name-only Service method) at a different namespace. Must be set
-// before serving.
+// SetDefaultNamespace points the legacy unversioned API at a different
+// namespace. Must be set before serving.
 func (s *Service) SetDefaultNamespace(ns string) { s.reg.SetDefaultNamespace(ns) }
-
-// Remove deregisters a dataset in the default namespace and drops its
-// cached results.
-func (s *Service) Remove(name string) bool {
-	return s.RemoveIn(s.reg.DefaultNamespace(), name)
-}
 
 // RemoveIn deregisters (namespace, dataset) and drops its cached results.
 // HTTP DELETE handlers additionally guard with FollowerError first — this
-// method cannot carry the typed 421, and the replica tail needs the
-// unguarded path (ReplicaRemove) to mirror the primary's removals.
+// method cannot carry the typed 421, and a follower's replica tail calls it
+// unguarded to mirror the primary's removals.
 func (s *Service) RemoveIn(ns, name string) bool {
-	return s.removeIn(ns, name)
-}
-
-func (s *Service) removeIn(ns, name string) bool {
 	d, ok := s.reg.RemoveIn(ns, name)
 	if ok {
 		s.cache.RemovePrefix(d.keyPrefix)
@@ -134,17 +166,14 @@ func (s *Service) removeIn(ns, name string) bool {
 	return ok
 }
 
-// Stats returns a snapshot of the request counters.
+// Stats returns a snapshot of the service-wide counters.
 func (s *Service) Stats() Stats {
 	st := Stats{
-		Requests:         s.requests.Load(),
-		CacheHits:        s.cacheHits.Load(),
-		Coalesced:        s.coalesced.Load(),
-		Computed:         s.computed.Load(),
-		Errors:           s.errors.Load(),
-		Appends:          s.appends.Load(),
-		Batches:          s.batches.Load(),
+		RequestCounts:    s.unattributed.load(),
 		CheckpointErrors: s.checkpointErrors.Load(),
+	}
+	for _, n := range s.reg.allNamespaces() {
+		st.RequestCounts.add(n.load())
 	}
 	defaultNS := s.reg.DefaultNamespace()
 	for _, d := range s.reg.All() {
@@ -236,15 +265,12 @@ func requestKey(d *Dataset, gen int64) string {
 // parked by a loss is unservable but harmless and ages out by eviction.
 func (s *Service) do(d *Dataset, key string, keyGen int64, fn func() (any, error)) (any, error) {
 	n := d.ns
-	s.requests.Add(1)
 	n.requests.Add(1)
 	if v, ok := s.cache.Get(key); ok {
-		s.cacheHits.Add(1)
 		n.cacheHits.Add(1)
 		return v, nil
 	}
 	v, err, shared := s.sf.Do(key, func() (any, error) {
-		s.computed.Add(1)
 		n.computed.Add(1)
 		v, err := fn()
 		if err == nil {
@@ -255,11 +281,9 @@ func (s *Service) do(d *Dataset, key string, keyGen int64, fn func() (any, error
 		return v, err
 	})
 	if shared {
-		s.coalesced.Add(1)
 		n.coalesced.Add(1)
 	}
 	if err != nil {
-		s.errors.Add(1)
 		n.errors.Add(1)
 		return nil, err
 	}
@@ -267,16 +291,21 @@ func (s *Service) do(d *Dataset, key string, keyGen int64, fn func() (any, error
 }
 
 // reject accounts a request that failed validation before reaching do(), so
-// Stats sees every request, not only the well-formed ones. n may be nil
-// (unknown namespace): the request still counts service-wide.
-func (s *Service) reject(n *namespace, err error) error {
-	s.requests.Add(1)
-	s.errors.Add(1)
-	if n != nil {
-		n.requests.Add(1)
-		n.errors.Add(1)
-	}
+// Stats sees every request, not only the well-formed ones.
+func reject(c *counters, err error) error {
+	c.requests.Add(1)
+	c.errors.Add(1)
 	return err
+}
+
+// countersFor returns the counters a request against ns is charged to when
+// it has no dataset to charge: the namespace's own, or the service's
+// unattributed set when the namespace does not exist.
+func (s *Service) countersFor(ns string) *counters {
+	if n := s.reg.lookupNS(ns); n != nil {
+		return &n.counters
+	}
+	return &s.unattributed
 }
 
 func (s *Service) dataset(ns, name string) (*Dataset, error) {
@@ -310,26 +339,19 @@ func attrsKey(lists ...[]string) string {
 	return strings.Join(parts, ";")
 }
 
-// Analyze runs the full core.Analyze report of the schema (in the CLI's
-// "A,B;B,C" syntax) against the named dataset in the default namespace.
-func (s *Service) Analyze(dataset, schemaStr string) (*ReportView, error) {
-	return s.AnalyzeIn(s.reg.DefaultNamespace(), dataset, schemaStr)
-}
-
 // AnalyzeIn runs the full core.Analyze report of the schema (in the CLI's
 // "A,B;B,C" syntax) against the named dataset in the given namespace.
 func (s *Service) AnalyzeIn(ns, dataset, schemaStr string) (*ReportView, error) {
-	nsObj := s.reg.lookupNS(ns)
 	d, err := s.dataset(ns, dataset)
 	if err != nil {
-		return nil, s.reject(nsObj, err)
+		return nil, reject(s.countersFor(ns), err)
 	}
 	schema, err := jointree.ParseSchema(schemaStr)
 	if err != nil {
-		return nil, s.reject(nsObj, err)
+		return nil, reject(&d.ns.counters, err)
 	}
 	if !jointree.IsAcyclic(schema) {
-		return nil, s.reject(nsObj, fmt.Errorf("service: schema %s is cyclic; only acyclic schemas have join trees", schema))
+		return nil, reject(&d.ns.counters, fmt.Errorf("service: schema %s is cyclic; only acyclic schemas have join trees", schema))
 	}
 	// Grab the frozen view once (one atomic load): the whole report — and its
 	// echoed generation — is computed against this snapshot, lock-free,
@@ -352,46 +374,33 @@ func (s *Service) AnalyzeIn(ns, dataset, schemaStr string) (*ReportView, error) 
 	return v.(*ReportView), nil
 }
 
-// Append applies a batch of string records to the named dataset. Rows are
-// dictionary-encoded with the dataset's encoder, duplicates are skipped, and
-// the columnar engine is maintained incrementally. On success the dataset's
+// AppendIn applies a batch of string records to the named dataset in the
+// given namespace. Rows are dictionary-encoded with the dataset's encoder,
+// duplicates are skipped, and the columnar engine is maintained
+// incrementally. The batch is quota-checked against the namespace's row
+// budget before any row (or WAL byte) lands. On success the dataset's
 // generation is bumped (if any row was added) and every cached result of the
 // dataset is dropped — subsequent requests recompute against the new
 // generation, so the hit/miss counters never conflate generations.
-func (s *Service) Append(dataset string, records [][]string, header bool) (*AppendView, error) {
-	return s.AppendIn(s.reg.DefaultNamespace(), dataset, records, header)
-}
-
-// AppendIn is Append against the named dataset in the given namespace. The
-// batch is quota-checked against the namespace's row budget before any row
-// (or WAL byte) lands.
 func (s *Service) AppendIn(ns, dataset string, records [][]string, header bool) (*AppendView, error) {
 	// Every attempt counts — a failed append must be visible in Stats, and
-	// errors can never outnumber the traffic that produced them.
-	s.appends.Add(1)
-	nsObj := s.reg.lookupNS(ns)
-	if nsObj != nil {
-		nsObj.appends.Add(1)
+	// errors can never outnumber the traffic that produced them. An attempt
+	// is charged to its dataset's namespace once the dataset is resolved.
+	err := s.reg.errIfFollower()
+	var d *Dataset
+	if err == nil {
+		d, err = s.dataset(ns, dataset)
 	}
-	if err := s.reg.errIfFollower(); err != nil {
-		s.errors.Add(1)
-		if nsObj != nil {
-			nsObj.errors.Add(1)
-		}
-		return nil, err
-	}
-	d, err := s.dataset(ns, dataset)
 	if err != nil {
-		s.errors.Add(1)
-		if nsObj != nil {
-			nsObj.errors.Add(1)
-		}
+		c := s.countersFor(ns)
+		c.appends.Add(1)
+		c.errors.Add(1)
 		return nil, err
 	}
+	d.ns.appends.Add(1)
 	added, dups, rows, gen, err := d.Append(records, header)
 	if err != nil {
-		s.errors.Add(1)
-		nsObj.errors.Add(1)
+		d.ns.errors.Add(1)
 		return nil, err
 	}
 	if added > 0 {
@@ -413,18 +422,13 @@ func (s *Service) AppendIn(ns, dataset string, records [][]string, header bool) 
 	}, nil
 }
 
-// Discover runs schema discovery (Chow-Liu, coarsening to the target
+// DiscoverIn runs schema discovery (Chow-Liu, coarsening to the target
 // J-measure, and approximate-MVD mining with separators of size ≤ maxSep)
-// against the named dataset.
-func (s *Service) Discover(dataset string, target float64, maxSep int) (*DiscoverView, error) {
-	return s.DiscoverIn(s.reg.DefaultNamespace(), dataset, target, maxSep)
-}
-
-// DiscoverIn is Discover against the named dataset in the given namespace.
+// against the named dataset in the given namespace.
 func (s *Service) DiscoverIn(ns, dataset string, target float64, maxSep int) (*DiscoverView, error) {
 	d, err := s.dataset(ns, dataset)
 	if err != nil {
-		return nil, s.reject(s.reg.lookupNS(ns), err)
+		return nil, reject(s.countersFor(ns), err)
 	}
 	rel := d.View()
 	keyGen := rel.Generation()
@@ -499,7 +503,8 @@ func (s *Service) discover(d *Dataset, rel *relation.Relation, target float64, m
 	return view, nil
 }
 
-// Entropy answers an entropy-family query against the named dataset:
+// EntropyIn answers an entropy-family query against the named dataset in
+// the given namespace:
 //
 //   - attrs only:            H(attrs)
 //   - attrs + given:         H(attrs | given)
@@ -507,25 +512,19 @@ func (s *Service) discover(d *Dataset, rel *relation.Relation, target float64, m
 //   - a + b + given:         I(a ; b | given)
 //
 // Exactly one of (attrs) or (a,b) must be provided.
-func (s *Service) Entropy(dataset string, attrs, a, b, given []string) (*EntropyView, error) {
-	return s.EntropyIn(s.reg.DefaultNamespace(), dataset, attrs, a, b, given)
-}
-
-// EntropyIn is Entropy against the named dataset in the given namespace.
 func (s *Service) EntropyIn(ns, dataset string, attrs, a, b, given []string) (*EntropyView, error) {
-	nsObj := s.reg.lookupNS(ns)
 	d, err := s.dataset(ns, dataset)
 	if err != nil {
-		return nil, s.reject(nsObj, err)
+		return nil, reject(s.countersFor(ns), err)
 	}
 	pairMode := len(a) > 0 || len(b) > 0
 	switch {
 	case pairMode && len(attrs) > 0:
-		return nil, s.reject(nsObj, fmt.Errorf("service: entropy query takes either attrs or a+b, not both"))
+		return nil, reject(&d.ns.counters, fmt.Errorf("service: entropy query takes either attrs or a+b, not both"))
 	case pairMode && (len(a) == 0 || len(b) == 0):
-		return nil, s.reject(nsObj, fmt.Errorf("service: mutual information needs both a and b"))
+		return nil, reject(&d.ns.counters, fmt.Errorf("service: mutual information needs both a and b"))
 	case !pairMode && len(attrs) == 0:
-		return nil, s.reject(nsObj, fmt.Errorf("service: entropy query needs attrs (or a and b)"))
+		return nil, reject(&d.ns.counters, fmt.Errorf("service: entropy query needs attrs (or a and b)"))
 	}
 	var kind string
 	switch {
@@ -594,34 +593,29 @@ func batchKey(qs []engine.Query) string {
 	return strings.Join(parts, "&")
 }
 
-// Batch answers a set of entropy/MI/CMI/FD/distinct queries against one
-// consistent snapshot of the named dataset in a single round trip. All
-// queries observe the same generation — the view grabbed by one atomic load
-// — and their lattice work is shared: the engine plan orders every needed
-// attribute set parents-first and computes each refinement exactly once on a
-// bounded worker pool, so a batch of overlapping queries costs far less than
-// the same queries issued separately cold. Identical concurrent batches
-// coalesce, and finished batches are LRU-cached like any other request.
-func (s *Service) Batch(dataset string, qs []BatchQuery) (*BatchView, error) {
-	return s.BatchIn(s.reg.DefaultNamespace(), dataset, qs)
-}
-
-// BatchIn is Batch against the named dataset in the given namespace.
+// BatchIn answers a set of entropy/MI/CMI/FD/distinct queries against one
+// consistent snapshot of the named dataset in the given namespace, in a
+// single round trip. All queries observe the same generation — the view
+// grabbed by one atomic load — and their lattice work is shared: the engine
+// plan orders every needed attribute set parents-first and computes each
+// refinement exactly once on a bounded worker pool, so a batch of
+// overlapping queries costs far less than the same queries issued
+// separately cold. Identical concurrent batches coalesce, and finished
+// batches are LRU-cached like any other request.
 func (s *Service) BatchIn(ns, dataset string, qs []BatchQuery) (*BatchView, error) {
-	s.batches.Add(1)
-	nsObj := s.reg.lookupNS(ns)
-	if nsObj != nil {
-		nsObj.batches.Add(1)
-	}
 	d, err := s.dataset(ns, dataset)
 	if err != nil {
-		return nil, s.reject(nsObj, err)
+		c := s.countersFor(ns)
+		c.batches.Add(1)
+		return nil, reject(c, err)
 	}
+	c := &d.ns.counters
+	c.batches.Add(1)
 	if len(qs) == 0 {
-		return nil, s.reject(nsObj, fmt.Errorf("service: batch needs at least one query"))
+		return nil, reject(c, fmt.Errorf("service: batch needs at least one query"))
 	}
 	if len(qs) > maxBatchQueries {
-		return nil, s.reject(nsObj, fmt.Errorf("service: batch of %d queries exceeds the limit of %d", len(qs), maxBatchQueries))
+		return nil, reject(c, fmt.Errorf("service: batch of %d queries exceeds the limit of %d", len(qs), maxBatchQueries))
 	}
 	// Normalize kinds before the key is built, so spelling variants of the
 	// same batch ("MI" vs "mi", conditional_entropy vs entropy+given)

@@ -1,8 +1,11 @@
 package service
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
@@ -33,7 +36,7 @@ func blockCSV(classes, a, b int) string {
 func newTestService(t testing.TB, cacheSize int) *Service {
 	t.Helper()
 	s := New(cacheSize)
-	if _, err := s.Registry().Register("block", strings.NewReader(blockCSV(3, 2, 2)), true); err != nil {
+	if _, err := s.Registry().RegisterIn("default", "block", strings.NewReader(blockCSV(3, 2, 2)), true); err != nil {
 		t.Fatal(err)
 	}
 	return s
@@ -41,7 +44,7 @@ func newTestService(t testing.TB, cacheSize int) *Service {
 
 func TestRegistry(t *testing.T) {
 	s := New(16)
-	d, err := s.Registry().Register("r1", strings.NewReader("A,B\n1,2\n3,4\n"), true)
+	d, err := s.Registry().RegisterIn("default", "r1", strings.NewReader("A,B\n1,2\n3,4\n"), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,35 +52,35 @@ func TestRegistry(t *testing.T) {
 		t.Fatalf("dataset = %+v", d.Info())
 	}
 	// Duplicate name rejected.
-	if _, err := s.Registry().Register("r1", strings.NewReader("A\n1\n"), true); err == nil {
+	if _, err := s.Registry().RegisterIn("default", "r1", strings.NewReader("A\n1\n"), true); err == nil {
 		t.Fatal("duplicate name accepted")
 	}
 	// Malformed CSVs error, never panic (the ingestion-path bugfix).
 	for _, bad := range []string{"A,A\n1,2\n", "A,,B\n1,2,3\n", "A,B\n1\n", ""} {
-		if _, err := s.Registry().Register("bad", strings.NewReader(bad), true); err == nil {
+		if _, err := s.Registry().RegisterIn("default", "bad", strings.NewReader(bad), true); err == nil {
 			t.Errorf("malformed CSV %q accepted", bad)
 		}
 	}
 	// Empty dataset rejected (analysis of an empty relation is undefined).
-	if _, err := s.Registry().Register("empty", strings.NewReader("A,B\n"), true); err == nil {
+	if _, err := s.Registry().RegisterIn("default", "empty", strings.NewReader("A,B\n"), true); err == nil {
 		t.Fatal("empty dataset accepted")
 	}
-	infos := s.Registry().List()
+	infos, _ := s.Registry().ListIn("default")
 	if len(infos) != 1 || infos[0].Name != "r1" || infos[0].Rows != 2 {
 		t.Fatalf("List = %+v", infos)
 	}
-	if !s.Remove("r1") || s.Remove("r1") {
+	if !s.RemoveIn("default", "r1") || s.RemoveIn("default", "r1") {
 		t.Fatal("Remove misbehaved")
 	}
 }
 
 func TestAnalyzeMatchesCore(t *testing.T) {
 	s := newTestService(t, 16)
-	got, err := s.Analyze("block", "A,C;B,C")
+	got, err := s.AnalyzeIn("default", "block", "A,C;B,C")
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, _ := s.Registry().Get("block")
+	d, _ := s.Registry().GetIn("default", "block")
 	want, err := core.Analyze(d.Rel, jointree.MustSchema([]string{"A", "C"}, []string{"B", "C"}))
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +92,7 @@ func TestAnalyzeMatchesCore(t *testing.T) {
 		t.Fatal("planted lossless schema reported lossy")
 	}
 	// Lossy schema carries positive spurious count and J ≤ log(1+ρ).
-	lossy, err := s.Analyze("block", "A;B;C")
+	lossy, err := s.AnalyzeIn("default", "block", "A;B;C")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,20 +101,20 @@ func TestAnalyzeMatchesCore(t *testing.T) {
 	}
 
 	// Error paths: unknown dataset, bad schema, cyclic schema.
-	if _, err := s.Analyze("nope", "A;B"); err == nil || !strings.Contains(err.Error(), "unknown dataset") {
+	if _, err := s.AnalyzeIn("default", "nope", "A;B"); err == nil || !strings.Contains(err.Error(), "unknown dataset") {
 		t.Fatalf("unknown dataset error = %v", err)
 	}
-	if _, err := s.Analyze("block", ""); err == nil {
+	if _, err := s.AnalyzeIn("default", "block", ""); err == nil {
 		t.Fatal("empty schema accepted")
 	}
-	if _, err := s.Analyze("block", "A,B;B,C;C,A"); err == nil {
+	if _, err := s.AnalyzeIn("default", "block", "A,B;B,C;C,A"); err == nil {
 		t.Fatal("cyclic schema accepted")
 	}
 }
 
 func TestDiscoverFindsPlantedMVD(t *testing.T) {
 	s := newTestService(t, 16)
-	v, err := s.Discover("block", 1e-9, 1)
+	v, err := s.DiscoverIn("default", "block", 1e-9, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,10 +137,10 @@ func TestDiscoverFindsPlantedMVD(t *testing.T) {
 
 func TestEntropyKinds(t *testing.T) {
 	s := newTestService(t, 16)
-	d, _ := s.Registry().Get("block")
+	d, _ := s.Registry().GetIn("default", "block")
 	n := float64(d.Rel.N())
 
-	h, err := s.Entropy("block", []string{"A", "B", "C"}, nil, nil, nil)
+	h, err := s.EntropyIn("default", "block", []string{"A", "B", "C"}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,21 +153,21 @@ func TestEntropyKinds(t *testing.T) {
 	}
 
 	// The planted instance satisfies A ⫫ B | C: CMI must be 0, MI positive.
-	cmi, err := s.Entropy("block", nil, []string{"A"}, []string{"B"}, []string{"C"})
+	cmi, err := s.EntropyIn("default", "block", nil, []string{"A"}, []string{"B"}, []string{"C"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cmi.Kind != "cmi" || cmi.Nats > 1e-9 {
 		t.Fatalf("I(A;B|C) = %+v, want 0", cmi)
 	}
-	mi, err := s.Entropy("block", nil, []string{"A"}, []string{"B"}, nil)
+	mi, err := s.EntropyIn("default", "block", nil, []string{"A"}, []string{"B"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mi.Kind != "mi" || mi.Nats <= 0 {
 		t.Fatalf("I(A;B) = %+v, want > 0", mi)
 	}
-	ce, err := s.Entropy("block", []string{"A"}, nil, nil, []string{"C"})
+	ce, err := s.EntropyIn("default", "block", []string{"A"}, nil, nil, []string{"C"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +182,7 @@ func TestEntropyKinds(t *testing.T) {
 		{nil, {"A"}, nil, nil},     // a without b
 		{{"Z"}, nil, nil, nil},     // unknown attribute
 	} {
-		if _, err := s.Entropy("block", bad[0], bad[1], bad[2], bad[3]); err == nil {
+		if _, err := s.EntropyIn("default", "block", bad[0], bad[1], bad[2], bad[3]); err == nil {
 			t.Errorf("bad entropy query %v accepted", bad)
 		}
 	}
@@ -269,19 +272,113 @@ func TestCoalescingPanic(t *testing.T) {
 }
 
 // TestStatsCountRejected: requests failing validation before the compute
-// path still show up in Stats (requests and errors both increment).
+// path still show up in Stats (requests and errors both increment), also
+// when the namespace they name does not exist. Each request is counted once,
+// in its namespace or, without one, in the service's unattributed set, and
+// the /stats totals are the sum of every /v1/{ns}/stats plus the
+// unattributed requests.
 func TestStatsCountRejected(t *testing.T) {
-	s := newTestService(t, 16)
-	before := s.Stats()
-	if _, err := s.Analyze("no-such-dataset", "A;B"); err == nil {
-		t.Fatal("unknown dataset accepted")
+	s := New(16)
+	srv := httptest.NewServer(NewHandler(s))
+	t.Cleanup(srv.Close)
+	getJSON := func(path string, v any) {
+		t.Helper()
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %d", path, resp.StatusCode)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := s.Entropy("block", nil, []string{"A"}, nil, nil); err == nil {
-		t.Fatal("bad entropy combo accepted")
+	// Requests naming a namespace that does not exist: legacy routes before
+	// the default namespace is created, and an unknown /v1 namespace.
+	var unattributed RequestCounts
+	sendUnattributed := func() {
+		t.Helper()
+		for _, q := range []struct {
+			method, path, body       string
+			requests, appends, batch int64
+		}{
+			{"GET", "/analyze?dataset=d&schema=A|B", "", 1, 0, 0},
+			{"GET", "/entropy?dataset=d&attrs=A", "", 1, 0, 0},
+			{"GET", "/discover?dataset=d", "", 1, 0, 0},
+			{"POST", "/batch", `{"dataset":"d","queries":[{"kind":"entropy","attrs":["A"]}]}`, 1, 0, 1},
+			{"POST", "/datasets/d/append", "1,2,3\n", 0, 1, 0},
+			{"POST", "/datasets/d/checkpoint", "", 1, 0, 0},
+			{"GET", "/v1/nope/analyze?dataset=d&schema=A|B", "", 1, 0, 0},
+			{"POST", "/v1/nope/batch", `{"dataset":"d","queries":[{"kind":"entropy","attrs":["A"]}]}`, 1, 0, 1},
+			{"POST", "/v1/nope/datasets/d/append", "1,2,3\n", 0, 1, 0},
+		} {
+			if !s.Registry().HasNamespace("default") || strings.HasPrefix(q.path, "/v1/nope/") {
+				unattributed.Requests += q.requests
+				unattributed.Appends += q.appends
+				unattributed.Batches += q.batch
+				unattributed.Errors += q.requests + q.appends
+			}
+			if code, body := doReq(t, q.method, srv.URL+q.path, q.body); code != http.StatusNotFound && code != http.StatusBadRequest {
+				t.Fatalf("%s %s: %d %v", q.method, q.path, code, body)
+			}
+		}
 	}
-	after := s.Stats()
-	if after.Requests != before.Requests+2 || after.Errors != before.Errors+2 {
-		t.Fatalf("rejected requests invisible to stats: before %+v after %+v", before, after)
+	sendUnattributed()
+	var st Stats
+	getJSON("/stats", &st)
+	if st.RequestCounts != unattributed {
+		t.Fatalf("unattributed requests: /stats has %+v, want %+v", st.RequestCounts, unattributed)
+	}
+
+	// With datasets in two namespaces: rejected and answered requests in
+	// each, and the unknown-namespace requests again.
+	for _, ns := range []string{"default", "t"} {
+		if _, err := s.Registry().RegisterIn(ns, "block", strings.NewReader(blockCSV(3, 2, 2)), true); err != nil {
+			t.Fatal(err)
+		}
+		before := s.Stats()
+		if _, err := s.AnalyzeIn(ns, "no-such-dataset", "A;B"); err == nil {
+			t.Fatal("unknown dataset accepted")
+		}
+		if _, err := s.EntropyIn(ns, "block", nil, []string{"A"}, nil, nil); err == nil {
+			t.Fatal("bad entropy combo accepted")
+		}
+		after := s.Stats()
+		if after.Requests != before.Requests+2 || after.Errors != before.Errors+2 {
+			t.Fatalf("rejected requests invisible to stats: before %+v after %+v", before, after)
+		}
+		for i := 0; i < 2; i++ {
+			if _, err := s.EntropyIn(ns, "block", []string{"A"}, nil, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := s.AppendIn(ns, "block", [][]string{{"1"}}, false); err == nil {
+			t.Fatal("wrong-arity append accepted")
+		}
+	}
+	sendUnattributed()
+
+	getJSON("/stats", &st)
+	// Per namespace: two rejected requests, a computed and a cached entropy,
+	// a failed append; the default namespace also has the second round of
+	// legacy requests (five rejected requests, one a batch, and an append).
+	want := map[string]RequestCounts{
+		"default": {Requests: 9, CacheHits: 1, Computed: 1, Errors: 9, Appends: 2, Batches: 1},
+		"t":       {Requests: 4, CacheHits: 1, Computed: 1, Errors: 3, Appends: 1},
+	}
+	sum := unattributed
+	for _, ns := range s.Registry().Namespaces() {
+		var nst NamespaceStats
+		getJSON("/v1/"+ns+"/stats", &nst)
+		if nst.RequestCounts != want[ns] {
+			t.Fatalf("namespace %s counters %+v, want %+v", ns, nst.RequestCounts, want[ns])
+		}
+		sum.add(nst.RequestCounts)
+	}
+	if st.RequestCounts != sum {
+		t.Fatalf("/stats totals %+v, want the namespaces' sum plus unattributed %+v", st.RequestCounts, sum)
 	}
 }
 
@@ -300,7 +397,7 @@ func TestServiceCoalescingUnderLoad(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				if _, err := s.Entropy("block", []string{"A", "B"}, nil, nil, nil); err != nil {
+				if _, err := s.EntropyIn("default", "block", []string{"A", "B"}, nil, nil, nil); err != nil {
 					t.Error(err)
 					return
 				}
@@ -325,11 +422,11 @@ func TestServiceCoalescingUnderLoad(t *testing.T) {
 
 func TestResultCache(t *testing.T) {
 	s := newTestService(t, 16)
-	if _, err := s.Analyze("block", "A,C;B,C"); err != nil {
+	if _, err := s.AnalyzeIn("default", "block", "A,C;B,C"); err != nil {
 		t.Fatal(err)
 	}
 	before := s.Stats()
-	v1, err := s.Analyze("block", "A,C;B,C")
+	v1, err := s.AnalyzeIn("default", "block", "A,C;B,C")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,18 +435,18 @@ func TestResultCache(t *testing.T) {
 		t.Fatalf("repeat request not served from cache: before %+v after %+v", before, after)
 	}
 	// Schema bag order must not fragment the cache key (canonical string).
-	if _, err := s.Analyze("block", "B,C;A,C"); err != nil {
+	if _, err := s.AnalyzeIn("default", "block", "B,C;A,C"); err != nil {
 		t.Fatal(err)
 	}
 	_ = v1
 	// Removing the dataset drops its cached results and the name.
-	if !s.Remove("block") {
+	if !s.RemoveIn("default", "block") {
 		t.Fatal("Remove failed")
 	}
 	if s.cache.Len() != 0 {
 		t.Fatalf("cache still holds %d entries after dataset removal", s.cache.Len())
 	}
-	if _, err := s.Analyze("block", "A,C;B,C"); err == nil {
+	if _, err := s.AnalyzeIn("default", "block", "A,C;B,C"); err == nil {
 		t.Fatal("removed dataset still served")
 	}
 }
@@ -396,7 +493,7 @@ func TestLRUCacheEviction(t *testing.T) {
 // results.
 func TestConcurrentMixedWorkload(t *testing.T) {
 	s := newTestService(t, 32)
-	want, err := s.Analyze("block", "A,C;B,C")
+	want, err := s.AnalyzeIn("default", "block", "A,C;B,C")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,27 +506,27 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 			for i := 0; i < 8; i++ {
 				switch (g + i) % 4 {
 				case 0:
-					v, err := s.Analyze("block", "A,C;B,C")
+					v, err := s.AnalyzeIn("default", "block", "A,C;B,C")
 					if err != nil {
 						t.Error(err)
 					} else if v.J != want.J || v.Loss.Spurious != want.Loss.Spurious {
 						t.Errorf("inconsistent analyze result: %+v", v)
 					}
 				case 1:
-					if _, err := s.Entropy("block", []string{"A", "B"}, nil, nil, nil); err != nil {
+					if _, err := s.EntropyIn("default", "block", []string{"A", "B"}, nil, nil, nil); err != nil {
 						t.Error(err)
 					}
 				case 2:
-					if _, err := s.Discover("block", 1e-9, 1); err != nil {
+					if _, err := s.DiscoverIn("default", "block", 1e-9, 1); err != nil {
 						t.Error(err)
 					}
 				case 3:
 					name := "tmp" + strconv.Itoa(g)
-					if _, err := s.Registry().Register(name, strings.NewReader("X,Y\n1,2\n2,1\n"), true); err == nil {
-						if _, err := s.Entropy(name, []string{"X"}, nil, nil, nil); err != nil {
+					if _, err := s.Registry().RegisterIn("default", name, strings.NewReader("X,Y\n1,2\n2,1\n"), true); err == nil {
+						if _, err := s.EntropyIn("default", name, []string{"X"}, nil, nil, nil); err != nil {
 							t.Error(err)
 						}
-						s.Remove(name)
+						s.RemoveIn("default", name)
 					}
 				}
 			}
