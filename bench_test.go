@@ -183,7 +183,7 @@ func BenchmarkEntropy(b *testing.B) {
 	}
 }
 
-// BenchmarkEntropyLegacy is the string-keyed ProjectCounts baseline the
+// BenchmarkEntropyLegacy is the string-keyed legacyEntropy baseline the
 // columnar engine is measured against (it re-hashes every row per call;
 // the engine memoizes partitions, so BenchmarkEntropy amortizes to O(1)).
 func BenchmarkEntropyLegacy(b *testing.B) {
@@ -192,7 +192,7 @@ func BenchmarkEntropyLegacy(b *testing.B) {
 			r := benchRelation(b, n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := infotheory.LegacyEntropy(r, "A", "B"); err != nil {
+				if _, err := legacyEntropy(r, "A", "B"); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -224,15 +224,15 @@ func legacyPairwiseMI(b *testing.B, r *relation.Relation) []float64 {
 	var out []float64
 	for i := 0; i < len(attrs); i++ {
 		for j := i + 1; j < len(attrs); j++ {
-			ha, err := infotheory.LegacyEntropy(r, attrs[i])
+			ha, err := legacyEntropy(r, attrs[i])
 			if err != nil {
 				b.Fatal(err)
 			}
-			hb, err := infotheory.LegacyEntropy(r, attrs[j])
+			hb, err := legacyEntropy(r, attrs[j])
 			if err != nil {
 				b.Fatal(err)
 			}
-			hab, err := infotheory.LegacyEntropy(r, attrs[i], attrs[j])
+			hab, err := legacyEntropy(r, attrs[i], attrs[j])
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -4,12 +4,10 @@
 //
 // Usage:
 //
-//	ajdlint [-list] [-only name[,name]] [-no-advisory] [packages...]
+//	ajdlint [-list] [-only name[,name]] [packages...]
 //
 // Packages default to ./... relative to the current directory. Diagnostics
-// print one per line as file:line:col: analyzer: message. Advisory analyzers
-// (fieldalign) print with an "advisory:" prefix and never affect the exit
-// code.
+// print one per line as file:line:col: analyzer: message.
 package main
 
 import (
@@ -24,9 +22,8 @@ import (
 func main() {
 	listFlag := flag.Bool("list", false, "list analyzers and exit")
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
-	noAdvisory := flag.Bool("no-advisory", false, "suppress advisory diagnostics from the output")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: ajdlint [-list] [-only name,...] [-no-advisory] [packages...]\n")
+		fmt.Fprintf(os.Stderr, "usage: ajdlint [-list] [-only name,...] [packages...]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -34,11 +31,7 @@ func main() {
 	analyzers := lint.All()
 	if *listFlag {
 		for _, a := range analyzers {
-			kind := "enforced"
-			if a.Advisory {
-				kind = "advisory"
-			}
-			fmt.Printf("%-14s %s\n%14s %s\n", a.Name, kind, "", a.Doc)
+			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
 		}
 		return
 	}
@@ -80,19 +73,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ajdlint:", err)
 		os.Exit(2)
 	}
-	failing := 0
 	for _, d := range diags {
-		if d.Advisory {
-			if !*noAdvisory {
-				fmt.Printf("%s: advisory: %s: %s\n", d.Pos, d.Analyzer, d.Message)
-			}
-			continue
-		}
-		failing++
-		fmt.Printf("%s: %s: %s\n", d.Pos, d.Analyzer, d.Message)
+		fmt.Println(d)
 	}
-	if failing > 0 {
-		fmt.Fprintf(os.Stderr, "ajdlint: %d diagnostic(s)\n", failing)
+	if len(diags) > 0 {
+		fmt.Fprintf(os.Stderr, "ajdlint: %d diagnostic(s)\n", len(diags))
 		os.Exit(1)
 	}
 }

@@ -3,10 +3,11 @@ package ajdloss
 // Parity property tests for the columnar group-count engine: on random
 // relations (seeded via internal/randrel) every entropy, J-measure and loss
 // value produced by the group-ID path must agree with the legacy
-// string-keyed ProjectCounts path to floating-point tolerance, and the
+// string-keyed path (legacyEntropy) to floating-point tolerance, and the
 // parallelized discovery routines must be deterministic across runs.
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -57,7 +58,7 @@ func TestEngineEntropyParity(t *testing.T) {
 	for seed := uint64(1); seed <= 12; seed++ {
 		r := parityInstance(t, seed, 150)
 		for _, sub := range subsetsOf(r.Attrs()) {
-			legacy, err := infotheory.LegacyEntropy(r, sub...)
+			legacy, err := legacyEntropy(r, sub...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -72,7 +73,7 @@ func TestEngineEntropyParity(t *testing.T) {
 		// Multiset path with scaled multiplicities: same distribution.
 		m := relation.MultisetOf(r).Scale(3)
 		for _, sub := range subsetsOf(r.Attrs()) {
-			legacy, err := infotheory.LegacyEntropy(r, sub...)
+			legacy, err := legacyEntropy(r, sub...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -92,20 +93,20 @@ func legacyJMeasure(t *testing.T, r *relation.Relation, tree *jointree.JoinTree)
 	t.Helper()
 	var sum float64
 	for _, bag := range tree.Bags {
-		h, err := infotheory.LegacyEntropy(r, bag...)
+		h, err := legacyEntropy(r, bag...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sum += h
 	}
 	for e := range tree.Edges {
-		h, err := infotheory.LegacyEntropy(r, tree.Separator(e)...)
+		h, err := legacyEntropy(r, tree.Separator(e)...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sum -= h
 	}
-	hAll, err := infotheory.LegacyEntropy(r, tree.Attrs()...)
+	hAll, err := legacyEntropy(r, tree.Attrs()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,4 +209,36 @@ func TestFindMVDsParallelDeterminism(t *testing.T) {
 			t.Fatalf("run %d: FindMVDs output differs", run)
 		}
 	}
+}
+
+// legacyEntropy computes H(attrs) through the legacy string-keyed path: it
+// re-hashes every projected row into a map keyed by relation.RowKey, with no
+// reuse between calls. It is the oracle the parity tests and the baseline
+// the benchmarks hold the columnar engine against.
+func legacyEntropy(r *relation.Relation, attrs ...string) (float64, error) {
+	if len(attrs) == 0 {
+		return 0, nil
+	}
+	cols := make([]int, len(attrs))
+	for i, a := range attrs {
+		p, ok := r.Pos(a)
+		if !ok {
+			return 0, fmt.Errorf("unknown attribute %q", a)
+		}
+		cols[i] = p
+	}
+	data := r.Columns()
+	m := make(map[string]int)
+	buf := make(relation.Tuple, len(cols))
+	for i := 0; i < r.N(); i++ {
+		for k, c := range cols {
+			buf[k] = data[c][i]
+		}
+		m[relation.RowKey(buf)]++
+	}
+	counts := make([]int, 0, len(m))
+	for _, c := range m {
+		counts = append(counts, c)
+	}
+	return infotheory.EntropyFromCounts(counts, r.N()), nil
 }

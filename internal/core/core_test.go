@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -165,7 +166,7 @@ func TestFactorizationMarginals(t *testing.T) {
 	// For every bag, marginal of P^T equals empirical marginal of R.
 	cols := joined.MustColumns(r.Attrs())
 	for _, bag := range tree.Bags {
-		want, err := infotheory.EmpiricalDist(r, bag...)
+		want, err := empiricalDist(r, bag...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -444,4 +445,32 @@ func TestReportString(t *testing.T) {
 			t.Errorf("report missing %q:\n%s", want, s)
 		}
 	}
+}
+
+// empiricalDist returns the empirical distribution of r restricted to attrs
+// (marginal), keyed by encoded projected rows: the string-keyed oracle the
+// tests hold the factorization's marginals against.
+func empiricalDist(r *relation.Relation, attrs ...string) (infotheory.Dist, error) {
+	cols := make([]int, len(attrs))
+	for i, a := range attrs {
+		p, ok := r.Pos(a)
+		if !ok {
+			return nil, fmt.Errorf("unknown attribute %q", a)
+		}
+		cols[i] = p
+	}
+	counts := make(map[string]int)
+	buf := make(relation.Tuple, len(cols))
+	for _, t := range r.Rows() {
+		for i, c := range cols {
+			buf[i] = t[c]
+		}
+		counts[relation.RowKey(buf)]++
+	}
+	n := float64(r.N())
+	d := make(infotheory.Dist, len(counts))
+	for k, c := range counts {
+		d[k] = float64(c) / n
+	}
+	return d, nil
 }

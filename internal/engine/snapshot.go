@@ -1,7 +1,8 @@
 // Package engine implements the immutable snapshot layer under the
-// relational substrate: point-in-time columnar views of a tuple set with a
-// memoized group-count partition lattice, plus a batch query planner that
-// shares partition refinements across overlapping lattice queries.
+// relational substrate: point-in-time views of a tuple set's columns, which
+// a snapshot shares with the relation that owns them, with a memoized
+// group-count partition lattice, plus a batch query planner that shares
+// partition refinements across overlapping lattice queries.
 //
 // A Snapshot is the unit of consistency for every information measure of the
 // library. It never changes after construction: Extend produces a *new*
@@ -31,10 +32,6 @@ import (
 // Value is a single attribute value (dictionary-encoded; identical to
 // relation.Value by alias).
 type Value = int32
-
-// Tuple is a row, one Value per attribute in schema order (identical to
-// relation.Tuple by alias).
-type Tuple = []Value
 
 // Grouping is the multiset projection of a snapshot onto an attribute set in
 // columnar form: IDs[i] is the dense group id (first-occurrence order over
@@ -68,9 +65,14 @@ type memoEntry struct {
 	next atomic.Pointer[probe] // nil for the empty column set and once handed on
 }
 
-// Snapshot is an immutable point-in-time view of a tuple set: the columnar
-// data, the (distinct) rows, per-row multiplicities for weighted sources, a
+// Snapshot is an immutable point-in-time view of a tuple set: the columns of
+// its distinct rows, per-row multiplicities for weighted sources, a
 // generation number, and the memo of partition groupings and entropies.
+//
+// A snapshot does not copy its columns: it adopts the owner's column slices,
+// clipped to its n rows. The owner may keep appending to those slices, but it
+// only ever writes indexes ≥ the n of every snapshot it has published, so a
+// snapshot's rows never change under it.
 //
 // Concurrency contract:
 //
@@ -86,8 +88,7 @@ type memoEntry struct {
 type Snapshot struct {
 	attrs []string
 	pos   map[string]int
-	cols  [][]Value // cols[c][row], row < n
-	rows  []Tuple   // the distinct stored rows, len n (shared with the owner)
+	cols  [][]Value // cols[c][row], each clipped to len = cap = n
 
 	weights []int64 // per-row multiplicity; nil means all 1
 	n       int     // number of stored (distinct) rows
@@ -110,74 +111,67 @@ type Snapshot struct {
 	entropy map[string]float64
 }
 
-// NewSnapshot builds generation-1 snapshot of the given distinct rows
-// (unweighted: every row counts once). The rows slice and its tuples are
-// retained, not copied — the caller must treat them as append-only.
-func NewSnapshot(attrs []string, rows []Tuple) *Snapshot {
-	return newSnapshot(attrs, rows, nil, len(rows))
-}
-
-// NewSnapshotAt is NewSnapshot starting at an explicit generation (≥ 1):
-// the durability layer uses it so a relation recovered from a checkpoint
-// reports the exact generation it had when the checkpoint was taken, and
-// replayed appends continue the chain from there.
-func NewSnapshotAt(attrs []string, rows []Tuple, gen int64) *Snapshot {
-	s := newSnapshot(attrs, rows, nil, len(rows))
+// NewSnapshotAt builds a snapshot of the first n rows of cols (cols[c][i]
+// is attribute c of row i; the rows must be distinct), unweighted, at
+// generation gen (values below 1 mean 1). The column data is adopted, not
+// copied: the caller may append to the slices afterwards but must never
+// write below index n. The durability layer passes the checkpointed
+// generation so a recovered relation reports the generation it had when
+// the checkpoint was taken, and replayed appends continue the chain from
+// there.
+func NewSnapshotAt(attrs []string, cols [][]Value, n int, gen int64) *Snapshot {
+	s := newSnapshot(attrs, cols, n, nil, n)
 	if gen > 1 {
 		s.gen = gen
 	}
 	return s
 }
 
-// NewWeightedSnapshot builds a generation-1 snapshot of distinct rows with
-// per-row multiplicities summing to total (a multiset's empirical
-// distribution). Weighted snapshots cannot be extended: mutating a multiset
-// changes multiplicities of existing rows, which invalidates rather than
-// extends partitions.
-func NewWeightedSnapshot(attrs []string, rows []Tuple, weights []int64, total int) *Snapshot {
-	return newSnapshot(attrs, rows, weights, total)
+// NewWeightedSnapshot builds a generation-1 snapshot of len(weights)
+// distinct rows held in cols (adopted as by NewSnapshotAt) with per-row
+// multiplicities summing to total (a multiset's empirical distribution).
+// Weighted snapshots cannot be extended: mutating a multiset changes
+// multiplicities of existing rows, which invalidates rather than extends
+// partitions.
+func NewWeightedSnapshot(attrs []string, cols [][]Value, weights []int64, total int) *Snapshot {
+	return newSnapshot(attrs, cols, len(weights), weights, total)
 }
 
-func newSnapshot(attrs []string, rows []Tuple, weights []int64, total int) *Snapshot {
+func newSnapshot(attrs []string, cols [][]Value, n int, weights []int64, total int) *Snapshot {
 	pos := make(map[string]int, len(attrs))
 	for i, a := range attrs {
 		pos[a] = i
 	}
-	cols := make([][]Value, len(attrs))
-	colMin := make([]Value, len(attrs))
-	colMax := make([]Value, len(attrs))
-	for c := range cols {
-		// Reserve append headroom so the first streaming Extends write in
-		// place instead of reallocating every column (see extendHeadroom).
-		col := make([]Value, len(rows), len(rows)+extendHeadroom(len(rows)))
-		lo, hi := Value(0), Value(0)
-		for i, t := range rows {
-			v := t[c]
-			col[i] = v
-			if i == 0 || v < lo {
-				lo = v
-			}
-			if i == 0 || v > hi {
-				hi = v
-			}
-		}
-		cols[c] = col
-		colMin[c], colMax[c] = lo, hi
-	}
-	return &Snapshot{
+	s := &Snapshot{
 		attrs:   attrs,
 		pos:     pos,
-		cols:    cols,
-		rows:    rows,
+		cols:    make([][]Value, len(attrs)),
 		weights: weights,
-		n:       len(rows),
+		n:       n,
 		total:   total,
 		gen:     1,
-		colMin:  colMin,
-		colMax:  colMax,
+		colMin:  make([]Value, len(attrs)),
+		colMax:  make([]Value, len(attrs)),
 		memo:    make(map[string]*memoEntry),
 		entropy: make(map[string]float64),
 	}
+	for c := range s.cols {
+		s.cols[c] = cols[c][:n:n]
+		lo, hi := Value(0), Value(0)
+		if n > 0 {
+			lo, hi = s.cols[c][0], s.cols[c][0]
+		}
+		s.colMin[c], s.colMax[c] = valueRange(s.cols[c], lo, hi)
+	}
+	return s
+}
+
+// valueRange widens [lo, hi] to cover every value of col.
+func valueRange(col []Value, lo, hi Value) (Value, Value) {
+	for _, v := range col {
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	return lo, hi
 }
 
 // Attrs returns the attribute names in schema order. Callers must not modify
@@ -191,10 +185,10 @@ func (s *Snapshot) N() int { return s.total }
 // NumRows returns the number of distinct stored rows.
 func (s *Snapshot) NumRows() int { return s.n }
 
-// Rows returns the distinct stored rows of this snapshot. The slice is a
-// fixed-length view: later Extends never change it. Callers must not modify
-// the tuples.
-func (s *Snapshot) Rows() []Tuple { return s.rows[:s.n:s.n] }
+// Columns returns the snapshot's columns: Columns()[c][i] is attribute c of
+// row i, each column of length NumRows. Later Extends never change them.
+// Callers must not modify them.
+func (s *Snapshot) Columns() [][]Value { return s.cols }
 
 // Generation returns the snapshot's generation: 1 at construction,
 // incremented by every Extend along the chain.
@@ -339,12 +333,14 @@ func (s *Snapshot) groupEntropy(cols []int) float64 {
 	return h
 }
 
-// Extend returns a new snapshot covering this snapshot's rows plus the batch
-// of freshly appended (distinct) rows: columns and rows grow, every grouping
-// memoized at call time is extended copy-on-write, the generation is bumped,
-// and the entropy memo starts empty (every entropy changes when the total
-// does; the next query recomputes in O(groups) from the already-extended
-// grouping).
+// Extend returns a new snapshot of the first n rows of cols, which must be
+// the owner's columns grown from this snapshot's: rows below NumRows equal
+// this snapshot's, and rows NumRows..n-1 are the freshly appended
+// (distinct) rows. The child adopts the columns as NewSnapshotAt does,
+// every grouping memoized at call time is extended copy-on-write, the
+// generation is bumped, and the entropy memo starts empty (every entropy
+// changes when the total does; the next query recomputes in O(groups) from
+// the already-extended grouping).
 //
 // Cost per memoized set: O(batch) probes of the refinement probe, which
 // moves from this snapshot's entry to the child's and is probed in place,
@@ -354,36 +350,20 @@ func (s *Snapshot) groupEntropy(cols []int) float64 {
 //
 // The parent snapshot is left untouched: its groupings, counts and entropies
 // keep answering queries for readers that grabbed it before the extension.
-// Backing arrays of columns, rows and grouping IDs are shared where capacity
+// Backing arrays of columns and grouping IDs are shared where capacity
 // allows — the child only writes indexes ≥ the parent's row count, which the
 // parent never reads.
 //
 // Extend must be called by at most one writer per snapshot (the owning
 // relation serializes appends); it panics on weighted snapshots.
-func (s *Snapshot) Extend(fresh []Tuple) *Snapshot {
+func (s *Snapshot) Extend(cols [][]Value, n int) *Snapshot {
 	if s.weights != nil {
 		panic("engine: Extend on a weighted snapshot")
 	}
-	if len(fresh) == 0 {
+	if n <= s.n {
 		return s
 	}
-	cols := make([][]Value, len(s.cols))
-	colMin := append(make([]Value, 0, len(s.colMin)), s.colMin...)
-	colMax := append(make([]Value, 0, len(s.colMax)), s.colMax...)
-	for c := range cols {
-		col := s.cols[c][:s.n:cap(s.cols[c])]
-		for _, t := range fresh {
-			v := t[c]
-			col = append(col, v)
-			if v < colMin[c] {
-				colMin[c] = v
-			}
-			if v > colMax[c] {
-				colMax[c] = v
-			}
-		}
-		cols[c] = col
-	}
+	fresh := n - s.n
 	// Snapshot the parent's memo under its fill latch (concurrent readers may
 	// be inserting lazily computed groupings; entries themselves are immutable
 	// once published, so they are safe to read outside the lock).
@@ -397,17 +377,19 @@ func (s *Snapshot) Extend(fresh []Tuple) *Snapshot {
 	child := &Snapshot{
 		attrs:   s.attrs,
 		pos:     s.pos,
-		cols:    cols,
-		rows:    append(s.rows[:s.n:cap(s.rows)], fresh...),
-		n:       s.n + len(fresh),
-		total:   s.total + len(fresh),
+		cols:    make([][]Value, len(cols)),
+		n:       n,
+		total:   s.total + fresh,
 		gen:     s.gen + 1,
-		colMin:  colMin,
-		colMax:  colMax,
+		colMin:  make([]Value, len(cols)),
+		colMax:  make([]Value, len(cols)),
 		memo:    make(map[string]*memoEntry, len(entries)),
 		entropy: make(map[string]float64),
 	}
-
+	for c := range child.cols {
+		child.cols[c] = cols[c][:n:n]
+		child.colMin[c], child.colMax[c] = valueRange(child.cols[c][s.n:], s.colMin[c], s.colMax[c])
+	}
 	// Record this extend's delta summary: the row range, which dictionaries
 	// grew, and (below, as each level publishes) how many groups every
 	// memoized grouping gained. The parent's record slice is copied, never
@@ -421,7 +403,7 @@ func (s *Snapshot) Extend(fresh []Tuple) *Snapshot {
 		gained:   make(map[string]int, len(entries)),
 	}
 	for c := range cols {
-		rec.dictGrew[c] = colMin[c] != s.colMin[c] || colMax[c] != s.colMax[c]
+		rec.dictGrew[c] = child.colMin[c] != s.colMin[c] || child.colMax[c] != s.colMax[c]
 	}
 	prior := s.deltas
 	if len(prior) >= maxDeltaChain {
@@ -438,7 +420,7 @@ func (s *Snapshot) Extend(fresh []Tuple) *Snapshot {
 	sort.Slice(entries, func(i, j int) bool { return len(entries[i].cols) < len(entries[j].cols) })
 	extendOne := func(ent *memoEntry) *memoEntry {
 		if len(ent.cols) == 0 {
-			ids := append(ent.g.IDs[:s.n:cap(ent.g.IDs)], make([]int32, len(fresh))...)
+			ids := append(ent.g.IDs[:s.n:cap(ent.g.IDs)], make([]int32, fresh)...)
 			return &memoEntry{g: &Grouping{IDs: ids, Counts: []int{child.total}}}
 		}
 		parent := child.memo[colsKey(ent.cols[:len(ent.cols)-1])].g
@@ -448,7 +430,7 @@ func (s *Snapshot) Extend(fresh []Tuple) *Snapshot {
 		if next == nil {
 			next = s.rebuildProbe(parent, ent.g, col)
 		}
-		counts := append(make([]int, 0, len(ent.g.Counts)+len(fresh)), ent.g.Counts...)
+		counts := append(make([]int, 0, len(ent.g.Counts)+fresh), ent.g.Counts...)
 		ids := ent.g.IDs[:s.n:cap(ent.g.IDs)]
 		for i := s.n; i < child.n; i++ {
 			pid := parent.IDs[i]

@@ -6,6 +6,57 @@ import (
 	"testing"
 )
 
+// Tuple is one row of a test fixture, one Value per attribute.
+type Tuple = []Value
+
+// columnsOf transposes rows of the given arity into columns.
+func columnsOf(arity int, rows []Tuple) [][]Value {
+	cols := make([][]Value, arity)
+	for c := range cols {
+		cols[c] = make([]Value, len(rows))
+		for i, t := range rows {
+			cols[c][i] = t[c]
+		}
+	}
+	return cols
+}
+
+// rowsOf transposes a snapshot's columns back into rows.
+func rowsOf(s *Snapshot) []Tuple {
+	rows := make([]Tuple, s.NumRows())
+	for i := range rows {
+		rows[i] = make(Tuple, len(s.Columns()))
+		for c, col := range s.Columns() {
+			rows[i][c] = col[i]
+		}
+	}
+	return rows
+}
+
+// rowSnapshot builds a generation-1 snapshot of distinct rows.
+func rowSnapshot(attrs []string, rows []Tuple) *Snapshot {
+	return NewSnapshotAt(attrs, columnsOf(len(attrs), rows), len(rows), 1)
+}
+
+// growColumns returns s's columns with the fresh rows appended, and their
+// row count. The snapshot's columns are clipped to its rows, so the appends
+// copy them, as an owner's columns do when they outgrow their capacity.
+func growColumns(s *Snapshot, fresh []Tuple) ([][]Value, int) {
+	cols := make([][]Value, len(s.Columns()))
+	for c, col := range s.Columns() {
+		cols[c] = col
+		for _, t := range fresh {
+			cols[c] = append(cols[c], t[c])
+		}
+	}
+	return cols, s.NumRows() + len(fresh)
+}
+
+// extendRows extends s by the fresh rows.
+func extendRows(s *Snapshot, fresh []Tuple) *Snapshot {
+	return s.Extend(growColumns(s, fresh))
+}
+
 func randRows(seed int64, n, arity, domain int) []Tuple {
 	rng := rand.New(rand.NewSource(seed))
 	seen := make(map[string]bool)
@@ -50,7 +101,7 @@ func sameGrouping(t *testing.T, label string, got, want *Grouping) {
 func TestExtendParity(t *testing.T) {
 	attrs := []string{"A", "B", "C"}
 	rows := randRows(1, 200, 3, 6)
-	snap := NewSnapshot(attrs, rows[:100])
+	snap := rowSnapshot(attrs, rows[:100])
 	sets := [][]string{{"A"}, {"B"}, {"C"}, {"A", "B"}, {"B", "C"}, {"A", "B", "C"}}
 	for _, set := range sets {
 		if _, err := snap.Grouping(set...); err != nil {
@@ -59,8 +110,8 @@ func TestExtendParity(t *testing.T) {
 	}
 	cur := snap
 	for i := 100; i < 200; i += 25 {
-		cur = cur.Extend(rows[i : i+25])
-		cold := NewSnapshot(attrs, rows[:i+25])
+		cur = extendRows(cur, rows[i:i+25])
+		cold := rowSnapshot(attrs, rows[:i+25])
 		for _, set := range sets {
 			got, err := cur.Grouping(set...)
 			if err != nil {
@@ -89,7 +140,7 @@ func TestExtendParity(t *testing.T) {
 func TestExtendLeavesParentFrozen(t *testing.T) {
 	attrs := []string{"A", "B"}
 	rows := randRows(2, 60, 2, 12)
-	parent := NewSnapshot(attrs, rows[:40])
+	parent := rowSnapshot(attrs, rows[:40])
 	gAB, err := parent.Grouping("A", "B")
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +149,7 @@ func TestExtendLeavesParentFrozen(t *testing.T) {
 	countsBefore := append([]int(nil), gAB.Counts...)
 	hBefore, _ := parent.GroupEntropy("A", "B")
 
-	child := parent.Extend(rows[40:])
+	child := extendRows(parent, rows[40:])
 
 	// The shared Grouping value is frozen.
 	if len(gAB.IDs) != 40 {
@@ -129,8 +180,8 @@ func TestExtendLeavesParentFrozen(t *testing.T) {
 	if parent.N() != 40 || child.N() != 60 {
 		t.Fatalf("N: parent %d child %d, want 40, 60", parent.N(), child.N())
 	}
-	if len(parent.Rows()) != 40 || len(child.Rows()) != 60 {
-		t.Fatalf("rows: parent %d child %d", len(parent.Rows()), len(child.Rows()))
+	if len(rowsOf(parent)) != 40 || len(rowsOf(child)) != 60 {
+		t.Fatalf("rows: parent %d child %d", len(rowsOf(parent)), len(rowsOf(child)))
 	}
 	if parent.Generation()+1 != child.Generation() {
 		t.Fatalf("generations: %d, %d", parent.Generation(), child.Generation())
@@ -140,14 +191,14 @@ func TestExtendLeavesParentFrozen(t *testing.T) {
 // TestExtendEmptyAndNoop: extending with no rows returns the receiver;
 // extending an empty snapshot works.
 func TestExtendEmptyAndNoop(t *testing.T) {
-	snap := NewSnapshot([]string{"A"}, nil)
-	if snap.Extend(nil) != snap {
+	snap := rowSnapshot([]string{"A"}, nil)
+	if extendRows(snap, nil) != snap {
 		t.Fatal("empty Extend must return the receiver")
 	}
 	if _, err := snap.Grouping("A"); err != nil {
 		t.Fatal(err)
 	}
-	child := snap.Extend([]Tuple{{1}, {2}})
+	child := extendRows(snap, []Tuple{{1}, {2}})
 	g, err := child.Grouping("A")
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +214,7 @@ func TestExtendEmptyAndNoop(t *testing.T) {
 // TestWeightedSnapshot: multiplicity-weighted counts and entropies.
 func TestWeightedSnapshot(t *testing.T) {
 	rows := []Tuple{{1, 1}, {1, 2}, {2, 1}}
-	snap := NewWeightedSnapshot([]string{"A", "B"}, rows, []int64{3, 1, 2}, 6)
+	snap := NewWeightedSnapshot([]string{"A", "B"}, columnsOf(2, rows), []int64{3, 1, 2}, 6)
 	counts, err := snap.GroupCounts("A")
 	if err != nil {
 		t.Fatal(err)
@@ -179,12 +230,12 @@ func TestWeightedSnapshot(t *testing.T) {
 			t.Fatal("Extend on a weighted snapshot must panic")
 		}
 	}()
-	snap.Extend([]Tuple{{9, 9}})
+	extendRows(snap, []Tuple{{9, 9}})
 }
 
 // TestUnknownAttribute: error paths.
 func TestUnknownAttribute(t *testing.T) {
-	snap := NewSnapshot([]string{"A"}, []Tuple{{1}})
+	snap := rowSnapshot([]string{"A"}, []Tuple{{1}})
 	if _, err := snap.Grouping("Z"); err == nil {
 		t.Fatal("unknown attribute accepted")
 	}
@@ -222,7 +273,7 @@ func TestReextendRebuildsProbe(t *testing.T) {
 	first, second, third := pool[:30], pool[30:60], pool[60:90]
 
 	sets := [][]string{{"A"}, {"B"}, {"C"}, {"A", "B"}, {"A", "C"}, {"B", "C"}, {"A", "B", "C"}}
-	parent := NewSnapshot(attrs, base)
+	parent := rowSnapshot(attrs, base)
 	for _, set := range sets {
 		if _, err := parent.GroupEntropy(set...); err != nil {
 			t.Fatal(err)
@@ -230,7 +281,7 @@ func TestReextendRebuildsProbe(t *testing.T) {
 	}
 	check := func(label string, got *Snapshot, rows []Tuple) {
 		t.Helper()
-		cold := NewSnapshot(attrs, rows)
+		cold := rowSnapshot(attrs, rows)
 		for _, set := range sets {
 			g, _ := got.Grouping(set...)
 			w, _ := cold.Grouping(set...)
@@ -250,15 +301,15 @@ func TestReextendRebuildsProbe(t *testing.T) {
 		return out
 	}
 
-	check("first child", parent.Extend(first), cat(base, first))
+	check("first child", extendRows(parent, first), cat(base, first))
 	for key, ent := range parent.memo {
 		if len(ent.cols) > 0 && ent.next.Load() != nil {
 			t.Fatalf("memo %s kept its probe after Extend; the rebuild path goes untested", key)
 		}
 	}
-	child := parent.Extend(second)
+	child := extendRows(parent, second)
 	check("re-extended child", child, cat(base, second))
-	check("grandchild", child.Extend(third), cat(base, second, third))
+	check("grandchild", extendRows(child, third), cat(base, second, third))
 	check("parent", parent, base)
 }
 
@@ -268,7 +319,7 @@ func TestReextendRebuildsProbe(t *testing.T) {
 func TestHandoffConcurrentReaders(t *testing.T) {
 	attrs := []string{"A", "B", "C", "D"}
 	rows := randRows(8, 500, 4, 6)
-	parent := NewSnapshot(attrs, rows[:200])
+	parent := rowSnapshot(attrs, rows[:200])
 	for _, set := range [][]string{{"A"}, {"A", "B"}, {"C", "D"}} {
 		if _, err := parent.GroupEntropy(set...); err != nil {
 			t.Fatal(err)
@@ -281,12 +332,12 @@ func TestHandoffConcurrentReaders(t *testing.T) {
 		defer close(chain)
 		cur := parent
 		for i := 200; i < 500; i += 50 {
-			cur = cur.Extend(rows[i : i+50])
+			cur = extendRows(cur, rows[i:i+50])
 			chain <- cur
 		}
 	}()
 	read := func(snap *Snapshot) {
-		cold := NewSnapshot(attrs, snap.Rows())
+		cold := rowSnapshot(attrs, rowsOf(snap))
 		ForEach(len(sets), 4, func(i int) {
 			set := sets[i]
 			h, err := snap.GroupEntropy(set...)

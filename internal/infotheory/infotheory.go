@@ -34,15 +34,6 @@ type EntropySource interface {
 	GroupEntropy(attrs ...string) (float64, error)
 }
 
-// ProjectionSource is the legacy string-keyed projection interface. It is
-// retained for diagnostics that need value-addressable outcome keys
-// (EmpiricalDist) and as the baseline the bench harness and the engine
-// parity tests compare the columnar path against. No hot path uses it.
-type ProjectionSource interface {
-	N() int
-	ProjectCounts(attrs ...string) (map[string]int, error)
-}
-
 // Bits converts a value in nats to bits.
 func Bits(nats float64) float64 { return nats / math.Ln2 }
 
@@ -107,24 +98,6 @@ func Entropy(r Source, attrs ...string) (float64, error) {
 	counts, err := r.GroupCounts(attrs...)
 	if err != nil {
 		return 0, err
-	}
-	return EntropyFromCounts(counts, r.N()), nil
-}
-
-// LegacyEntropy computes H(attrs) through the legacy string-keyed
-// ProjectCounts path. It exists solely as the baseline for the bench harness
-// and the columnar-engine parity tests; production callers use Entropy.
-func LegacyEntropy(r ProjectionSource, attrs ...string) (float64, error) {
-	if len(attrs) == 0 {
-		return 0, nil
-	}
-	m, err := r.ProjectCounts(attrs...)
-	if err != nil {
-		return 0, err
-	}
-	counts := make([]int, 0, len(m))
-	for _, c := range m {
-		counts = append(counts, c)
 	}
 	return EntropyFromCounts(counts, r.N()), nil
 }
@@ -265,23 +238,6 @@ func KLDivergence(p, q Dist) float64 {
 		d = 0
 	}
 	return d
-}
-
-// EmpiricalDist returns the empirical distribution of r restricted to attrs
-// (marginal), keyed by encoded projected rows. It is a diagnostics path (the
-// keys must be value-addressable) and therefore takes the legacy
-// ProjectionSource.
-func EmpiricalDist(r ProjectionSource, attrs ...string) (Dist, error) {
-	counts, err := r.ProjectCounts(attrs...)
-	if err != nil {
-		return nil, err
-	}
-	n := float64(r.N())
-	d := make(Dist, len(counts))
-	for k, c := range counts {
-		d[k] = float64(c) / n
-	}
-	return d, nil
 }
 
 // FunctionalEntropy returns Ent(X) = E[X log X] − E[X]·log E[X] for the

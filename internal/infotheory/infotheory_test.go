@@ -1,6 +1,7 @@
 package infotheory_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -154,7 +155,7 @@ func TestKLDivergence(t *testing.T) {
 
 func TestEmpiricalDist(t *testing.T) {
 	r := relation.FromRows([]string{"A", "B"}, []relation.Tuple{{1, 1}, {1, 2}, {2, 1}})
-	d, err := infotheory.EmpiricalDist(r, "A")
+	d, err := empiricalDist(r, "A")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,11 +317,11 @@ func TestTotalVariationEqualsSpuriousMass(t *testing.T) {
 		t.Fatal(err)
 	}
 	joined := a.NaturalJoin(b) // R′ = Π_A(R) ⋈ Π_B(R) ⊇ R
-	p, err := infotheory.EmpiricalDist(r, "A", "B")
+	p, err := empiricalDist(r, "A", "B")
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := infotheory.EmpiricalDist(joined, "A", "B")
+	q, err := empiricalDist(joined, "A", "B")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,4 +330,32 @@ func TestTotalVariationEqualsSpuriousMass(t *testing.T) {
 	if tv := infotheory.TotalVariation(p, q); math.Abs(tv-want) > 1e-9 {
 		t.Fatalf("TV = %v, want rho/(1+rho) = %v", tv, want)
 	}
+}
+
+// empiricalDist returns the empirical distribution of r restricted to attrs
+// (marginal), keyed by encoded projected rows: the string-keyed oracle the
+// tests hold the columnar measures against.
+func empiricalDist(r *relation.Relation, attrs ...string) (infotheory.Dist, error) {
+	cols := make([]int, len(attrs))
+	for i, a := range attrs {
+		p, ok := r.Pos(a)
+		if !ok {
+			return nil, fmt.Errorf("unknown attribute %q", a)
+		}
+		cols[i] = p
+	}
+	counts := make(map[string]int)
+	buf := make(relation.Tuple, len(cols))
+	for _, t := range r.Rows() {
+		for i, c := range cols {
+			buf[i] = t[c]
+		}
+		counts[relation.RowKey(buf)]++
+	}
+	n := float64(r.N())
+	d := make(infotheory.Dist, len(counts))
+	for k, c := range counts {
+		d[k] = float64(c) / n
+	}
+	return d, nil
 }

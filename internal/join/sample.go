@@ -23,6 +23,8 @@ import (
 type Sampler struct {
 	plan  *treePlan
 	attrs []string // output attribute order (union, DFS-first)
+	// cols[pos] holds the columns of the relation at DFS position pos.
+	cols [][][]relation.Value
 	// weights[pos][i] is the number of join extensions of tuple i of the
 	// relation at DFS position pos into pos's subtree.
 	weights [][]int64
@@ -45,6 +47,7 @@ func NewSampler(t *jointree.JoinTree, rels []*relation.Relation) (*Sampler, erro
 	m := len(plan.rooted.Order)
 	s := &Sampler{
 		plan:    plan,
+		cols:    make([][][]relation.Value, m),
 		weights: make([][]int64, m),
 		buckets: make([][][]int32, m),
 		totals:  make([][]int64, m),
@@ -62,6 +65,7 @@ func NewSampler(t *jointree.JoinTree, rels []*relation.Relation) (*Sampler, erro
 	// Bottom-up weights, as in CountTree but retained per tuple.
 	for pos := m - 1; pos >= 0; pos-- {
 		rel := plan.rels[pos]
+		s.cols[pos] = rel.Columns()
 		nGroups := 1
 		if pos > 0 {
 			nGroups = plan.groups[pos]
@@ -142,10 +146,8 @@ func (s *Sampler) sampleNode(rng *rand.Rand, pos int, group int32, out relation.
 		// Unreachable: totals are exact sums of bucket weights.
 		idx = bucket[len(bucket)-1]
 	}
-	rel := s.plan.rels[pos]
-	tup := rel.Row(int(idx))
-	for i, a := range rel.Attrs() {
-		out[outPos[a]] = tup[i]
+	for i, a := range s.plan.rels[pos].Attrs() {
+		out[outPos[a]] = s.cols[pos][i][idx]
 	}
 	for _, c := range s.plan.children[pos] {
 		s.sampleNode(rng, c, s.plan.parentIDs[c][idx], out, outPos)

@@ -18,9 +18,7 @@
 //	//ajdlint:ignore <analyzer> <reason>
 //
 // A suppression without a reason, naming an unknown analyzer, or matching no
-// diagnostic is itself a diagnostic (see suppress.go). Analyzers marked
-// Advisory report findings that never fail the build (cmd/ajdlint prints
-// them but exits 0).
+// diagnostic is itself a diagnostic (see suppress.go).
 package lint
 
 import (
@@ -39,8 +37,6 @@ type Analyzer struct {
 	Name string
 	// Doc is the one-paragraph description printed by `ajdlint -list`.
 	Doc string
-	// Advisory analyzers report findings that do not fail the build.
-	Advisory bool
 	// Run reports the analyzer's findings for one package via pass.Reportf.
 	Run func(pass *Pass) error
 }
@@ -62,7 +58,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Pos:      p.Fset.Position(pos),
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
-		Advisory: p.Analyzer.Advisory,
 	})
 }
 
@@ -71,8 +66,6 @@ type Diagnostic struct {
 	Pos      token.Position
 	Analyzer string
 	Message  string
-	// Advisory findings are printed but never fail the run.
-	Advisory bool
 	// Suppressed findings matched an //ajdlint:ignore comment; Run filters
 	// them out of its result (kept on the type so tests can assert on the
 	// mechanism).
@@ -83,8 +76,7 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: %s: %s", d.Pos, d.Analyzer, d.Message)
 }
 
-// All returns the full analyzer suite in a fixed order: the five enforced
-// invariants first, then the advisory checks.
+// All returns the full analyzer suite in a fixed order.
 func All() []*Analyzer {
 	return []*Analyzer{
 		SnapshotMut,
@@ -92,7 +84,6 @@ func All() []*Analyzer {
 		QuotaBalance,
 		LockIO,
 		AtomicPub,
-		FieldAlign,
 	}
 }
 

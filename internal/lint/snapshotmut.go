@@ -28,7 +28,6 @@ var SnapshotMut = &Analyzer{
 // reader.
 var snapshotMutAllowed = map[string]bool{
 	"newSnapshot":         true,
-	"NewSnapshot":         true,
 	"NewSnapshotAt":       true,
 	"NewWeightedSnapshot": true,
 	"Extend":              true,

@@ -140,8 +140,8 @@ func ClassSizes(r *relation.Relation, attr string, d int) ([]int, error) {
 		return nil, fmt.Errorf("randrel: unknown attribute %q", attr)
 	}
 	sizes := make([]int, d)
-	for _, t := range r.Rows() {
-		v := int(t[c])
+	for _, code := range r.Columns()[c] {
+		v := int(code)
 		if v < 1 || v > d {
 			return nil, fmt.Errorf("randrel: value %d of %q outside domain [%d]", v, attr, d)
 		}

@@ -140,8 +140,8 @@ func ValidateHeader(attrs []string) error {
 // The stream is parsed with encoding/csv's grammar (see csvScanner) after
 // one leading UTF-8 byte order mark is skipped. Each record is encoded in
 // place: its fields are looked up in the dictionaries without allocating,
-// its codes are written straight into the relation's row storage, and a
-// duplicate row is dropped by the row table before it takes any space.
+// a duplicate row is dropped by the row table, and a new row's codes are
+// appended straight to the relation's columns.
 func ReadCSV(r io.Reader, header bool) (*Relation, *Encoder, error) {
 	sc := newCSVScanner(r)
 	sc.skipBOM()
@@ -167,20 +167,11 @@ func ReadCSV(r io.Reader, header bool) (*Relation, *Encoder, error) {
 	}
 	enc := NewEncoder(attrs)
 	rel := New(attrs...)
-	arity := len(attrs)
-	// Rows are carved from chunks that never move, so a chunk fills up
-	// without copying the rows before it; chunks double up to a cap that
-	// bounds the unused tail of the last one.
-	const maxChunk = 1 << 16
-	var chunk []Value
+	row := make(Tuple, len(attrs))
 	for ; err == nil; err = sc.next() {
-		if len(sc.fields) != arity {
-			return nil, nil, fmt.Errorf("relation: record has %d fields, schema has %d", len(sc.fields), arity)
+		if len(sc.fields) != len(row) {
+			return nil, nil, fmt.Errorf("relation: record has %d fields, schema has %d", len(sc.fields), len(row))
 		}
-		if cap(chunk)-len(chunk) < arity {
-			chunk = make([]Value, 0, max(arity, min(2*cap(chunk), maxChunk), 64*arity))
-		}
-		row := chunk[len(chunk) : len(chunk)+arity : len(chunk)+arity]
 		for i, f := range sc.fields {
 			v, ok := enc.dicts[i][string(f)]
 			if !ok {
@@ -188,10 +179,7 @@ func ReadCSV(r io.Reader, header bool) (*Relation, *Encoder, error) {
 			}
 			row[i] = v
 		}
-		if _, added := rel.index.insert(rel.rows, row); added {
-			rel.rows = append(rel.rows, row)
-			chunk = chunk[:len(chunk)+arity]
-		}
+		rel.insert(row)
 	}
 	if err != io.EOF {
 		return nil, nil, err

@@ -8,11 +8,13 @@ import (
 
 // This file is the delegation layer between the relational substrate and the
 // immutable snapshot engine (internal/engine): a Relation or Multiset owns a
-// chain of engine.Snapshots — the head answers queries, Append extends the
-// head into a new snapshot copy-on-write, and frozen Views pin one snapshot
-// so readers stay on a consistent generation with no locks. The group-count
-// machinery itself (stripped-partition refinement, per-bitset memo,
-// parents-first incremental extension) lives in internal/engine.
+// chain of engine.Snapshots, each of which adopts the owner's columns
+// without copying them — the head answers queries, Append writes the new
+// rows past the head's end and extends the head into a new snapshot
+// copy-on-write, and frozen Views pin one snapshot so readers stay on a
+// consistent generation with no locks. The group-count machinery itself
+// (stripped-partition refinement, per-bitset memo, parents-first
+// incremental extension) lives in internal/engine.
 
 // Grouping is the columnar multiset projection produced by the snapshot
 // engine; see engine.Grouping. The alias keeps the historical relation-level
@@ -21,8 +23,8 @@ type Grouping = engine.Grouping
 
 // --- Relation API ---
 
-// Snapshot returns the relation's current engine snapshot, building the
-// columnar mirror lazily on first use. For a frozen View the pinned snapshot
+// Snapshot returns the relation's current engine snapshot, building it over
+// the relation's columns on first use. For a frozen View the pinned snapshot
 // is returned with no locking; for a live relation the head is read under a
 // short mutex (Insert invalidates the head, Append extends it).
 func (r *Relation) Snapshot() *engine.Snapshot {
@@ -32,7 +34,7 @@ func (r *Relation) Snapshot() *engine.Snapshot {
 	r.engMu.Lock()
 	defer r.engMu.Unlock()
 	if r.snap == nil {
-		r.snap = engine.NewSnapshotAt(r.attrs, r.rows, r.baseGen)
+		r.snap = engine.NewSnapshotAt(r.attrs, r.cols, r.n, r.baseGen)
 	}
 	return r.snap
 }
@@ -54,10 +56,10 @@ func (r *Relation) SetBaseGeneration(gen int64) {
 	r.baseGen = gen
 }
 
-// SnapshotIfWarm returns the current snapshot only if the columnar engine has
+// SnapshotIfWarm returns the current snapshot only if the engine has
 // already been built — callers that merely want to *reuse* warm partitions
-// (e.g. grouping-based projection) use this to avoid paying the O(arity·n)
-// transpose on cold one-shot paths.
+// (e.g. grouping-based projection) use this to avoid building an engine and
+// its groupings on cold one-shot paths.
 func (r *Relation) SnapshotIfWarm() (*engine.Snapshot, bool) {
 	if r.frozen {
 		return r.snap, true
@@ -82,8 +84,7 @@ func (r *Relation) Grouping(attrs ...string) (*Grouping, error) {
 }
 
 // GroupCounts returns the multiplicities of the multiset projection of r
-// onto attrs, indexed by dense group id. It implements infotheory.Source
-// and replaces the string-keyed ProjectCounts on every hot path.
+// onto attrs, indexed by dense group id. It implements infotheory.Source.
 func (r *Relation) GroupCounts(attrs ...string) ([]int, error) {
 	return r.Snapshot().GroupCounts(attrs...)
 }
@@ -103,7 +104,7 @@ func (m *Multiset) Snapshot() *engine.Snapshot {
 	m.engMu.Lock()
 	defer m.engMu.Unlock()
 	if m.snap == nil {
-		m.snap = engine.NewWeightedSnapshot(m.attrs, m.rows, m.mult, int(m.total))
+		m.snap = engine.NewWeightedSnapshot(m.attrs, m.cols, m.mult, int(m.total))
 	}
 	return m.snap
 }
@@ -148,27 +149,28 @@ func AlignGroups(r *Relation, rAttrs []string, s *Relation, sAttrs []string) (rI
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	// Read key columns straight off the row storage: alignments are one-shot
-	// (per join/set-op call), so building or pinning the memoized columnar
-	// engines here would cost an O(arity·n) transpose for no reuse.
-	return alignRows(r.rows, rCols, s.rows, sCols)
+	// Read the key columns directly: alignments are one-shot (per join or
+	// set-op call), so memoizing their groupings in the engines would only
+	// pin memory.
+	return alignColumns(r.cols, r.n, rCols, s.cols, s.n, sCols)
 }
 
-// alignRows refines the trivial joint grouping of the concatenated row sets
-// one column pair at a time.
-func alignRows(aRows []Tuple, aIdx []int, bRows []Tuple, bIdx []int) (aIDs, bIDs []int32, groups int, err error) {
-	aIDs = make([]int32, len(aRows))
-	bIDs = make([]int32, len(bRows))
-	if len(aRows)+len(bRows) == 0 {
+// alignColumns refines the trivial joint grouping of the first aN rows of
+// aCols and the first bN rows of bCols one column pair (aIdx[c], bIdx[c])
+// at a time.
+func alignColumns(aCols [][]Value, aN int, aIdx []int, bCols [][]Value, bN int, bIdx []int) (aIDs, bIDs []int32, groups int, err error) {
+	aIDs = make([]int32, aN)
+	bIDs = make([]int32, bN)
+	if aN+bN == 0 {
 		return aIDs, bIDs, 0, nil
 	}
 	groups = 1
 	for c := range aIdx {
 		next := make(map[uint64]int32, groups*2)
 		n := 0
-		assign := func(ids []int32, rows []Tuple, col int) {
+		assign := func(ids []int32, col []Value) {
 			for i := range ids {
-				k := uint64(uint32(ids[i]))<<32 | uint64(uint32(rows[i][col]))
+				k := uint64(uint32(ids[i]))<<32 | uint64(uint32(col[i]))
 				id, ok := next[k]
 				if !ok {
 					id = int32(n)
@@ -178,8 +180,8 @@ func alignRows(aRows []Tuple, aIdx []int, bRows []Tuple, bIdx []int) (aIDs, bIDs
 				ids[i] = id
 			}
 		}
-		assign(aIDs, aRows, aIdx[c])
-		assign(bIDs, bRows, bIdx[c])
+		assign(aIDs, aCols[aIdx[c]])
+		assign(bIDs, bCols[bIdx[c]])
 		groups = n
 	}
 	return aIDs, bIDs, groups, nil

@@ -42,19 +42,19 @@ func (r *Relation) NaturalJoin(s *Relation) *Relation {
 	for j, id := range sIDs {
 		buckets[id] = append(buckets[id], int32(j))
 	}
+	arity := len(r.attrs)
 	row := make(Tuple, len(p.outAttrs))
-	for i, rt := range r.rows {
+	for i := 0; i < r.n; i++ {
 		matches := buckets[rIDs[i]]
 		if len(matches) == 0 {
 			continue
 		}
-		copy(row, rt)
+		rowAt(r.cols, i, row[:arity])
 		for _, j := range matches {
-			st := s.rows[j]
 			for k, c := range p.sRest {
-				row[len(r.attrs)+k] = st[c]
+				row[arity+k] = s.cols[c][j]
 			}
-			out.Insert(row)
+			out.insert(row)
 		}
 	}
 	return out
@@ -102,13 +102,7 @@ func (r *Relation) Semijoin(s *Relation) *Relation {
 	for _, id := range sIDs {
 		present[id] = true
 	}
-	out := New(r.attrs...)
-	for i, t := range r.rows {
-		if present[rIDs[i]] {
-			out.Insert(t)
-		}
-	}
-	return out
+	return r.subset(func(i int) bool { return present[rIDs[i]] })
 }
 
 // NaturalJoinAll joins the relations left to right. For an acyclic schema the

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -19,8 +20,8 @@ import (
 type Multiset struct {
 	attrs []string
 	pos   map[string]int
-	rows  []Tuple
-	mult  []int64
+	cols  [][]Value // cols[c][i] is attribute c of distinct row i
+	mult  []int64   // mult[i] is the multiplicity of row i
 	index rowTable
 	total int64
 
@@ -44,6 +45,7 @@ func NewMultiset(attrs ...string) *Multiset {
 	return &Multiset{
 		attrs: append([]string(nil), attrs...),
 		pos:   pos,
+		cols:  make([][]Value, len(attrs)),
 	}
 }
 
@@ -51,8 +53,9 @@ func NewMultiset(attrs ...string) *Multiset {
 // multiplicity 1 (the uniform empirical distribution).
 func MultisetOf(r *Relation) *Multiset {
 	m := NewMultiset(r.Attrs()...)
-	for _, t := range r.Rows() {
-		m.Add(t, 1)
+	buf := make(Tuple, r.Arity())
+	for i := 0; i < r.n; i++ {
+		m.Add(rowAt(r.cols, i, buf), 1)
 	}
 	return m
 }
@@ -71,10 +74,12 @@ func (m *Multiset) Add(t Tuple, k int64) {
 	if k <= 0 {
 		panic(fmt.Sprintf("relation: non-positive multiplicity %d", k))
 	}
-	if i, added := m.index.insert(m.rows, t); !added {
+	if i, added := m.index.insert(m.cols, len(m.mult), t); !added {
 		m.mult[i] += k
 	} else {
-		m.rows = append(m.rows, append(make(Tuple, 0, len(t)), t...))
+		for c, v := range t {
+			m.cols[c] = append(m.cols[c], v)
+		}
 		m.mult = append(m.mult, k)
 	}
 	m.total += k
@@ -88,52 +93,22 @@ func (m *Multiset) N() int {
 }
 
 // Distinct returns the number of distinct tuples.
-func (m *Multiset) Distinct() int { return len(m.rows) }
+func (m *Multiset) Distinct() int { return len(m.mult) }
 
 // Multiplicity returns the multiplicity of tuple t (0 if absent).
 func (m *Multiset) Multiplicity(t Tuple) int64 {
 	if len(t) != len(m.attrs) {
 		return 0
 	}
-	if i := m.index.find(m.rows, t); i >= 0 {
+	if i := m.index.find(m.cols, t); i >= 0 {
 		return m.mult[i]
 	}
 	return 0
 }
 
-// ProjectCounts returns the multiset projection onto attrs: multiplicities
-// aggregate across tuples that agree on attrs. This is the LEGACY
-// string-keyed path kept for diagnostics and benchmark baselines; hot paths
-// use GroupCounts (groupindex.go).
-func (m *Multiset) ProjectCounts(attrs ...string) (map[string]int, error) {
-	cols := make([]int, len(attrs))
-	for i, a := range attrs {
-		p, ok := m.pos[a]
-		if !ok {
-			return nil, fmt.Errorf("relation: unknown attribute %q (have %s)", a, strings.Join(m.attrs, ","))
-		}
-		cols[i] = p
-	}
-	counts := make(map[string]int)
-	buf := make(Tuple, len(cols))
-	for i, t := range m.rows {
-		for j, c := range cols {
-			buf[j] = t[c]
-		}
-		counts[RowKey(buf)] += int(m.mult[i])
-	}
-	return counts, nil
-}
-
 // Support returns the set of distinct tuples as a relation (multiplicities
 // dropped).
-func (m *Multiset) Support() *Relation {
-	r := New(m.attrs...)
-	for _, t := range m.rows {
-		r.Insert(t)
-	}
-	return r
-}
+func (m *Multiset) Support() *Relation { return fromDistinct(m.attrs, m.cols, len(m.mult)) }
 
 // Scale returns a copy with every multiplicity multiplied by k ≥ 1; the
 // empirical distribution is unchanged (entropies are scale-invariant, which
@@ -143,7 +118,7 @@ func (m *Multiset) Scale(k int64) *Multiset {
 		panic(fmt.Sprintf("relation: non-positive scale %d", k))
 	}
 	out := NewMultiset(m.attrs...)
-	for i, t := range m.rows {
+	for i, t := range rowsOf(m.cols, len(m.mult)) {
 		out.Add(t, m.mult[i]*k)
 	}
 	return out
@@ -152,26 +127,19 @@ func (m *Multiset) Scale(k int64) *Multiset {
 // String renders a small multiset for debugging.
 func (m *Multiset) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s (%d tuples, %d distinct)\n", strings.Join(m.attrs, " | "), m.total, len(m.rows))
-	order := make([]int, len(m.rows))
+	rows := rowsOf(m.cols, len(m.mult))
+	fmt.Fprintf(&b, "%s (%d tuples, %d distinct)\n", strings.Join(m.attrs, " | "), m.total, len(rows))
+	order := make([]int, len(rows))
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(x, y int) bool {
-		a, c := m.rows[order[x]], m.rows[order[y]]
-		for k := range a {
-			if a[k] != c[k] {
-				return a[k] < c[k]
-			}
-		}
-		return false
-	})
+	sort.Slice(order, func(x, y int) bool { return slices.Compare(rows[order[x]], rows[order[y]]) < 0 })
 	for n, i := range order {
 		if n >= 20 {
-			fmt.Fprintf(&b, "... (%d more)\n", len(m.rows)-20)
+			fmt.Fprintf(&b, "... (%d more)\n", len(rows)-20)
 			break
 		}
-		for j, v := range m.rows[i] {
+		for j, v := range rows[i] {
 			if j > 0 {
 				b.WriteString(" | ")
 			}

@@ -1,6 +1,8 @@
 package relation
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -87,4 +89,24 @@ func TestMultisetOf(t *testing.T) {
 	if m.N() != 2 || m.Distinct() != 2 {
 		t.Fatalf("MultisetOf = %v", m)
 	}
+}
+
+// ProjectCounts returns the multiset projection onto attrs: multiplicities
+// aggregate across tuples that agree on attrs. It is the string-keyed oracle
+// the weighted group-count tests compare against.
+func (m *Multiset) ProjectCounts(attrs ...string) (map[string]int, error) {
+	cols := make([]int, len(attrs))
+	for i, a := range attrs {
+		p, ok := m.pos[a]
+		if !ok {
+			return nil, fmt.Errorf("relation: unknown attribute %q (have %s)", a, strings.Join(m.attrs, ","))
+		}
+		cols[i] = p
+	}
+	counts := make(map[string]int)
+	buf := make(Tuple, len(cols))
+	for i, k := range m.mult {
+		counts[RowKey(gather(m.cols, cols, i, buf))] += int(k)
+	}
+	return counts, nil
 }

@@ -7,11 +7,14 @@
 // A Relation is a *set* of tuples (duplicates are eliminated on insert), in
 // line with the paper's definition of a relation instance R ∈ Rel(Ω). The
 // empirical distribution associated with R is uniform over its tuples;
-// multiset projections (with multiplicities) are exposed via ProjectCounts.
+// multiset projections (with multiplicities) are exposed as group counts
+// (Grouping, GroupCounts) by the snapshot engine the relation delegates to.
+// Tuples are stored once, as columns, which the engine's snapshots share.
 package relation
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -29,10 +32,16 @@ type Tuple = []Value
 
 // Relation is a finite set of tuples over a fixed list of attributes.
 // The zero value is not usable; construct with New or FromRows.
+//
+// The tuples are stored once, as columns: cols[c][i] is attribute c of row
+// i, for i < n, rows distinct and in insertion order. Snapshots adopt the
+// column slices without copying them, so a relation only ever writes
+// indexes ≥ the row count of every snapshot it has published.
 type Relation struct {
 	attrs []string
 	pos   map[string]int
-	rows  []Tuple
+	cols  [][]Value
+	n     int
 	index rowTable // dedupes rows (empty on frozen Views until built)
 
 	// snap is the head of the relation's engine.Snapshot chain (lazily built;
@@ -68,6 +77,7 @@ func New(attrs ...string) *Relation {
 	return &Relation{
 		attrs: append([]string(nil), attrs...),
 		pos:   pos,
+		cols:  make([][]Value, len(attrs)),
 	}
 }
 
@@ -75,34 +85,61 @@ func New(attrs ...string) *Relation {
 // (duplicates removed, first occurrence kept). Rows are copied.
 func FromRows(attrs []string, rows []Tuple) *Relation {
 	r := New(attrs...)
-	r.checkArity(rows)
-	r.appendCopies(rows)
+	for c := range r.cols {
+		r.cols[c] = make([]Value, 0, len(rows))
+	}
+	if _, err := r.Append(rows); err != nil {
+		panic(err)
+	}
 	return r
 }
 
-// Adopt is FromRows without the copy: the relation takes ownership of rows
-// (the caller must not modify them afterwards) and keeps the first
-// occurrence of each distinct row, in order.
-func Adopt(attrs []string, rows []Tuple) *Relation {
+// FromColumns returns a relation over attrs whose rows are those of cols:
+// cols[c][i] is attribute c of row i. The relation takes ownership of the
+// columns (the caller must not modify them afterwards). It returns an error,
+// and no relation, if the column count does not match attrs, if the columns
+// differ in length, or if any row repeats an earlier one.
+func FromColumns(attrs []string, cols [][]Value) (*Relation, error) {
 	r := New(attrs...)
-	r.checkArity(rows)
-	r.rows = make([]Tuple, 0, len(rows))
-	r.index.rebuild(nil, tableSize(len(rows)))
-	for _, t := range rows {
-		if _, added := r.index.insert(r.rows, t); added {
-			r.rows = append(r.rows, t)
+	if len(cols) != len(attrs) {
+		return nil, fmt.Errorf("relation: %d columns for %d attributes", len(cols), len(attrs))
+	}
+	n := 0
+	if len(cols) > 0 {
+		n = len(cols[0])
+	}
+	for c, col := range cols {
+		if len(col) != n {
+			return nil, fmt.Errorf("relation: column %d has %d rows, want %d", c, len(col), n)
 		}
 	}
-	return r
+	// The table is sized for all n rows up front, so no insert rebuilds it
+	// and a duplicate (which records no slot) is only counted.
+	r.index.rebuild(cols, 0, tableSize(n))
+	row := make(Tuple, len(cols))
+	dups := 0
+	for i := 0; i < n; i++ {
+		if _, added := r.index.insert(cols, i, rowAt(cols, i, row)); !added {
+			dups++
+		}
+	}
+	if dups > 0 {
+		return nil, fmt.Errorf("relation: %d duplicate rows", dups)
+	}
+	r.cols, r.n = cols, n
+	return r, nil
 }
 
-// checkArity panics if any row's length differs from the schema arity.
-func (r *Relation) checkArity(rows []Tuple) {
-	for _, t := range rows {
-		if len(t) != len(r.attrs) {
-			panic(fmt.Sprintf("relation: tuple arity %d != schema arity %d", len(t), len(r.attrs)))
-		}
+// fromDistinct returns a relation over attrs holding a copy of the first n
+// rows of cols, which must be distinct.
+func fromDistinct(attrs []string, cols [][]Value, n int) *Relation {
+	out := New(attrs...)
+	for c, col := range cols {
+		out.cols[c] = slices.Clone(col[:n])
 	}
+	out.n = n
+	out.index = newRowTable(out.cols, n)
+	return out
 }
 
 // Attrs returns the attribute names in schema order. The caller must not
@@ -113,7 +150,7 @@ func (r *Relation) Attrs() []string { return r.attrs }
 func (r *Relation) Arity() int { return len(r.attrs) }
 
 // N returns the number of tuples.
-func (r *Relation) N() int { return len(r.rows) }
+func (r *Relation) N() int { return r.n }
 
 // Pos returns the position of attribute a in the schema and whether it
 // exists.
@@ -128,11 +165,43 @@ func (r *Relation) HasAttr(a string) bool {
 	return ok
 }
 
-// Row returns the i-th tuple. The caller must not modify it.
-func (r *Relation) Row(i int) Tuple { return r.rows[i] }
+// Columns returns the relation's columns: Columns()[c][i] is attribute c of
+// row i, each of length N. The caller must not modify them. Later mutations
+// of r never change the returned slices: r only writes past their ends.
+func (r *Relation) Columns() [][]Value {
+	cols := make([][]Value, len(r.cols))
+	for c, col := range r.cols {
+		cols[c] = col[:r.n:r.n]
+	}
+	return cols
+}
 
-// Rows returns all tuples. The caller must not modify them.
-func (r *Relation) Rows() []Tuple { return r.rows }
+// Row returns the i-th tuple, built from the columns.
+func (r *Relation) Row(i int) Tuple { return rowAt(r.cols, i, make(Tuple, len(r.cols))) }
+
+// Rows returns all tuples in order, built from the columns into one
+// backing array.
+func (r *Relation) Rows() []Tuple { return rowsOf(r.cols, r.n) }
+
+// rowsOf builds the first n rows of cols.
+func rowsOf(cols [][]Value, n int) []Tuple {
+	arity := len(cols)
+	backing := make([]Value, n*arity)
+	rows := make([]Tuple, n)
+	for i := range rows {
+		rows[i] = rowAt(cols, i, backing[i*arity:(i+1)*arity:(i+1)*arity])
+	}
+	return rows
+}
+
+// gather copies row i of cols, restricted to the columns idx in that order,
+// into dst and returns it.
+func gather(cols [][]Value, idx []int, i int, dst Tuple) Tuple {
+	for k, c := range idx {
+		dst[k] = cols[c][i]
+	}
+	return dst
+}
 
 // RowKey encodes a tuple as a map key; exposed for packages that hash rows.
 // Keys are only comparable between tuples of the same length.
@@ -154,11 +223,23 @@ func (r *Relation) Insert(t Tuple) bool {
 	if len(t) != len(r.attrs) {
 		panic(fmt.Sprintf("relation: tuple arity %d != schema arity %d", len(t), len(r.attrs)))
 	}
-	if _, added := r.index.insert(r.rows, t); !added {
+	if !r.insert(t) {
 		return false
 	}
-	r.rows = append(r.rows, append(make(Tuple, 0, len(t)), t...))
 	r.snap = nil // invalidate the snapshot head; the next query rebuilds
+	return true
+}
+
+// insert appends t to the columns unless r holds it already, and reports
+// whether it did.
+func (r *Relation) insert(t Tuple) bool {
+	if _, added := r.index.insert(r.cols, r.n, t); !added {
+		return false
+	}
+	for c, v := range t {
+		r.cols[c] = append(r.cols[c], v)
+	}
+	r.n++
 	return true
 }
 
@@ -176,9 +257,10 @@ func (r *Relation) Insert(t Tuple) bool {
 // mutation (no partial append), so the streaming service path never panics.
 // Append must not run concurrently with other mutations, but it may run
 // concurrently with readers that hold a snapshot or a frozen View: the old
-// snapshot is never touched — Append extends it copy-on-write into a new
-// head snapshot with a bumped generation, and Grouping/GroupCounts values
-// obtained earlier stay frozen at the rows they were computed over.
+// snapshot is never touched — Append writes the new rows past its end and
+// extends it copy-on-write into a new head snapshot with a bumped
+// generation, and Grouping/GroupCounts values obtained earlier stay frozen
+// at the rows they were computed over.
 func (r *Relation) Append(rows []Tuple) (int, error) {
 	if r.frozen {
 		return 0, fmt.Errorf("relation: Append to a frozen View")
@@ -188,37 +270,24 @@ func (r *Relation) Append(rows []Tuple) (int, error) {
 			return 0, fmt.Errorf("relation: tuple arity %d != schema arity %d", len(t), len(r.attrs))
 		}
 	}
-	fresh := r.appendCopies(rows)
+	from := r.n
+	for _, t := range rows {
+		r.insert(t)
+	}
 	r.engMu.Lock()
-	if r.snap != nil && len(fresh) > 0 {
-		r.snap = r.snap.Extend(fresh)
+	if r.snap != nil {
+		r.snap = r.snap.Extend(r.cols, r.n)
 	}
 	r.engMu.Unlock()
-	return len(fresh), nil
-}
-
-// appendCopies appends a copy of each row of rows that r does not hold yet
-// (the first of any repeats within rows), in order, and returns the copies.
-// One backing array holds them all, carved with full slice expressions so
-// the tuples stay independent.
-func (r *Relation) appendCopies(rows []Tuple) []Tuple {
-	arity := len(r.attrs)
-	backing := make([]Value, 0, len(rows)*arity)
-	start := len(r.rows)
-	for _, t := range rows {
-		if _, added := r.index.insert(r.rows, t); added {
-			backing = append(backing, t...)
-			r.rows = append(r.rows, backing[len(backing)-arity:len(backing):len(backing)])
-		}
-	}
-	return r.rows[start:len(r.rows):len(r.rows)]
+	return r.n - from, nil
 }
 
 // View returns a frozen, immutable view of r pinned to its current snapshot:
-// the view shares the snapshot's rows and memoized partitions, answers every
-// read (including Grouping/GroupEntropy and the measures built on them) with
-// no lock acquisitions, and never observes later appends. Insert panics and
-// Append errors on a View; Clone returns an independent mutable copy.
+// the view shares the snapshot's columns and memoized partitions, answers
+// every read (including Grouping/GroupEntropy and the measures built on
+// them) with no lock acquisitions, and never observes later appends. Insert
+// panics and Append errors on a View; Clone returns an independent mutable
+// copy.
 //
 // Views are how the analysis service serves reads during streaming appends:
 // each request grabs the current View through one atomic pointer load and
@@ -228,41 +297,48 @@ func (r *Relation) View() *Relation {
 	return &Relation{
 		attrs:  r.attrs,
 		pos:    r.pos,
-		rows:   s.Rows(),
+		cols:   s.Columns(),
+		n:      s.NumRows(),
 		snap:   s,
 		frozen: true,
 	}
 }
 
-// Contains reports whether tuple t is in the relation. Frozen Views build
-// their row index lazily on the first membership test (views are created per
-// append on the streaming path, and most never see a Contains).
-func (r *Relation) Contains(t Tuple) bool {
+// Contains reports whether tuple t is in the relation.
+func (r *Relation) Contains(t Tuple) bool { return r.IndexOf(t) >= 0 }
+
+// IndexOf returns the index of the row equal to t, or -1 if r does not
+// hold t. Frozen Views build their row index lazily on the first lookup
+// (views are created per append on the streaming path, and most never see
+// one).
+func (r *Relation) IndexOf(t Tuple) int {
 	if len(t) != len(r.attrs) {
-		return false
+		return -1
 	}
 	if r.frozen {
-		r.indexOnce.Do(func() { r.index = newRowTable(r.rows) })
+		r.indexOnce.Do(func() { r.index = newRowTable(r.cols, r.n) })
 	}
-	return r.index.find(r.rows, t) >= 0
+	return r.index.find(r.cols, t)
 }
 
 // Clone returns an independent deep copy of r. Existing rows are already
-// distinct, so the copy skips duplicate detection: one backing array holds
-// all tuples and the index is built with its final size.
-func (r *Relation) Clone() *Relation {
+// distinct, so the copy skips duplicate detection: each column is copied
+// whole and the index is built with its final size.
+func (r *Relation) Clone() *Relation { return fromDistinct(r.attrs, r.cols, r.n) }
+
+// subset returns the relation of the rows i of r for which keep(i) holds,
+// in order. They are distinct already, so none is probed for a duplicate.
+func (r *Relation) subset(keep func(i int) bool) *Relation {
 	out := New(r.attrs...)
-	if len(r.rows) == 0 {
-		return out
+	for i := 0; i < r.n; i++ {
+		if keep(i) {
+			for c, col := range r.cols {
+				out.cols[c] = append(out.cols[c], col[i])
+			}
+			out.n++
+		}
 	}
-	arity := len(r.attrs)
-	backing := make([]Value, 0, len(r.rows)*arity)
-	out.rows = make([]Tuple, len(r.rows))
-	for i, t := range r.rows {
-		backing = append(backing, t...)
-		out.rows[i] = backing[len(backing)-arity : len(backing) : len(backing)]
-	}
-	out.index = newRowTable(out.rows)
+	out.index = newRowTable(out.cols, out.n)
 	return out
 }
 
@@ -296,46 +372,42 @@ func (r *Relation) MustColumns(attrs []string) []int {
 // read off the memoized grouping — one representative per group id — instead
 // of re-hashing every row: the join layer projects each schema bag this way,
 // so bag projections share the partition work the entropy measures already
-// paid for. Cold relations keep the plain row scan (building the columnar
-// mirror for a one-shot projection would cost more than it saves).
+// paid for. Either way row j of the result is group j of the grouping onto
+// attrs, since group ids number the distinct projections in order of first
+// occurrence.
 func (r *Relation) Project(attrs ...string) (*Relation, error) {
 	cols, err := r.columns(attrs)
 	if err != nil {
 		return nil, err
 	}
+	out := New(attrs...)
 	if s, ok := r.SnapshotIfWarm(); ok {
 		g, err := s.Grouping(attrs...)
 		if err != nil {
 			return nil, err
 		}
-		// Read rows off the snapshot, not r.rows: a concurrent Append may be
-		// growing the live slice, while the snapshot's rows are frozen at
-		// exactly the generation g was computed over.
-		rows := s.Rows()
-		out := New(attrs...)
-		seen := make([]bool, g.Groups())
-		out.rows = make([]Tuple, 0, g.Groups())
-		for i, id := range g.IDs {
-			if seen[id] {
-				continue
-			}
-			seen[id] = true
-			row := make(Tuple, len(cols))
-			for j, c := range cols {
-				row[j] = rows[i][c]
-			}
-			out.rows = append(out.rows, row)
+		// Read the snapshot's columns, not r.cols: a concurrent Append may be
+		// growing the live columns, while the snapshot's are frozen at
+		// exactly the generation g was computed over. The first row of group
+		// id k comes after the first rows of groups 0..k-1.
+		src := s.Columns()
+		for j := range out.cols {
+			out.cols[j] = make([]Value, 0, g.Groups())
 		}
-		out.index = newRowTable(out.rows)
+		for i, id := range g.IDs {
+			if int(id) == out.n {
+				for j, c := range cols {
+					out.cols[j] = append(out.cols[j], src[c][i])
+				}
+				out.n++
+			}
+		}
+		out.index = newRowTable(out.cols, out.n)
 		return out, nil
 	}
-	out := New(attrs...)
 	buf := make(Tuple, len(cols))
-	for _, t := range r.rows {
-		for i, c := range cols {
-			buf[i] = t[c]
-		}
-		out.Insert(buf)
+	for i := 0; i < r.n; i++ {
+		out.insert(gather(r.cols, cols, i, buf))
 	}
 	return out, nil
 }
@@ -349,53 +421,20 @@ func (r *Relation) MustProject(attrs ...string) *Relation {
 	return out
 }
 
-// ProjectCounts returns the multiset projection of R onto attrs: a map from
-// encoded projected-row key to its multiplicity. This is the LEGACY
-// string-keyed path: it allocates a 4·arity-byte key per row per call. Hot
-// paths use GroupCounts (groupindex.go) instead; ProjectCounts remains for
-// diagnostics that need value-addressable keys (infotheory.EmpiricalDist,
-// Factorization.Prob on arbitrary tuples) and as the baseline the bench
-// harness and parity tests compare the columnar engine against.
-func (r *Relation) ProjectCounts(attrs ...string) (map[string]int, error) {
-	cols, err := r.columns(attrs)
-	if err != nil {
-		return nil, err
-	}
-	counts := make(map[string]int)
-	buf := make(Tuple, len(cols))
-	for _, t := range r.rows {
-		for i, c := range cols {
-			buf[i] = t[c]
-		}
-		counts[RowKey(buf)]++
-	}
-	return counts, nil
-}
-
 // Select returns σ_{attr=val}(R).
 func (r *Relation) Select(attr string, val Value) (*Relation, error) {
 	c, ok := r.pos[attr]
 	if !ok {
 		return nil, fmt.Errorf("relation: unknown attribute %q", attr)
 	}
-	out := New(r.attrs...)
-	for _, t := range r.rows {
-		if t[c] == val {
-			out.Insert(t)
-		}
-	}
-	return out, nil
+	return r.subset(func(i int) bool { return r.cols[c][i] == val }), nil
 }
 
 // SelectWhere returns the sub-relation of tuples for which pred is true.
+// pred receives a scratch copy of each row, valid only during the call.
 func (r *Relation) SelectWhere(pred func(Tuple) bool) *Relation {
-	out := New(r.attrs...)
-	for _, t := range r.rows {
-		if pred(t) {
-			out.Insert(t)
-		}
-	}
-	return out
+	buf := make(Tuple, len(r.attrs))
+	return r.subset(func(i int) bool { return pred(rowAt(r.cols, i, buf)) })
 }
 
 // Equal reports whether r and s are the same set of tuples over the same
@@ -409,8 +448,9 @@ func (r *Relation) Equal(s *Relation) bool {
 			return false
 		}
 	}
-	for _, t := range r.rows {
-		if !s.Contains(t) {
+	buf := make(Tuple, len(r.attrs))
+	for i := 0; i < r.n; i++ {
+		if !s.Contains(rowAt(r.cols, i, buf)) {
 			return false
 		}
 	}
@@ -420,27 +460,7 @@ func (r *Relation) Equal(s *Relation) bool {
 // EqualUpToOrder reports whether r and s contain the same tuples when s's
 // columns are permuted to match r's attribute names.
 func (r *Relation) EqualUpToOrder(s *Relation) bool {
-	if r.N() != s.N() || len(r.attrs) != len(s.attrs) {
-		return false
-	}
-	cols := make([]int, len(r.attrs))
-	for i, a := range r.attrs {
-		p, ok := s.pos[a]
-		if !ok {
-			return false
-		}
-		cols[i] = p
-	}
-	buf := make(Tuple, len(cols))
-	for _, t := range s.rows {
-		for i, c := range cols {
-			buf[i] = t[c]
-		}
-		if !r.Contains(buf) {
-			return false
-		}
-	}
-	return true
+	return r.N() == s.N() && s.SubsetOf(r)
 }
 
 // SubsetOf reports whether every tuple of r (up to column reordering) is in s.
@@ -457,11 +477,8 @@ func (r *Relation) SubsetOf(s *Relation) bool {
 		cols[i] = p
 	}
 	buf := make(Tuple, len(cols))
-	for _, t := range r.rows {
-		for i, c := range cols {
-			buf[i] = t[c]
-		}
-		if !s.Contains(buf) {
+	for i := 0; i < r.n; i++ {
+		if !s.Contains(gather(r.cols, cols, i, buf)) {
 			return false
 		}
 	}
@@ -471,17 +488,8 @@ func (r *Relation) SubsetOf(s *Relation) bool {
 // SortedRows returns the tuples sorted lexicographically; useful for
 // deterministic golden output in tests and tools.
 func (r *Relation) SortedRows() []Tuple {
-	out := make([]Tuple, len(r.rows))
-	copy(out, r.rows)
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return false
-	})
+	out := r.Rows()
+	sort.Slice(out, func(i, j int) bool { return slices.Compare(out[i], out[j]) < 0 })
 	return out
 }
 
@@ -522,13 +530,13 @@ func (r *Relation) ActiveDomain(a string) ([]Value, error) {
 		return nil, fmt.Errorf("relation: unknown attribute %q", a)
 	}
 	seen := make(map[Value]struct{})
-	for _, t := range r.rows {
-		seen[t[c]] = struct{}{}
+	for _, v := range r.cols[c][:r.n] {
+		seen[v] = struct{}{}
 	}
 	out := make([]Value, 0, len(seen))
 	for v := range seen {
 		out = append(out, v)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out, nil
 }

@@ -378,3 +378,19 @@ func TestQuickSemijoinLaws(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// ProjectCounts returns the multiset projection of R onto attrs: a map from
+// encoded projected-row key to its multiplicity. It is the string-keyed
+// oracle the group-count tests compare the columnar engine against.
+func (r *Relation) ProjectCounts(attrs ...string) (map[string]int, error) {
+	cols, err := r.columns(attrs)
+	if err != nil {
+		return nil, err
+	}
+	counts := make(map[string]int)
+	buf := make(Tuple, len(cols))
+	for i := 0; i < r.n; i++ {
+		counts[RowKey(gather(r.cols, cols, i, buf))]++
+	}
+	return counts, nil
+}

@@ -3,15 +3,15 @@ package relation
 import (
 	"hash/maphash"
 	"math/bits"
-	"slices"
 )
 
-// rowTable is the open-addressed hash set that deduplicates a row slice its
-// owner keeps: every row of that slice is recorded, each by slot value
-// index+1 (0 marks an empty slot), and lookups hash the probe row's codes
-// and compare it against rows[j]. The table stores 4 bytes per slot and no
-// copy of any row. Every method takes the owner's rows, which must be the
-// slice the table was built over plus only rows that insert accepted.
+// rowTable is the open-addressed hash set that deduplicates the rows its
+// owner keeps in columns: every row is recorded by slot value index+1 (0
+// marks an empty slot), and lookups hash the probe row's codes and compare
+// it against cols[c][j] for every column c. The table stores 4 bytes per
+// slot and no copy of any row. Every method takes the owner's columns and
+// row count, which must be those the table was built over plus only rows
+// that insert accepted.
 type rowTable struct {
 	slots []int32
 }
@@ -49,19 +49,21 @@ func tableSize(n int) int {
 	return size
 }
 
-// newRowTable indexes rows, which must be distinct.
-func newRowTable(rows []Tuple) rowTable {
+// newRowTable indexes the first n rows of cols, which must be distinct.
+func newRowTable(cols [][]Value, n int) rowTable {
 	var tb rowTable
-	tb.rebuild(rows, tableSize(len(rows)))
+	tb.rebuild(cols, n, tableSize(n))
 	return tb
 }
 
-// rebuild re-indexes the distinct rows into size slots.
-func (tb *rowTable) rebuild(rows []Tuple, size int) {
+// rebuild re-indexes the first n rows of cols, which are distinct, into
+// size slots.
+func (tb *rowTable) rebuild(cols [][]Value, n, size int) {
 	tb.slots = make([]int32, size)
 	mask := uint64(size - 1)
-	for j, row := range rows {
-		i := rowHash(row) & mask
+	row := make(Tuple, len(cols))
+	for j := 0; j < n; j++ {
+		i := rowHash(rowAt(cols, j, row)) & mask
 		for tb.slots[i] != 0 {
 			i = (i + 1) & mask
 		}
@@ -69,33 +71,50 @@ func (tb *rowTable) rebuild(rows []Tuple, size int) {
 	}
 }
 
-// find returns the index of the row of rows equal to t, or -1.
-func (tb *rowTable) find(rows []Tuple, t Tuple) int {
+// rowAt copies row j of cols into dst and returns it.
+func rowAt(cols [][]Value, j int, dst Tuple) Tuple {
+	for c, col := range cols {
+		dst[c] = col[j]
+	}
+	return dst
+}
+
+// rowEqual reports whether row j of cols equals t.
+func rowEqual(cols [][]Value, j int32, t Tuple) bool {
+	for c, col := range cols {
+		if col[j] != t[c] {
+			return false
+		}
+	}
+	return true
+}
+
+// find returns the index of the row of cols equal to t, or -1.
+func (tb *rowTable) find(cols [][]Value, t Tuple) int {
 	if len(tb.slots) == 0 {
 		return -1
 	}
 	mask := uint64(len(tb.slots) - 1)
 	for i := rowHash(t) & mask; tb.slots[i] != 0; i = (i + 1) & mask {
-		if j := tb.slots[i] - 1; slices.Equal(rows[j], t) {
+		if j := tb.slots[i] - 1; rowEqual(cols, j, t) {
 			return int(j)
 		}
 	}
 	return -1
 }
 
-// insert records t as rows[len(rows)] unless rows already holds an equal
-// row. It returns the index of the equal row and false, or len(rows) and
-// true; in the latter case the caller must append t (or a copy) to rows
-// before the next call.
-func (tb *rowTable) insert(rows []Tuple, t Tuple) (int, bool) {
-	n := len(rows)
+// insert records t as row n unless the first n rows of cols already hold
+// an equal row. It returns the index of the equal row and false, or n and
+// true; in the latter case the caller must store t as row n of cols before
+// the next call.
+func (tb *rowTable) insert(cols [][]Value, n int, t Tuple) (int, bool) {
 	if 2*(n+1) > len(tb.slots) {
-		tb.rebuild(rows, tableSize(n+1))
+		tb.rebuild(cols, n, tableSize(n+1))
 	}
 	mask := uint64(len(tb.slots) - 1)
 	i := rowHash(t) & mask
 	for ; tb.slots[i] != 0; i = (i + 1) & mask {
-		if j := tb.slots[i] - 1; slices.Equal(rows[j], t) {
+		if j := tb.slots[i] - 1; rowEqual(cols, j, t) {
 			return int(j), false
 		}
 	}

@@ -12,7 +12,8 @@ func TestRowTableMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 5))
 	for _, arity := range []int{1, 2, 3, 5} {
 		var tb rowTable
-		var rows []Tuple
+		cols := make([][]Value, arity)
+		n := 0
 		oracle := make(map[string]int)
 		randomTuple := func() Tuple {
 			tp := make(Tuple, arity)
@@ -24,35 +25,38 @@ func TestRowTableMatchesMap(t *testing.T) {
 		for step := 0; step < 4000; step++ {
 			tp := randomTuple()
 			want, seen := oracle[RowKey(tp)]
-			got, added := tb.insert(rows, tp)
-			if added == seen || (seen && got != want) || (!seen && got != len(rows)) {
-				t.Fatalf("arity %d step %d: insert(%v) = %d, %v; oracle %d, %v (n=%d)", arity, step, tp, got, added, want, seen, len(rows))
+			got, added := tb.insert(cols, n, tp)
+			if added == seen || (seen && got != want) || (!seen && got != n) {
+				t.Fatalf("arity %d step %d: insert(%v) = %d, %v; oracle %d, %v (n=%d)", arity, step, tp, got, added, want, seen, n)
 			}
 			if added {
-				oracle[RowKey(tp)] = len(rows)
-				rows = append(rows, tp)
+				oracle[RowKey(tp)] = n
+				for c, v := range tp {
+					cols[c] = append(cols[c], v)
+				}
+				n++
 			}
 			probe := randomTuple()
 			want, seen = oracle[RowKey(probe)]
-			if got := tb.find(rows, probe); (got >= 0) != seen || (seen && got != want) {
+			if got := tb.find(cols, probe); (got >= 0) != seen || (seen && got != want) {
 				t.Fatalf("arity %d step %d: find(%v) = %d; oracle %d, %v", arity, step, probe, got, want, seen)
 			}
 		}
-		rebuilt := newRowTable(rows)
-		for i, row := range rows {
-			if got := rebuilt.find(rows, row); got != i {
+		rebuilt := newRowTable(cols, n)
+		for i, row := range rowsOf(cols, n) {
+			if got := rebuilt.find(cols, row); got != i {
 				t.Fatalf("arity %d: rebuilt table finds row %d at %d", arity, i, got)
 			}
 		}
 	}
 	var empty rowTable
-	if got := empty.find(nil, Tuple{1}); got != -1 {
+	if got := empty.find([][]Value{nil}, Tuple{1}); got != -1 {
 		t.Fatalf("empty table find = %d", got)
 	}
 }
 
 // TestRelationRowIndexMatchesMap checks every relation path that builds or
-// consults the row table — Insert, Append, FromRows, Adopt, Clone, Project,
+// consults the row table — Insert, Append, FromRows, FromColumns, Clone, Project,
 // a frozen View's lazily built index and Multiset.Add — against a map
 // oracle, before and after growth.
 func TestRelationRowIndexMatchesMap(t *testing.T) {
@@ -97,14 +101,17 @@ func TestRelationRowIndexMatchesMap(t *testing.T) {
 	all := batch(300)
 	input := append(slices.Clone(order), all...)
 	fromRows := FromRows(attrs, input)
-	adopted := Adopt(attrs, slices.Clone(input))
 	for _, tp := range all {
 		record(tp)
+	}
+	fromCols, err := FromColumns(attrs, columnsOf(order))
+	if err != nil {
+		t.Fatal(err)
 	}
 	view := r.View()
 	clone := r.Clone()
 	multiset := MultisetOf(r)
-	for name, rel := range map[string]*Relation{"relation": r, "FromRows": fromRows, "Adopt": adopted, "View": view, "Clone": clone} {
+	for name, rel := range map[string]*Relation{"relation": r, "FromRows": fromRows, "FromColumns": fromCols, "View": view, "Clone": clone} {
 		want := len(order)
 		if name == "relation" || name == "View" || name == "Clone" {
 			want = r.N()
@@ -161,4 +168,18 @@ func TestRelationRowIndexMatchesMap(t *testing.T) {
 	if proj.Insert(Tuple{r.Row(0)[0], r.Row(0)[1]}) {
 		t.Fatal("projection accepted a duplicate of one of its rows")
 	}
+}
+
+// columnsOf transposes rows into columns.
+func columnsOf(rows []Tuple) [][]Value {
+	var cols [][]Value
+	for i, t := range rows {
+		if i == 0 {
+			cols = make([][]Value, len(t))
+		}
+		for c, v := range t {
+			cols[c] = append(cols[c], v)
+		}
+	}
+	return cols
 }

@@ -2,8 +2,8 @@ package relation
 
 import "fmt"
 
-// Rename returns a copy of r with attribute old renamed to new. The tuple
-// data is shared content-wise (copied rows), only the schema changes.
+// Rename returns a copy of r with attribute old renamed to new. The tuples
+// are copied unchanged; only the schema changes.
 func (r *Relation) Rename(oldName, newName string) (*Relation, error) {
 	p, ok := r.pos[oldName]
 	if !ok {
@@ -14,11 +14,7 @@ func (r *Relation) Rename(oldName, newName string) (*Relation, error) {
 	}
 	attrs := append([]string(nil), r.attrs...)
 	attrs[p] = newName
-	out := New(attrs...)
-	for _, t := range r.rows {
-		out.Insert(t)
-	}
-	return out, nil
+	return fromDistinct(attrs, r.cols, r.n), nil
 }
 
 // sameSchema verifies s has exactly r's attributes (any order) and returns
@@ -47,11 +43,8 @@ func (r *Relation) Union(s *Relation) (*Relation, error) {
 	}
 	out := r.Clone()
 	buf := make(Tuple, len(cols))
-	for _, t := range s.rows {
-		for i, c := range cols {
-			buf[i] = t[c]
-		}
-		out.Insert(buf)
+	for i := 0; i < s.n; i++ {
+		out.insert(gather(s.cols, cols, i, buf))
 	}
 	return out, nil
 }
@@ -69,13 +62,7 @@ func (r *Relation) Minus(s *Relation) (*Relation, error) {
 	for _, id := range sIDs {
 		inS[id] = true
 	}
-	out := New(r.attrs...)
-	for i, t := range r.rows {
-		if !inS[rIDs[i]] {
-			out.Insert(t)
-		}
-	}
-	return out, nil
+	return r.subset(func(i int) bool { return !inS[rIDs[i]] }), nil
 }
 
 // Intersect returns r ∩ s over r's attribute order.
@@ -91,11 +78,5 @@ func (r *Relation) Intersect(s *Relation) (*Relation, error) {
 	for _, id := range sIDs {
 		inS[id] = true
 	}
-	out := New(r.attrs...)
-	for i, t := range r.rows {
-		if inS[rIDs[i]] {
-			out.Insert(t)
-		}
-	}
-	return out, nil
+	return r.subset(func(i int) bool { return inS[rIDs[i]] }), nil
 }

@@ -21,56 +21,33 @@ var ErrStore = errors.New("durable store failure")
 // its size-triggered background compaction.
 
 // checkpointOf serializes a frozen view plus the encoder dictionaries that
-// match its generation into a persist.Checkpoint. The view is immutable, so
-// this runs without locks; the caller must have captured view and dicts
-// together under the dataset's append lock (appends extend both).
+// match its generation into a persist.Checkpoint. The checkpoint shares the
+// view's columns, which later appends never change, so this runs without
+// locks; the caller must have captured view and dicts together under the
+// dataset's append lock (appends extend both).
 func checkpointOf(name string, view *relation.Relation, dicts [][]string) *persist.Checkpoint {
-	attrs := view.Attrs()
-	rows := view.Rows()
-	cols := make([][]int32, len(attrs))
-	for c := range cols {
-		col := make([]int32, len(rows))
-		for i, t := range rows {
-			col[i] = t[c]
-		}
-		cols[c] = col
-	}
 	return &persist.Checkpoint{
 		Name:       name,
-		Attrs:      attrs,
+		Attrs:      view.Attrs(),
 		Generation: view.Generation(),
 		Dicts:      dicts,
-		Columns:    cols,
+		Columns:    view.Columns(),
 	}
 }
 
 // datasetFromCheckpoint rebuilds the live relation and encoder from a
-// checkpoint: rows in stored order (group IDs — and therefore every derived
-// measure and its JSON — depend on row order, so recovery preserves it
-// exactly) with the snapshot chain starting at the checkpointed generation.
+// checkpoint: the relation adopts the checkpoint's columns, so rows keep
+// their stored order (group IDs — and therefore every derived measure and
+// its JSON — depend on row order), and its snapshot chain starts at the
+// checkpointed generation. Columns of unequal length or a repeated row
+// fail recovery of the dataset.
 func datasetFromCheckpoint(ck *persist.Checkpoint) (*relation.Relation, *relation.Encoder, error) {
 	if len(ck.Attrs) == 0 {
 		return nil, nil, fmt.Errorf("service: checkpoint for %q has no attributes", ck.Name)
 	}
-	n := ck.NumRows()
-	for c, col := range ck.Columns {
-		if len(col) != n {
-			return nil, nil, fmt.Errorf("service: checkpoint for %q: column %d has %d rows, want %d", ck.Name, c, len(col), n)
-		}
-	}
-	arity := len(ck.Columns)
-	backing := make([]relation.Value, n*arity)
-	rows := make([]relation.Tuple, n)
-	for i := range rows {
-		t := backing[i*arity : (i+1)*arity : (i+1)*arity]
-		for c, col := range ck.Columns {
-			t[c] = col[i]
-		}
-		rows[i] = t
-	}
-	rel := relation.Adopt(ck.Attrs, rows)
-	if rel.N() != n {
-		return nil, nil, fmt.Errorf("service: checkpoint for %q has %d duplicate rows", ck.Name, n-rel.N())
+	rel, err := relation.FromColumns(ck.Attrs, ck.Columns)
+	if err != nil {
+		return nil, nil, fmt.Errorf("service: checkpoint for %q: %w", ck.Name, err)
 	}
 	rel.SetBaseGeneration(ck.Generation)
 	// Materialize the engine at the checkpointed generation NOW: WAL replay

@@ -204,6 +204,15 @@ func TestDurableSizeTriggeredCompaction(t *testing.T) {
 	if _, err := s.Registry().RegisterIn("default", "block", strings.NewReader(blockCSV(2, 2, 2)), true); err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() {
+		// Let an in-flight background compaction finish before TempDir's
+		// cleanup removes the directory it writes into.
+		if d, ok := s.Registry().GetIn("default", "block"); ok {
+			for d.compacting.Load() {
+				time.Sleep(time.Millisecond)
+			}
+		}
+	})
 	for i := 0; i < 40; i++ {
 		if _, err := s.AppendIn("default", "block", [][]string{{fmt.Sprint(1000 + i), fmt.Sprint(2000 + i), "7"}}, false); err != nil {
 			t.Fatal(err)
