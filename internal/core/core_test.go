@@ -347,6 +347,47 @@ func TestQuickTheorem32(t *testing.T) {
 	}
 }
 
+// TestQuickKLFromEmpiricalBitIdentical holds the tabulated KL sum to the
+// per-row formula it replaced, one math.Log per row per bag and separator,
+// summed in the same order: the two must agree to the last bit.
+func TestQuickKLFromEmpiricalBitIdentical(t *testing.T) {
+	f := func(seed uint64) bool {
+		tree, r, err := randomInstance(seed, 2+int(seed%4), 5+int(seed%3), 3, 40)
+		if err != nil {
+			return false
+		}
+		fac, err := NewFactorization(r, jointree.MustRoot(tree, int(seed%uint64(tree.Len()))))
+		if err != nil {
+			return false
+		}
+		var want float64
+		invN := 1.0 / fac.n
+		logInvN := math.Log(invN)
+		for i := 0; i < r.N(); i++ {
+			var lp float64
+			for _, g := range fac.bagGroups {
+				lp += math.Log(float64(g.Counts[g.IDs[i]]) / fac.n)
+			}
+			for _, g := range fac.sepGroups {
+				lp -= math.Log(float64(g.Counts[g.IDs[i]]) / fac.n)
+			}
+			want += invN * (logInvN - lp)
+		}
+		if want < 0 && want > -1e-9 {
+			want = 0
+		}
+		got, err := fac.KLFromEmpirical()
+		if err != nil || got != want {
+			t.Logf("seed %d: KL %v, per-row formula %v (err %v)", seed, got, want, err)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestQuickLemma41AndTheorem22AndProp51(t *testing.T) {
 	f := func(seed uint64) bool {
 		_, r, err := randomInstance(seed, 2+int(seed%4), 5+int(seed%3), 3, 30)

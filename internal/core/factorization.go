@@ -121,7 +121,7 @@ func (f *Factorization) Prob(t relation.Tuple) float64 {
 
 // LogProb returns ln P^T(t) and whether the probability is positive. t is an
 // arbitrary tuple (not necessarily in r), so this is the lookup-based
-// diagnostics path; the KL hot loop uses logProbRow instead.
+// diagnostics path; KLFromEmpirical indexes group counts instead.
 func (f *Factorization) LogProb(t relation.Tuple) (float64, bool) {
 	bagProj, sepProj, err := f.projections()
 	if err != nil {
@@ -149,34 +149,46 @@ func (f *Factorization) LogProb(t relation.Tuple) (float64, bool) {
 	return lp, true
 }
 
-// logProbRow returns ln P^T of row i of r by pure group-ID indexing. Every
-// bag and separator projection of a row of r occurs in r, so the probability
-// is always positive.
-func (f *Factorization) logProbRow(i int) float64 {
-	var lp float64
-	for _, g := range f.bagGroups {
-		lp += math.Log(float64(g.Counts[g.IDs[i]]) / f.n)
-	}
-	for _, g := range f.sepGroups {
-		lp -= math.Log(float64(g.Counts[g.IDs[i]]) / f.n)
-	}
-	return lp
-}
-
 // KLFromEmpirical returns D_KL(P ‖ P^T) where P is the empirical
 // distribution of r. By Theorem 3.2 this equals J(T); the equality is
 // verified in tests and exposed as an internal consistency check.
+//
+// ln P^T of a row of r needs no lookup: every bag and separator projection
+// of a row occurs in r, so its count is Counts[IDs[i]] of the matching
+// grouping. The log of each group's relative frequency is tabulated once,
+// and each row sums table loads, bags then separators, in tree order.
 func (f *Factorization) KLFromEmpirical() (float64, error) {
+	bagLogs := f.groupLogs(f.bagGroups)
+	sepLogs := f.groupLogs(f.sepGroups)
 	var d float64
 	invN := 1.0 / f.n
 	logInvN := math.Log(invN)
 	for i := 0; i < f.r.N(); i++ {
-		d += invN * (logInvN - f.logProbRow(i))
+		var lp float64
+		for k, g := range f.bagGroups {
+			lp += bagLogs[k][g.IDs[i]]
+		}
+		for k, g := range f.sepGroups {
+			lp -= sepLogs[k][g.IDs[i]]
+		}
+		d += invN * (logInvN - lp)
 	}
 	if d < 0 && d > -1e-9 {
 		d = 0
 	}
 	return d, nil
+}
+
+// groupLogs returns, for each grouping, ln(count/n) of each of its groups.
+func (f *Factorization) groupLogs(groups []*relation.Grouping) [][]float64 {
+	logs := make([][]float64, len(groups))
+	for k, g := range groups {
+		logs[k] = make([]float64, len(g.Counts))
+		for j, c := range g.Counts {
+			logs[k][j] = math.Log(float64(c) / f.n)
+		}
+	}
+	return logs
 }
 
 // Dist materializes the full P^T distribution over the support of the

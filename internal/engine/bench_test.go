@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -132,4 +133,37 @@ func BenchmarkSnapshotExtend(b *testing.B) {
 			snap.Extend(cols, n)
 		}
 	})
+}
+
+// refineSink keeps BenchmarkRefineDense's result live.
+var refineSink *Grouping
+
+// BenchmarkRefineDense times one cold refinement of a 10k-row grouping by
+// one column at the shapes fit's lattice produces (parent groups × dense
+// probe width), and reports the cost per row. Rows are random, so every
+// (parent group, value) pair occurs and the child has parents × width groups
+// at most.
+func BenchmarkRefineDense(b *testing.B) {
+	const n = 10000
+	for _, shape := range []struct{ parents, width int }{{125, 5}, {1296, 6}} {
+		b.Run(fmt.Sprintf("%dx%d", shape.parents, shape.width), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(3))
+			cols := [][]Value{make([]Value, n), make([]Value, n)}
+			for i := 0; i < n; i++ {
+				cols[0][i] = Value(rng.Intn(shape.parents))
+				cols[1][i] = Value(rng.Intn(shape.width))
+			}
+			snap := NewSnapshotAt([]string{"P", "V"}, cols, n, 1)
+			parent := snap.grouping([]int{0})
+			if _, pr := snap.refine(parent, 1); pr.dense == nil {
+				b.Fatalf("%d parents × width %d: want a dense probe", parent.Groups(), snap.probeWidth(1))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				refineSink, _ = snap.refine(parent, 1)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
+		})
+	}
 }

@@ -9,7 +9,10 @@ import (
 // construction, Extend, and the batch planner: a probe structure that maps
 // (parent group id, column value) pairs to child group ids — dense-table
 // backed when the value domain is small, hash-map backed otherwise — and
-// the serial scan that refines one lattice node. Parallelism
+// the serial scan that refines one lattice node. When the probe is dense,
+// every (parent id, value) pair of the scan lies inside the table, so the
+// scan is one indexed load per row with no range checks or map fallback; it
+// assigns ids in one pass and counts groups in a second. Parallelism
 // lives one level up, across the independent nodes of a plan level and
 // across batch queries. A single scan is not split across workers: inside
 // levels that already run in parallel, per-chunk probe tables and a merge
@@ -63,8 +66,10 @@ func probeKey(parent int32, val Value) uint64 {
 //   - dense: a flat []int32 table indexed parent*width+value, used when the
 //     column's values are small non-negative ints (dictionary encoding makes
 //     this the overwhelmingly common case) and the table fits the budget.
-//     Lookups are one multiply-add and a load — roughly an order of
-//     magnitude cheaper than map operations, which dominated refinement.
+//     Slots hold id+1, so the zeroed table make returns already reads as
+//     "absent" and needs no fill pass. Lookups are one multiply-add and a
+//     load — roughly an order of magnitude cheaper than map operations,
+//     which dominated refinement.
 //   - m: the map fallback for wide/negative domains or huge parent counts.
 //
 // A dense probe can still absorb values >= width and parent groups born
@@ -95,11 +100,7 @@ func denseProbeBudget(n int) int {
 // expected number of entries for the map form.
 func newProbe(parents int, width int32, budget, hint int) *probe {
 	if width > 0 && parents > 0 && int64(parents)*int64(width) <= int64(budget) {
-		dense := make([]int32, parents*int(width))
-		for i := range dense {
-			dense[i] = -1
-		}
-		return &probe{width: width, dense: dense}
+		return &probe{width: width, dense: make([]int32, parents*int(width))}
 	}
 	return &probe{m: make(map[uint64]int32, hint)}
 }
@@ -110,7 +111,7 @@ func newProbe(parents int, width int32, budget, hint int) *probe {
 func (p *probe) lookup(parent int32, val Value) int32 {
 	if p.dense != nil && val >= 0 && val < p.width {
 		if idx := int(parent)*int(p.width) + int(val); idx < len(p.dense) {
-			return p.dense[idx]
+			return p.dense[idx] - 1
 		}
 	}
 	if id, ok := p.m[probeKey(parent, val)]; ok {
@@ -124,7 +125,7 @@ func (p *probe) lookup(parent int32, val Value) int32 {
 func (p *probe) insert(parent int32, val Value, id int32) {
 	if p.dense != nil && val >= 0 && val < p.width {
 		if idx := int(parent)*int(p.width) + int(val); idx < len(p.dense) {
-			p.dense[idx] = id
+			p.dense[idx] = id + 1
 			return
 		}
 	}
@@ -140,39 +141,66 @@ func (p *probe) insert(parent int32, val Value, id int32) {
 // and independent of the worker count. The probe is returned alongside so
 // Extend can probe it for appended rows: incremental and from-scratch
 // construction assign identical ids because both follow stored row order.
+// A first pass assigns the ids; a second sums each group's rows (or row
+// weights) into Counts, allocated at its exact size.
 func (s *Snapshot) refine(parent *Grouping, col int) (*Grouping, *probe) {
 	pr := newProbe(len(parent.Counts), s.probeWidth(col), denseProbeBudget(s.n), len(parent.Counts)*2)
-	column := s.cols[col]
 	ids := make([]int32, s.n, s.n+extendHeadroom(s.n))
-	counts := make([]int, 0, len(parent.Counts)*2)
+	var groups int
+	if pr.dense != nil {
+		groups = refineDense(pr, parent.IDs[:s.n], s.cols[col][:s.n], ids)
+	} else {
+		groups = refineMap(pr, parent.IDs[:s.n], s.cols[col][:s.n], ids)
+	}
+	counts := make([]int, groups)
 	if s.weights == nil {
-		for i := 0; i < s.n; i++ {
-			pid := parent.IDs[i]
-			v := column[i]
-			id := pr.lookup(pid, v)
-			if id < 0 {
-				id = int32(len(counts))
-				pr.insert(pid, v, id)
-				counts = append(counts, 0)
-			}
-			ids[i] = id
+		for _, id := range ids {
 			counts[id]++
 		}
 	} else {
-		for i := 0; i < s.n; i++ {
-			pid := parent.IDs[i]
-			v := column[i]
-			id := pr.lookup(pid, v)
-			if id < 0 {
-				id = int32(len(counts))
-				pr.insert(pid, v, id)
-				counts = append(counts, 0)
-			}
-			ids[i] = id
+		for i, id := range ids {
 			counts[id] += int(s.weights[i])
 		}
 	}
 	return &Grouping{IDs: ids, Counts: counts}, pr
+}
+
+// refineDense is refine's id pass over a dense probe sized for every parent
+// group and every value of the column, so each (parent id, value) pair
+// indexes the table directly. It writes each row's child id into ids and
+// returns the number of child groups.
+func refineDense(pr *probe, pids []int32, column []Value, ids []int32) int {
+	dense, width := pr.dense, int(pr.width)
+	ids = ids[:len(pids)]
+	column = column[:len(pids)]
+	var groups int32
+	for i, pid := range pids {
+		slot := &dense[int(pid)*width+int(column[i])]
+		id := *slot
+		if id == 0 {
+			groups++
+			id = groups
+			*slot = id
+		}
+		ids[i] = id - 1
+	}
+	return int(groups)
+}
+
+// refineMap is refine's id pass over a map-form probe.
+func refineMap(pr *probe, pids []int32, column []Value, ids []int32) int {
+	var groups int32
+	for i, pid := range pids {
+		v := column[i]
+		id := pr.lookup(pid, v)
+		if id < 0 {
+			id = groups
+			pr.insert(pid, v, id)
+			groups++
+		}
+		ids[i] = id
+	}
+	return int(groups)
 }
 
 // rebuildProbe reconstructs the probe of g, the refinement of parent by

@@ -1,8 +1,14 @@
 package engine
 
 import (
+	"fmt"
+	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
+	"testing/quick"
+
+	"ajdloss/internal/infotheory"
 )
 
 // bigRows returns n unique rows over four attributes (domain^arity must
@@ -132,4 +138,199 @@ func TestSetMaxProcsCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameGrouping(t, "capped", gotG, wantG)
+}
+
+// kernelSets are the attribute sets TestQuickRefineKernelParity checks; the
+// first four are warmed before each Extend, the rest are first refined on
+// the extended snapshot.
+var kernelSets = [][]string{{"A"}, {"A", "B"}, {"B", "C", "D"}, {"A", "B", "C", "D"}, {"B"}, {"C", "D"}, {"A", "C"}, {"A", "B", "C"}}
+
+// oracleGrouping groups the first n rows of cols by the columns of attrs
+// (in any order) with a string-keyed map: ids in order of first occurrence,
+// counts summing weights (1 per row when weights is nil).
+func oracleGrouping(attrs []string, cols [][]Value, n int, weights []int64, set []string) *Grouping {
+	var pos []int
+	for c, a := range attrs {
+		for _, b := range set {
+			if a == b {
+				pos = append(pos, c)
+			}
+		}
+	}
+	seen := make(map[string]int32)
+	g := &Grouping{IDs: make([]int32, n)}
+	var key strings.Builder
+	for i := 0; i < n; i++ {
+		key.Reset()
+		for _, c := range pos {
+			fmt.Fprintf(&key, "%d,", cols[c][i])
+		}
+		id, ok := seen[key.String()]
+		if !ok {
+			id = int32(len(g.Counts))
+			seen[key.String()] = id
+			g.Counts = append(g.Counts, 0)
+		}
+		g.IDs[i] = id
+		if weights == nil {
+			g.Counts[id]++
+		} else {
+			g.Counts[id] += int(weights[i])
+		}
+	}
+	return g
+}
+
+// kernelRows draws up to n distinct rows over four columns. Column c takes
+// values in [lo[c], lo[c]+dom[c]); a zero lo puts 0 in the domain, a
+// negative one forces map probes.
+func kernelRows(rng *rand.Rand, n int, lo, dom []Value, seen map[string]bool) []Tuple {
+	var rows []Tuple
+	for try := 0; try < 4*n && len(rows) < n; try++ {
+		t := make(Tuple, len(dom))
+		for c := range t {
+			t[c] = lo[c] + Value(rng.Intn(int(dom[c])))
+		}
+		k := fmt.Sprint(t)
+		if seen[k] {
+			continue
+		}
+		seen[k] = true
+		rows = append(rows, t)
+	}
+	return rows
+}
+
+// probeForms tallies the probe representations the memo of s holds.
+type probeForms struct{ dense, denseOverflow, budgetMap, negativeMap int }
+
+func (f *probeForms) add(s *Snapshot) {
+	for _, ent := range s.memo {
+		pr := ent.next.Load()
+		switch {
+		case pr == nil:
+		case pr.dense != nil && len(pr.m) > 0:
+			f.denseOverflow++
+		case pr.dense != nil:
+			f.dense++
+		case s.probeWidth(ent.cols[len(ent.cols)-1]) == 0:
+			f.negativeMap++
+		default:
+			f.budgetMap++
+		}
+	}
+}
+
+// TestQuickRefineKernelParity holds refinement to a naive first-occurrence
+// oracle on random snapshots whose domains include 0, whose parent-group
+// counts fall on both sides of denseProbeBudget, some with negative values
+// (map probes) and some weighted: the same ids, counts and entropies. It
+// then extends twice, with values beyond the dense width and fresh parent
+// groups (overflow entries of a handed-down probe), and extends the first
+// snapshot again after its child took its probes (rebuildProbe), comparing
+// each result with a cold snapshot of the same rows.
+func TestQuickRefineKernelParity(t *testing.T) {
+	attrs := []string{"A", "B", "C", "D"}
+	var forms probeForms
+	check := func(label string, s *Snapshot) bool {
+		cols := s.Columns()
+		for _, set := range kernelSets {
+			got, err := s.Grouping(set...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := oracleGrouping(attrs, cols, s.NumRows(), s.weights, set)
+			h, err := s.GroupEntropy(set...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.IDs) != len(want.IDs) || fmt.Sprint(got.IDs, got.Counts) != fmt.Sprint(want.IDs, want.Counts) {
+				t.Logf("%s %v: ids/counts %v %v, oracle %v %v", label, set, got.IDs, got.Counts, want.IDs, want.Counts)
+				return false
+			}
+			if wantH := infotheory.EntropyFromCounts(want.Counts, s.N()); h != wantH {
+				t.Logf("%s %v: entropy %v, oracle %v", label, set, h, wantH)
+				return false
+			}
+		}
+		forms.add(s)
+		return true
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		lo, dom := make([]Value, 4), make([]Value, 4)
+		for c := range dom {
+			dom[c] = []Value{1, 2, 3, 5, 40, 250}[rng.Intn(6)]
+			if rng.Intn(5) == 0 {
+				lo[c] = -2
+			}
+		}
+		seen := make(map[string]bool)
+		base := kernelRows(rng, 50+rng.Intn(350), lo, dom, seen)
+		if len(base) == 0 {
+			return true
+		}
+		cols := columnsOf(4, base)
+		weights := make([]int64, len(base))
+		total := 0
+		for i := range weights {
+			weights[i] = 1 + rng.Int63n(5)
+			total += int(weights[i])
+		}
+		if !check("weighted", NewWeightedSnapshot(attrs, cols, weights, total)) {
+			return false
+		}
+		s0 := rowSnapshot(attrs, base)
+		if !check("cold", s0) {
+			return false
+		}
+		// Appended rows reach past the base domain: values beyond the dense
+		// width and parent groups the probes were not sized for.
+		wide := make([]Value, 4)
+		for c := range wide {
+			wide[c] = dom[c] + 3
+		}
+		ext1 := kernelRows(rng, 1+rng.Intn(60), lo, wide, seen)
+		ext2 := kernelRows(rng, 1+rng.Intn(60), lo, wide, seen)
+		alt := kernelRows(rng, 1+rng.Intn(60), lo, wide, seen)
+		// A fresh snapshot with only the first four sets warmed: those are
+		// extended, the rest are first refined on the extended snapshots.
+		s0 = rowSnapshot(attrs, base)
+		for _, set := range kernelSets[:4] {
+			if _, err := s0.Grouping(set...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Each extension is checked before the next: re-extending s0 drops
+		// s1 and s2, whose id slices share s0's headroom.
+		s1 := extendRows(s0, ext1)
+		for _, step := range []struct {
+			label  string
+			extend func() *Snapshot
+		}{
+			{"extend", func() *Snapshot { return s1 }},
+			{"extend twice", func() *Snapshot { return extendRows(s1, ext2) }},
+			// s1 took s0's probes, so extending s0 again rebuilds them.
+			{"re-extend", func() *Snapshot { return extendRows(s0, alt) }},
+		} {
+			ext := step.extend()
+			if !check(step.label, ext) {
+				return false
+			}
+			cold := NewSnapshotAt(attrs, ext.Columns(), ext.NumRows(), 1)
+			for _, set := range kernelSets {
+				got, _ := ext.Grouping(set...)
+				want, _ := cold.Grouping(set...)
+				sameGrouping(t, fmt.Sprintf("%s %v vs cold", step.label, set), got, want)
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+		t.Fatal(err)
+	}
+	if forms.dense == 0 || forms.denseOverflow == 0 || forms.budgetMap == 0 || forms.negativeMap == 0 {
+		t.Fatalf("probe forms not all covered: %+v", forms)
+	}
+	t.Logf("probe forms: %+v", forms)
 }

@@ -210,11 +210,14 @@ func readCSVOracle(r io.Reader, header bool) (*Relation, *Encoder, error) {
 }
 
 // randomCSV renders a relation with many duplicate rows: values from a
-// small alphabet that includes commas, quotes, newlines and \r, written by
-// csv.Writer (so quoting is valid), then corrupted at a few random bytes
-// with probability one third.
+// small alphabet that includes commas, quotes, newlines and \r, and, one
+// field in four, an edge value: fields on both sides of the dictionary's
+// 7-byte packed-key limit, two fields that differ only by a trailing zero
+// byte, and multi-byte UTF-8. Rows are written by csv.Writer (so quoting is
+// valid), then corrupted at a few random bytes with probability one third.
 func randomCSV(rng *rand.Rand) []byte {
 	values := []string{"a", "b", "1", "", " ", "x,y", `q"q`, "l\nl", "r\r", "é"}
+	edges := []string{"ab", "ab\x00", "sixsix", "seven77", "eight888", "nine99999", "日本語"}
 	arity := 1 + rng.IntN(4)
 	var b bytes.Buffer
 	if rng.IntN(4) == 0 {
@@ -233,7 +236,11 @@ func randomCSV(rng *rand.Rand) []byte {
 			rec = make([]string, 1+rng.IntN(arity+1)) // ragged now and then
 		}
 		for i := range rec {
-			rec[i] = values[rng.IntN(min(len(values), 2+rng.IntN(8)))]
+			if rng.IntN(4) == 0 {
+				rec[i] = edges[rng.IntN(len(edges))]
+			} else {
+				rec[i] = values[rng.IntN(min(len(values), 2+rng.IntN(8)))]
+			}
 		}
 		_ = w.Write(rec)
 	}

@@ -11,21 +11,71 @@ import (
 // Encoder dictionary-encodes string-valued records into Tuples, one
 // dictionary per attribute. Value 1 is the first string seen per attribute
 // (domains are 1-based to mirror the paper's [d] convention).
+//
+// A field of at most 7 bytes is packed with its length into one uint64 and
+// looked up in a map keyed by that integer, which hashes and compares one
+// word instead of a string; longer fields live in a string map. Either way
+// each attribute has exactly one dictionary, which every encoding path
+// (ReadCSV, Encode and NewEncoderFromDictionaries) reads through lookup and
+// extends through add.
 type Encoder struct {
 	attrs []string
-	dicts []map[string]Value
+	dicts []dictionary
 	rev   [][]string
+}
+
+// maxPackedField is the longest field a packed key holds: 7 bytes of data
+// below one byte of length.
+const maxPackedField = 7
+
+// dictionary is one attribute's string → value map: short holds the fields
+// of at most maxPackedField bytes under their packed keys, long the fields
+// too long to pack.
+type dictionary struct {
+	short map[uint64]Value
+	long  map[string]Value
+}
+
+// packField packs a field of at most maxPackedField bytes into one key: the
+// bytes little-endian in the low 56 bits and the length in the top byte, so
+// fields that differ only by trailing zero bytes get different keys.
+func packField[F string | []byte](f F) uint64 {
+	k := uint64(len(f)) << 56
+	for j := 0; j < len(f); j++ {
+		k |= uint64(f[j]) << (8 * j)
+	}
+	return k
+}
+
+// lookup returns the value of field f in d, or 0 when f is absent.
+func lookup[F string | []byte](d *dictionary, f F) Value {
+	if len(f) > maxPackedField {
+		return d.long[string(f)]
+	}
+	return d.short[packField(f)]
+}
+
+// insert records s -> v; s must be absent from d.
+func (d *dictionary) insert(s string, v Value) {
+	if len(s) > maxPackedField {
+		if d.long == nil {
+			d.long = make(map[string]Value)
+		}
+		d.long[s] = v
+		return
+	}
+	d.short[packField(s)] = v
 }
 
 // NewEncoder returns an Encoder for the given attributes.
 func NewEncoder(attrs []string) *Encoder {
 	e := &Encoder{
 		attrs: append([]string(nil), attrs...),
-		dicts: make([]map[string]Value, len(attrs)),
+		dicts: make([]dictionary, len(attrs)),
 		rev:   make([][]string, len(attrs)),
 	}
 	for i := range e.dicts {
-		e.dicts[i] = make(map[string]Value)
+		e.dicts[i].short = make(map[uint64]Value)
 	}
 	return e
 }
@@ -41,20 +91,25 @@ func (e *Encoder) Encode(record []string) (Tuple, error) {
 	}
 	t := make(Tuple, len(record))
 	for i, s := range record {
-		v, ok := e.dicts[i][s]
-		if !ok {
-			v = e.add(i, s)
-		}
-		t[i] = v
+		t[i] = encodeField(e, i, s)
 	}
 	return t, nil
+}
+
+// encodeField returns the value of field f of attribute i, giving f the
+// next value of that attribute when the dictionary does not hold it yet.
+func encodeField[F string | []byte](e *Encoder, i int, f F) Value {
+	if v := lookup(&e.dicts[i], f); v != 0 {
+		return v
+	}
+	return e.add(i, string(f))
 }
 
 // add gives s, which attribute i's dictionary must not hold yet, the next
 // value of that attribute.
 func (e *Encoder) add(i int, s string) Value {
 	v := Value(len(e.rev[i]) + 1)
-	e.dicts[i][s] = v
+	e.dicts[i].insert(s, v)
 	e.rev[i] = append(e.rev[i], s)
 	return v
 }
@@ -100,7 +155,7 @@ func NewEncoderFromDictionaries(attrs []string, dicts [][]string) (*Encoder, err
 	e := NewEncoder(attrs)
 	for i, dict := range dicts {
 		for _, s := range dict {
-			if _, dup := e.dicts[i][s]; dup {
+			if lookup(&e.dicts[i], s) != 0 {
 				return nil, fmt.Errorf("relation: duplicate dictionary entry %q for attribute %q", s, attrs[i])
 			}
 			e.add(i, s)
@@ -173,11 +228,7 @@ func ReadCSV(r io.Reader, header bool) (*Relation, *Encoder, error) {
 			return nil, nil, fmt.Errorf("relation: record has %d fields, schema has %d", len(sc.fields), len(row))
 		}
 		for i, f := range sc.fields {
-			v, ok := enc.dicts[i][string(f)]
-			if !ok {
-				v = enc.add(i, string(f))
-			}
-			row[i] = v
+			row[i] = encodeField(enc, i, f)
 		}
 		rel.insert(row)
 	}

@@ -2,8 +2,11 @@ package relation
 
 import (
 	"bytes"
+	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
+	"testing/quick"
 )
 
 func TestEncoderRoundTrip(t *testing.T) {
@@ -34,6 +37,112 @@ func TestEncoderRoundTrip(t *testing.T) {
 	// Unknown value decodes to placeholder.
 	if got := e.Decode(Tuple{99, 1}); got[0] != "#99" {
 		t.Fatalf("placeholder = %q", got[0])
+	}
+}
+
+// dictionaryEdgeValues straddle the packed-key limit (6, 7, 8 and 9 bytes),
+// differ only by a trailing zero byte, or are multi-byte UTF-8.
+var dictionaryEdgeValues = []string{
+	"", "a", "ab", "ab\x00", "\x00", "\x00\x00", "sixsix", "seven77", "eight888", "nine99999",
+	"é", "ü€", "日本語", "abcdefg", "abcdefgh", "\xff\xff\xff\xff\xff\xff\xff",
+}
+
+// TestQuickEncoderDictionary holds Encode to a string-keyed map model on
+// random fields of 0 to 12 bytes drawn from a tiny alphabet (so fields
+// repeat, share prefixes and differ only by trailing zero bytes), enough of
+// them to grow each dictionary several times.
+func TestQuickEncoderDictionary(t *testing.T) {
+	f := func(seed uint64) bool {
+		rng := rand.New(rand.NewPCG(seed, 19))
+		e := NewEncoder([]string{"A", "B"})
+		model := []map[string]Value{{}, {}}
+		for n := rng.IntN(3000); n > 0; n-- {
+			rec := make([]string, 2)
+			for i := range rec {
+				if rng.IntN(8) == 0 {
+					rec[i] = dictionaryEdgeValues[rng.IntN(len(dictionaryEdgeValues))]
+					continue
+				}
+				b := make([]byte, rng.IntN(13))
+				for j := range b {
+					b[j] = "\x00ab\xff"[rng.IntN(4)]
+				}
+				rec[i] = string(b)
+			}
+			got, err := e.Encode(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, s := range rec {
+				want, ok := model[i][s]
+				if !ok {
+					want = Value(len(model[i]) + 1)
+					model[i][s] = want
+				}
+				if got[i] != want {
+					t.Logf("field %q of attribute %d: code %d, model %d", s, i, got[i], want)
+					return false
+				}
+			}
+		}
+		for i := range model {
+			if e.DomainSize(i) != len(model[i]) {
+				t.Logf("attribute %d: %d values, model %d", i, e.DomainSize(i), len(model[i]))
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEncoderFromDictionaries rebuilds an encoder from another's
+// dictionaries: it must give every short and long value its original code,
+// extend the dictionaries exactly as the original does, and reject a
+// dictionary that lists one value twice.
+func TestEncoderFromDictionaries(t *testing.T) {
+	attrs := []string{"A", "B"}
+	orig := NewEncoder(attrs)
+	var records [][]string
+	for i, v := range dictionaryEdgeValues {
+		w := dictionaryEdgeValues[(i*5+3)%len(dictionaryEdgeValues)]
+		records = append(records, []string{v, w})
+	}
+	var want []Tuple
+	for _, rec := range records {
+		tp, err := orig.Encode(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, tp)
+	}
+	rebuilt, err := NewEncoderFromDictionaries(attrs, orig.Dictionaries())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rec := range records {
+		got, err := rebuilt.Encode(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want[i]) {
+			t.Fatalf("rebuilt Encode(%q) = %v, original %v", rec, got, want[i])
+		}
+	}
+	fresh := []string{"new", "a-value-longer-than-seven-bytes"}
+	a, _ := orig.Encode(fresh)
+	b, _ := rebuilt.Encode(fresh)
+	if !slices.Equal(a, b) {
+		t.Fatalf("fresh record: rebuilt %v, original %v", b, a)
+	}
+	for _, dup := range []string{"ab", "nine99999"} {
+		dicts := orig.Dictionaries()
+		dicts[0] = append(dicts[0], dup)
+		if _, err := NewEncoderFromDictionaries(attrs, dicts); err == nil || !strings.Contains(err.Error(), "duplicate dictionary entry") {
+			t.Fatalf("duplicate %q: err = %v", dup, err)
+		}
 	}
 }
 

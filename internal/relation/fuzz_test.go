@@ -2,6 +2,7 @@ package relation
 
 import (
 	"bytes"
+	"reflect"
 	"slices"
 	"testing"
 )
@@ -9,7 +10,9 @@ import (
 // FuzzReadCSV feeds arbitrary bytes through CSV ingestion in both header
 // modes. The invariants of the panic-proof ingestion path: ReadCSV never
 // panics, a malformed header (duplicate/empty/whitespace-only cells) never
-// produces a relation, and every accepted relation is internally consistent.
+// produces a relation, and every accepted relation is internally consistent
+// and equal to what the encode-then-Insert oracle builds: the same error or
+// the same attributes, rows and dictionaries.
 func FuzzReadCSV(f *testing.F) {
 	f.Add([]byte("A,B\n1,2\n3,4\n"), true)
 	f.Add([]byte("A,A\n1,2\n"), true)     // duplicate header cell
@@ -18,8 +21,13 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add([]byte("1,2\n3,4\n"), false)    // headerless
 	f.Add([]byte(`"x,y",z`+"\n1,2\n"), true)
 	f.Add([]byte(""), true)
+	f.Add([]byte("A,B\nab,seven77\nab\x00,eight888\nab,seven77\n日本語,é\n"), true) // packed-key edges
 	f.Fuzz(func(t *testing.T, data []byte, header bool) {
 		rel, enc, err := ReadCSV(bytes.NewReader(data), header)
+		wantRel, wantEnc, wantErr := readCSVOracle(bytes.NewReader(bytes.TrimPrefix(data, []byte(utf8BOM))), header)
+		if !sameError(err, wantErr) {
+			t.Fatalf("error %v, oracle %v", err, wantErr)
+		}
 		if err != nil {
 			return
 		}
@@ -35,6 +43,12 @@ func FuzzReadCSV(f *testing.F) {
 			if len(rel.Row(i)) != rel.Arity() {
 				t.Fatalf("row %d has %d fields, arity %d", i, len(rel.Row(i)), rel.Arity())
 			}
+		}
+		if !slices.Equal(rel.Attrs(), wantRel.Attrs()) ||
+			!reflect.DeepEqual(rel.Rows(), wantRel.Rows()) ||
+			!reflect.DeepEqual(enc.Dictionaries(), wantEnc.Dictionaries()) {
+			t.Fatalf("attrs %q / %q\nrows %v / %v\ndicts %q / %q",
+				rel.Attrs(), wantRel.Attrs(), rel.Rows(), wantRel.Rows(), enc.Dictionaries(), wantEnc.Dictionaries())
 		}
 		// The engine must come up on whatever was ingested.
 		if rel.Arity() > 0 {

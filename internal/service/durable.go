@@ -318,11 +318,29 @@ func (s *Service) maybeCompact(d *Dataset) {
 		return
 	}
 	go func() {
-		defer d.compacting.Store(false)
-		if _, err := s.checkpointDataset(d); err != nil {
-			s.checkpointErrors.Add(1)
-		}
+		v, err := s.checkpointDataset(d)
+		s.endCompaction(d, v, err)
 	}()
+}
+
+// endCompaction releases d's compaction latch after a background checkpoint
+// that returned v or err. When rows landed after v's view it re-checks the
+// threshold: their appends found the compaction in flight and skipped their
+// own trigger, and the checkpoint keeps them in the WAL, so the WAL may have
+// outgrown the threshold with no later append to notice. With no new rows
+// it does not: the WAL can then hold only no-op records of all-duplicate
+// batches, which no checkpoint can drop until a row lands (they carry a
+// generation the view never reached), so re-checking would checkpoint in a
+// loop; the next append that adds a row triggers compaction as usual.
+func (s *Service) endCompaction(d *Dataset, v *CheckpointView, err error) {
+	d.compacting.Store(false)
+	if err != nil {
+		s.checkpointErrors.Add(1)
+		return
+	}
+	if d.View().Generation() > v.Generation {
+		s.maybeCompact(d)
+	}
 }
 
 // CheckpointAll checkpoints every durable dataset (the daemon calls it on

@@ -250,6 +250,105 @@ func TestDurableSizeTriggeredCompaction(t *testing.T) {
 	}
 }
 
+// TestDurableCompactionRechecksAfterInFlight replays the interleaving in
+// which a background compaction captures its view, appends land while it is
+// in flight (their triggers find the latch taken and skip), and its
+// checkpoint leaves those appends in the WAL above the threshold. Ending the
+// compaction must start another one: no later append may ever come to
+// trigger it.
+func TestDurableCompactionRechecksAfterInFlight(t *testing.T) {
+	dir := t.TempDir()
+	store, err := persist.Open(dir, persist.Options{CompactAt: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(16)
+	if _, err := s.EnableDurability(store); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Registry().RegisterIn("default", "block", strings.NewReader(blockCSV(2, 2, 2)), true); err != nil {
+		t.Fatal(err)
+	}
+	d, _ := s.Registry().GetIn("default", "block")
+	t.Cleanup(func() {
+		for d.compacting.Load() {
+			time.Sleep(time.Millisecond)
+		}
+	})
+	// The in-flight compaction: latch taken, view captured.
+	d.compacting.Store(true)
+	d.appendMu.Lock()
+	view, dicts := d.View(), d.Enc.Dictionaries()
+	d.appendMu.Unlock()
+	for i := 0; d.store.WALBytes() < 256; i++ {
+		if _, err := s.AppendIn("default", "block", [][]string{{fmt.Sprint(1000 + i), fmt.Sprint(2000 + i), "7"}}, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err = d.store.WriteCheckpoint(checkpointOf(d.Name, view, dicts))
+	if d.store.WALBytes() < 256 {
+		t.Fatalf("stale checkpoint left %d WAL bytes, want the appends after its view", d.store.WALBytes())
+	}
+	s.endCompaction(d, &CheckpointView{Generation: view.Generation()}, err)
+	deadline := time.Now().Add(10 * time.Second)
+	for d.store.WALBytes() >= 256 {
+		if time.Now().After(deadline) {
+			t.Fatalf("WAL holds %d bytes after the compaction ended; no compaction followed (stats %+v)", d.store.WALBytes(), s.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestDurableCompactionDuplicateBatchSettles appends one batch of duplicate
+// rows big enough to put the WAL over the threshold. Its no-op record
+// carries a generation the view never reaches, so no checkpoint can drop it;
+// the compaction it triggers must end there rather than checkpoint again
+// and again while no row lands.
+func TestDurableCompactionDuplicateBatchSettles(t *testing.T) {
+	dir := t.TempDir()
+	store, err := persist.Open(dir, persist.Options{CompactAt: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(16)
+	if _, err := s.EnableDurability(store); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Registry().RegisterIn("default", "block", strings.NewReader(blockCSV(2, 2, 2)), true); err != nil {
+		t.Fatal(err)
+	}
+	d, _ := s.Registry().GetIn("default", "block")
+	t.Cleanup(func() {
+		for d.compacting.Load() {
+			time.Sleep(time.Millisecond)
+		}
+	})
+	var dups [][]string
+	for len(dups) < 64 {
+		for _, line := range strings.Split(strings.TrimSpace(blockCSV(2, 2, 2)), "\n")[1:] {
+			dups = append(dups, strings.Split(line, ","))
+		}
+	}
+	before := d.checkpoints.Load()
+	if v, err := s.AppendIn("default", "block", dups, false); err != nil || v.Appended != 0 {
+		t.Fatalf("duplicate batch: %+v, %v", v, err)
+	}
+	if d.store.WALBytes() < 256 {
+		t.Fatalf("duplicate batch left %d WAL bytes, want at least the threshold", d.store.WALBytes())
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for d.checkpoints.Load() == before || d.compacting.Load() {
+		if time.Now().After(deadline) {
+			t.Fatalf("compaction never ran or never ended: %+v", s.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(100 * time.Millisecond)
+	if got := d.checkpoints.Load() - before; got != 1 || d.compacting.Load() {
+		t.Fatalf("%d checkpoints after one duplicate batch (compacting %v), want 1 and settled", got, d.compacting.Load())
+	}
+}
+
 // TestDurableConcurrentAppends: concurrent appenders against a durable
 // dataset; afterwards a recovered service matches the live one exactly.
 func TestDurableConcurrentAppends(t *testing.T) {
