@@ -2,10 +2,9 @@ package persist
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
-	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 )
@@ -13,27 +12,23 @@ import (
 const (
 	checkpointFile    = "checkpoint.ckpt"
 	checkpointTmpFile = "checkpoint.tmp"
-	// checkpointMagic is the current (v2) on-disk format: a CRC-protected
+	// checkpointMagic opens the one on-disk format (v2): a CRC-protected
 	// header with per-segment lengths, followed by independently
 	// CRC-protected dictionary and column segments. The header alone is
 	// enough to answer schema/row-count/generation queries, and each segment
 	// decodes independently — which is what makes lazy, mmap-backed recovery
 	// possible (see LazyCheckpoint).
-	checkpointMagic   = "AJDCKPT2"
-	checkpointMagicV1 = "AJDCKPT1"
-	// checkpointPrefixRead is the first read of a lazy open: large enough to
-	// cover the header of any realistic schema in one syscall.
-	checkpointPrefixRead = 64 << 10
+	checkpointMagic = "AJDCKPT2"
 )
 
 // Checkpoint is the binary columnar serialization of one frozen dataset
 // state: the schema, the per-attribute dictionaries (value v decodes to
-// Dicts[i][v-1], exactly the Encoder's reverse tables), the distinct rows in
-// stored order as one slice per column, and the snapshot generation. Row
-// order is part of the contract: group IDs — and with them every memoized
-// partition and the byte-exact JSON the service emits — are deterministic in
-// stored row order, which is how recovery reproduces pre-crash responses
-// bit for bit.
+// Dicts[i][v-1], exactly the Encoder's reverse tables, so a reader rejects
+// any code outside 1..len(Dicts[i])), the distinct rows in stored order as
+// one slice per column, and the snapshot generation. Row order is part of
+// the contract: group IDs — and with them every memoized partition and the
+// byte-exact JSON the service emits — are deterministic in stored row
+// order, which is how recovery reproduces pre-crash responses bit for bit.
 type Checkpoint struct {
 	Name       string
 	Attrs      []string
@@ -50,8 +45,8 @@ func (c *Checkpoint) NumRows() int {
 	return len(c.Columns[0])
 }
 
-// CheckpointHeader is the cheap-to-read summary a v2 checkpoint stores ahead
-// of its data segments: everything recovery needs to register a dataset
+// CheckpointHeader is the cheap-to-read summary a checkpoint stores ahead of
+// its data segments: everything recovery needs to register a dataset
 // (schema, row count, generation) without decoding a single column.
 type CheckpointHeader struct {
 	Name       string
@@ -59,8 +54,10 @@ type CheckpointHeader struct {
 	Generation int64
 	Rows       int
 
-	dictLens []int64 // per attribute: dictionary segment length (body + CRC)
-	colLens  []int64 // per attribute: column segment length (body + CRC)
+	// segs holds the segment boundaries in the file: segment k (the
+	// dictionaries in attribute order, then the columns; each body + CRC)
+	// is bytes [segs[k], segs[k+1]).
+	segs []int
 }
 
 // WriteCheckpoint atomically publishes ck as the dataset's latest checkpoint
@@ -158,7 +155,12 @@ func encodeColumnBody(col []int32) []byte {
 	return body
 }
 
-func decodeColumnBody(body []byte, rows int) ([]int32, error) {
+// decodeColumnBody decodes a column of rows codes, each of which must name
+// an entry of its attribute's dictSize-entry dictionary.
+func decodeColumnBody(body []byte, rows, dictSize int) ([]int32, error) {
+	if rows > len(body) { // every code takes at least one byte
+		return nil, fmt.Errorf("persist: %d rows exceed the %d-byte column segment", rows, len(body))
+	}
 	col := make([]int32, rows)
 	p := body
 	var err error
@@ -167,10 +169,10 @@ func decodeColumnBody(body []byte, rows int) ([]int32, error) {
 		if v, p, err = uvarint(p); err != nil {
 			return nil, err
 		}
-		if v > 1<<32-1 {
-			return nil, fmt.Errorf("persist: checkpoint value %d out of range", v)
+		if v == 0 || v > uint64(dictSize) || v > math.MaxInt32 {
+			return nil, fmt.Errorf("persist: code %d outside the %d-entry dictionary", v, dictSize)
 		}
-		col[i] = int32(uint32(v))
+		col[i] = int32(v)
 	}
 	if len(p) != 0 {
 		return nil, fmt.Errorf("persist: %d trailing bytes in column segment", len(p))
@@ -237,252 +239,78 @@ func encodeCheckpoint(ck *Checkpoint) []byte {
 	return buf
 }
 
-// parseCheckpointHeader parses the v2 preamble from a prefix of the file.
-// When the prefix is too short it returns need > 0: the caller should retry
-// with at least that many bytes. segBase is the file offset where the packed
-// segment area begins.
-func parseCheckpointHeader(prefix []byte) (hdr *CheckpointHeader, segBase int64, need int, err error) {
+// parseCheckpointHeader parses the header of a whole v2 checkpoint and
+// locates every segment from it. The segments must cover the rest of data
+// exactly; each one's CRC is checked only when it is decoded. A file in any
+// other checkpoint format is refused with an error naming that format.
+func parseCheckpointHeader(data []byte) (*CheckpointHeader, error) {
 	m := len(checkpointMagic)
-	if len(prefix) < m || string(prefix[:m]) != checkpointMagic {
-		return nil, 0, 0, fmt.Errorf("persist: not a checkpoint file")
+	if len(data) < m || string(data[:m]) != checkpointMagic {
+		if len(data) >= m && string(data[:m-1]) == checkpointMagic[:m-1] {
+			return nil, fmt.Errorf("persist: checkpoint format %q is not readable; this version reads only %q", data[:m], checkpointMagic)
+		}
+		return nil, fmt.Errorf("persist: not a checkpoint file")
 	}
-	hlen, p, err := uvarint(prefix[m:])
-	if err != nil {
-		// A truncated varint this early can only mean a file shorter than any
-		// valid checkpoint.
-		return nil, 0, 0, fmt.Errorf("persist: truncated checkpoint header")
+	hlen, p, err := uvarint(data[m:])
+	if err != nil || hlen > uint64(len(p)) || uint64(len(p))-hlen < 4 {
+		return nil, fmt.Errorf("persist: truncated checkpoint header")
 	}
-	if hlen > 1<<26 {
-		return nil, 0, 0, fmt.Errorf("persist: checkpoint header length %d out of range", hlen)
-	}
-	lenBytes := len(prefix) - m - len(p)
-	segBase = int64(m+lenBytes) + int64(hlen) + 4
-	if int64(len(prefix)) < segBase {
-		return nil, 0, int(segBase), nil
-	}
-	body := prefix[m+lenBytes : m+lenBytes+int(hlen)]
-	trailer := prefix[m+lenBytes+int(hlen) : segBase]
-	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(trailer) {
-		return nil, 0, 0, fmt.Errorf("persist: checkpoint header CRC mismatch")
+	body, p := p[:hlen], p[hlen:]
+	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(p) {
+		return nil, fmt.Errorf("persist: checkpoint header CRC mismatch")
 	}
 	h := &CheckpointHeader{}
 	if h.Name, body, err = readString(body); err != nil {
-		return nil, 0, 0, err
+		return nil, err
 	}
 	gen, body, err := uvarint(body)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, err
 	}
 	h.Generation = int64(gen)
 	nattrs, body, err := uvarint(body)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, err
 	}
 	if nattrs > uint64(len(body)) {
-		return nil, 0, 0, fmt.Errorf("persist: checkpoint attr count %d exceeds header", nattrs)
+		return nil, fmt.Errorf("persist: checkpoint attr count %d exceeds header", nattrs)
 	}
 	h.Attrs = make([]string, nattrs)
 	for i := range h.Attrs {
 		if h.Attrs[i], body, err = readString(body); err != nil {
-			return nil, 0, 0, err
+			return nil, err
 		}
 	}
 	nrows, body, err := uvarint(body)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, err
 	}
 	if nrows > 1<<40 {
-		return nil, 0, 0, fmt.Errorf("persist: checkpoint row count %d out of range", nrows)
+		return nil, fmt.Errorf("persist: checkpoint row count %d out of range", nrows)
 	}
 	h.Rows = int(nrows)
-	h.dictLens = make([]int64, nattrs)
-	h.colLens = make([]int64, nattrs)
-	for i := range h.dictLens {
+	h.segs = make([]int, 2*nattrs+1)
+	h.segs[0] = len(data) - len(p) + 4
+	for k := 1; k < len(h.segs); k++ {
 		var n uint64
 		if n, body, err = uvarint(body); err != nil {
-			return nil, 0, 0, err
+			return nil, err
 		}
-		h.dictLens[i] = int64(n)
-	}
-	for c := range h.colLens {
-		var n uint64
-		if n, body, err = uvarint(body); err != nil {
-			return nil, 0, 0, err
+		if n < 4 {
+			return nil, fmt.Errorf("persist: checkpoint segment %d shorter than its CRC", k-1)
 		}
-		h.colLens[c] = int64(n)
+		if n > uint64(len(data)-h.segs[k-1]) {
+			return nil, fmt.Errorf("persist: checkpoint segment %d runs past the end of the file", k-1)
+		}
+		h.segs[k] = h.segs[k-1] + int(n)
 	}
 	if len(body) != 0 {
-		return nil, 0, 0, fmt.Errorf("persist: %d trailing bytes in checkpoint header", len(body))
+		return nil, fmt.Errorf("persist: %d trailing bytes in checkpoint header", len(body))
 	}
-	return h, segBase, 0, nil
-}
-
-// segmentOffsets derives each segment's offset from the packed lengths and
-// validates that the segment area covers the file exactly.
-func (h *CheckpointHeader) segmentOffsets(segBase, fileSize int64) (dictOffs, colOffs []int64, err error) {
-	dictOffs = make([]int64, len(h.dictLens))
-	colOffs = make([]int64, len(h.colLens))
-	off := segBase
-	for i, n := range h.dictLens {
-		if n < 4 {
-			return nil, nil, fmt.Errorf("persist: checkpoint dictionary segment %d shorter than its CRC", i)
-		}
-		dictOffs[i] = off
-		off += n
+	if end := h.segs[len(h.segs)-1]; end != len(data) {
+		return nil, fmt.Errorf("persist: checkpoint segments end at %d, file size %d", end, len(data))
 	}
-	for c, n := range h.colLens {
-		if n < 4 {
-			return nil, nil, fmt.Errorf("persist: checkpoint column segment %d shorter than its CRC", c)
-		}
-		colOffs[c] = off
-		off += n
-	}
-	if off != fileSize {
-		return nil, nil, fmt.Errorf("persist: checkpoint segments end at %d, file size %d", off, fileSize)
-	}
-	return dictOffs, colOffs, nil
-}
-
-// readCheckpointFile loads and verifies a checkpoint eagerly. A missing file
-// returns (nil, nil): the dataset has no checkpoint (an interrupted
-// registration). A present but corrupt file is an error — unlike a torn WAL
-// tail there is no smaller consistent state to fall back to.
-func readCheckpointFile(path string) (*Checkpoint, error) {
-	data, err := os.ReadFile(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("persist: reading checkpoint: %w", err)
-	}
-	return decodeCheckpoint(data)
-}
-
-// decodeCheckpoint decodes either checkpoint format, dispatching on magic.
-func decodeCheckpoint(data []byte) (*Checkpoint, error) {
-	if len(data) >= len(checkpointMagicV1) && string(data[:len(checkpointMagicV1)]) == checkpointMagicV1 {
-		return decodeCheckpointV1(data)
-	}
-	return decodeCheckpointV2(data)
-}
-
-func decodeCheckpointV2(data []byte) (*Checkpoint, error) {
-	hdr, segBase, need, err := parseCheckpointHeader(data)
-	if err != nil {
-		return nil, err
-	}
-	if need > 0 {
-		return nil, fmt.Errorf("persist: truncated checkpoint header")
-	}
-	dictOffs, colOffs, err := hdr.segmentOffsets(segBase, int64(len(data)))
-	if err != nil {
-		return nil, err
-	}
-	ck := &Checkpoint{
-		Name:       hdr.Name,
-		Attrs:      hdr.Attrs,
-		Generation: hdr.Generation,
-		Dicts:      make([][]string, len(hdr.Attrs)),
-		Columns:    make([][]int32, len(hdr.Attrs)),
-	}
-	for i := range ck.Dicts {
-		body, err := openSegment(data[dictOffs[i] : dictOffs[i]+hdr.dictLens[i]])
-		if err != nil {
-			return nil, err
-		}
-		if ck.Dicts[i], err = decodeDictBody(body); err != nil {
-			return nil, err
-		}
-	}
-	for c := range ck.Columns {
-		body, err := openSegment(data[colOffs[c] : colOffs[c]+hdr.colLens[c]])
-		if err != nil {
-			return nil, err
-		}
-		if ck.Columns[c], err = decodeColumnBody(body, hdr.Rows); err != nil {
-			return nil, err
-		}
-	}
-	return ck, nil
-}
-
-// decodeCheckpointV1 decodes the legacy single-CRC monolithic format, kept so
-// stores written before the v2 layout still recover.
-func decodeCheckpointV1(data []byte) (*Checkpoint, error) {
-	if len(data) < len(checkpointMagicV1)+4 || string(data[:len(checkpointMagicV1)]) != checkpointMagicV1 {
-		return nil, fmt.Errorf("persist: not a checkpoint file")
-	}
-	body, trailer := data[:len(data)-4], data[len(data)-4:]
-	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(trailer) {
-		return nil, fmt.Errorf("persist: checkpoint CRC mismatch")
-	}
-	p := body[len(checkpointMagicV1):]
-	ck := &Checkpoint{}
-	var err error
-	if ck.Name, p, err = readString(p); err != nil {
-		return nil, err
-	}
-	gen, p, err := uvarint(p)
-	if err != nil {
-		return nil, err
-	}
-	ck.Generation = int64(gen)
-	nattrs, p, err := uvarint(p)
-	if err != nil {
-		return nil, err
-	}
-	if nattrs > uint64(len(p)) {
-		return nil, fmt.Errorf("persist: checkpoint attr count %d exceeds payload", nattrs)
-	}
-	ck.Attrs = make([]string, nattrs)
-	for i := range ck.Attrs {
-		if ck.Attrs[i], p, err = readString(p); err != nil {
-			return nil, err
-		}
-	}
-	ck.Dicts = make([][]string, nattrs)
-	for i := range ck.Dicts {
-		var n uint64
-		if n, p, err = uvarint(p); err != nil {
-			return nil, err
-		}
-		if n > uint64(len(p))+1 {
-			return nil, fmt.Errorf("persist: checkpoint dictionary size %d exceeds payload", n)
-		}
-		dict := make([]string, n)
-		for j := range dict {
-			if dict[j], p, err = readString(p); err != nil {
-				return nil, err
-			}
-		}
-		ck.Dicts[i] = dict
-	}
-	nrows, p, err := uvarint(p)
-	if err != nil {
-		return nil, err
-	}
-	if nattrs > 0 && nrows > uint64(len(p)) {
-		return nil, fmt.Errorf("persist: checkpoint row count %d exceeds payload", nrows)
-	}
-	ck.Columns = make([][]int32, nattrs)
-	for c := range ck.Columns {
-		col := make([]int32, nrows)
-		for i := range col {
-			var v uint64
-			if v, p, err = uvarint(p); err != nil {
-				return nil, err
-			}
-			if v > 1<<32-1 {
-				return nil, fmt.Errorf("persist: checkpoint value %d out of range", v)
-			}
-			col[i] = int32(uint32(v))
-		}
-		ck.Columns[c] = col
-	}
-	if len(p) != 0 {
-		return nil, fmt.Errorf("persist: %d trailing bytes in checkpoint", len(p))
-	}
-	return ck, nil
+	return h, nil
 }
 
 func appendString(buf []byte, s string) []byte {

@@ -68,8 +68,16 @@ func (d *DatasetStore) ExportWAL(from int64) ([]byte, int64, error) {
 // gets the same CRC-protected segments a local recovery would read.
 func EncodeCheckpoint(ck *Checkpoint) []byte { return encodeCheckpoint(ck) }
 
-// DecodeCheckpoint decodes a checkpoint in either on-disk format.
-func DecodeCheckpoint(data []byte) (*Checkpoint, error) { return decodeCheckpoint(data) }
+// DecodeCheckpoint decodes a checkpoint from its bytes through the same
+// reader recovery uses on a checkpoint file (see LazyCheckpoint), so a
+// replication snapshot is held to exactly the checks a local recovery is.
+func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
+	l, err := readCheckpoint(data)
+	if err != nil {
+		return nil, err
+	}
+	return l.Materialize()
+}
 
 // DecodeWALStream decodes a replication WAL transfer. Unlike crash recovery,
 // a transfer has no legitimate torn tail — the primary only ever serves whole

@@ -71,17 +71,27 @@ func FuzzWALLoad(f *testing.F) {
 }
 
 // FuzzCheckpointDecode: arbitrary bytes must never panic the checkpoint
-// decoder, and anything it accepts must re-encode to a decodable equal.
+// reader, its two entry points (the bytes themselves, and a file holding
+// them) must agree, every code it accepts must name a dictionary entry, and
+// anything it accepts must re-encode to a decodable equal.
 func FuzzCheckpointDecode(f *testing.F) {
 	f.Add(encodeCheckpoint(testCheckpoint()))
+	f.Add(v1Checkpoint(testCheckpoint()))
 	f.Add([]byte(checkpointMagic))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ck, err := decodeCheckpoint(data)
+		ck, err := decodeBothWays(t, data)
 		if err != nil {
 			return
 		}
-		back, err := decodeCheckpoint(encodeCheckpoint(ck))
+		for c, col := range ck.Columns {
+			for _, v := range col {
+				if v < 1 || int(v) > len(ck.Dicts[c]) {
+					t.Fatalf("accepted code %d outside the %d-entry dictionary of %q", v, len(ck.Dicts[c]), ck.Attrs[c])
+				}
+			}
+		}
+		back, err := DecodeCheckpoint(encodeCheckpoint(ck))
 		if err != nil {
 			t.Fatalf("re-encode of accepted checkpoint rejected: %v", err)
 		}

@@ -8,39 +8,30 @@ import (
 	"os"
 )
 
-// LazyCheckpoint is an opened-but-undecoded checkpoint: the header is parsed
-// (schema, row count, generation — everything boot-time registration needs)
-// while dictionary and column segments stay on disk until first access. The
-// file is memory-mapped when the platform supports it, so a segment decode
-// touches only its own pages; otherwise segments are read with ReadAt. This
-// is what turns N-dataset boot recovery from O(total bytes decoded) into
-// O(N) opens — cold datasets cost a header parse until a query actually
-// needs their rows.
+// LazyCheckpoint is the one checkpoint reader: the header is parsed (schema,
+// row count, generation — everything boot-time registration needs) while
+// the dictionary and column segments stay undecoded until Materialize. Its
+// bytes are the whole file, memory-mapped where the platform allows it
+// (so a dataset nobody queries costs a header parse and no heap), read into
+// memory where it does not, or the caller's bytes for a replication
+// snapshot. This is what turns N-dataset boot recovery from O(total bytes
+// decoded) into O(N) opens.
 //
-// A LazyCheckpoint is read-only and safe for concurrent segment reads. Close
-// releases the mapping and the file handle; Materialize must be called
-// before Close.
+// The file descriptor is closed as soon as the bytes are mapped or read, so
+// an open LazyCheckpoint holds no descriptor. It is read-only and safe for
+// concurrent Materialize calls. Close releases the mapping; Materialize must
+// be called before Close.
 type LazyCheckpoint struct {
-	f    *os.File
-	data []byte // whole-file mmap when available; nil → ReadAt fallback
-	size int64
-
-	hdr      *CheckpointHeader
-	segBase  int64
-	dictOffs []int64
-	colOffs  []int64
-
-	// full holds a legacy (v1) checkpoint decoded eagerly at open: the
-	// monolithic format has one trailing CRC over everything, so there is no
-	// per-segment laziness to exploit.
-	full *Checkpoint
+	data   []byte
+	mapped bool // data is a mapping that Close must release
+	hdr    *CheckpointHeader
 }
 
 // OpenLazyCheckpoint opens the checkpoint at path without decoding its data
 // segments. A missing file returns (nil, nil) — the dataset has no
 // checkpoint. Corruption detectable from the header (bad magic, header CRC,
 // segment extents not matching the file size) is an error immediately;
-// corruption inside a segment surfaces on that segment's first access.
+// corruption inside a segment surfaces in Materialize.
 func OpenLazyCheckpoint(path string) (*LazyCheckpoint, error) {
 	f, err := os.Open(path)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -49,168 +40,93 @@ func OpenLazyCheckpoint(path string) (*LazyCheckpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("persist: opening checkpoint: %w", err)
 	}
+	data, mapped, err := mapFile(f)
+	f.Close() // a mapping outlives its descriptor
+	if err != nil {
+		return nil, fmt.Errorf("persist: reading checkpoint: %w", err)
+	}
+	l, err := readCheckpoint(data)
+	if err != nil {
+		if mapped {
+			munmapFile(data)
+		}
+		return nil, err
+	}
+	l.mapped = mapped
+	return l, nil
+}
+
+// mapFile returns f's whole contents: a read-only mapping when the platform
+// and filesystem allow one (mapped is then true), else a heap copy.
+func mapFile(f *os.File) (data []byte, mapped bool, err error) {
 	st, err := f.Stat()
 	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("persist: statting checkpoint: %w", err)
+		return nil, false, err
 	}
-	size := st.Size()
-	prefix := make([]byte, min64(size, checkpointPrefixRead))
-	if _, err := io.ReadFull(io.NewSectionReader(f, 0, size), prefix); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("persist: reading checkpoint header: %w", err)
+	if data := mmapFile(f, st.Size()); data != nil {
+		return data, true, nil
 	}
-	if len(prefix) >= len(checkpointMagicV1) && string(prefix[:len(checkpointMagicV1)]) == checkpointMagicV1 {
-		// Legacy format: decode the whole file now and serve it from memory.
-		data := make([]byte, size)
-		if _, err := f.ReadAt(data, 0); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("persist: reading checkpoint: %w", err)
-		}
-		f.Close()
-		ck, err := decodeCheckpointV1(data)
-		if err != nil {
-			return nil, err
-		}
-		return &LazyCheckpoint{
-			size: size,
-			hdr: &CheckpointHeader{
-				Name:       ck.Name,
-				Attrs:      ck.Attrs,
-				Generation: ck.Generation,
-				Rows:       ck.NumRows(),
-			},
-			full: ck,
-		}, nil
-	}
-	hdr, segBase, need, err := parseCheckpointHeader(prefix)
-	if err == nil && need > 0 {
-		if int64(need) > size {
-			err = fmt.Errorf("persist: truncated checkpoint header")
-		} else {
-			prefix = make([]byte, need)
-			if _, rerr := f.ReadAt(prefix, 0); rerr != nil {
-				err = fmt.Errorf("persist: reading checkpoint header: %w", rerr)
-			} else {
-				hdr, segBase, need, err = parseCheckpointHeader(prefix)
-				if err == nil && need > 0 {
-					err = fmt.Errorf("persist: truncated checkpoint header")
-				}
-			}
-		}
-	}
+	data, err = io.ReadAll(f)
+	return data, false, err
+}
+
+// readCheckpoint parses data's header; the segments are decoded by
+// Materialize.
+func readCheckpoint(data []byte) (*LazyCheckpoint, error) {
+	hdr, err := parseCheckpointHeader(data)
 	if err != nil {
-		f.Close()
 		return nil, err
 	}
-	dictOffs, colOffs, err := hdr.segmentOffsets(segBase, size)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &LazyCheckpoint{
-		f:        f,
-		data:     mmapFile(f, size),
-		size:     size,
-		hdr:      hdr,
-		segBase:  segBase,
-		dictOffs: dictOffs,
-		colOffs:  colOffs,
-	}, nil
+	return &LazyCheckpoint{data: data, hdr: hdr}, nil
 }
 
 // Header returns the checkpoint's boot-time summary. The returned struct is
 // shared; callers must not modify its slices.
 func (l *LazyCheckpoint) Header() CheckpointHeader { return *l.hdr }
 
-// segment returns the raw bytes of [off, off+n): a subslice of the mapping
-// when mmapped, otherwise a fresh ReadAt buffer.
-func (l *LazyCheckpoint) segment(off, n int64) ([]byte, error) {
-	if l.data != nil {
-		return l.data[off : off+n], nil
-	}
-	buf := make([]byte, n)
-	if _, err := l.f.ReadAt(buf, off); err != nil {
-		return nil, fmt.Errorf("persist: reading checkpoint segment: %w", err)
-	}
-	return buf, nil
+// segment returns segment k's body after verifying its CRC.
+func (l *LazyCheckpoint) segment(k int) ([]byte, error) {
+	return openSegment(l.data[l.hdr.segs[k]:l.hdr.segs[k+1]])
 }
 
-// Dict decodes attribute i's dictionary segment, verifying its CRC.
-func (l *LazyCheckpoint) Dict(i int) ([]string, error) {
-	if l.full != nil {
-		return l.full.Dicts[i], nil
-	}
-	seg, err := l.segment(l.dictOffs[i], l.hdr.dictLens[i])
-	if err != nil {
-		return nil, err
-	}
-	body, err := openSegment(seg)
-	if err != nil {
-		return nil, err
-	}
-	return decodeDictBody(body)
-}
-
-// Column decodes attribute c's column segment, verifying its CRC.
-func (l *LazyCheckpoint) Column(c int) ([]int32, error) {
-	if l.full != nil {
-		return l.full.Columns[c], nil
-	}
-	seg, err := l.segment(l.colOffs[c], l.hdr.colLens[c])
-	if err != nil {
-		return nil, err
-	}
-	body, err := openSegment(seg)
-	if err != nil {
-		return nil, err
-	}
-	return decodeColumnBody(body, l.hdr.Rows)
-}
-
-// Materialize decodes every segment into a full in-memory Checkpoint. The
-// result does not reference the mapping, so Close may follow immediately.
+// Materialize decodes every segment into a full in-memory Checkpoint,
+// rejecting a segment whose CRC fails and a column code that names no entry
+// of its attribute's dictionary. The result does not reference the
+// checkpoint's bytes, so Close may follow immediately.
 func (l *LazyCheckpoint) Materialize() (*Checkpoint, error) {
-	if l.full != nil {
-		return l.full, nil
-	}
+	nattrs := len(l.hdr.Attrs)
 	ck := &Checkpoint{
 		Name:       l.hdr.Name,
 		Attrs:      l.hdr.Attrs,
 		Generation: l.hdr.Generation,
-		Dicts:      make([][]string, len(l.hdr.Attrs)),
-		Columns:    make([][]int32, len(l.hdr.Attrs)),
+		Dicts:      make([][]string, nattrs),
+		Columns:    make([][]int32, nattrs),
 	}
-	var err error
 	for i := range ck.Dicts {
-		if ck.Dicts[i], err = l.Dict(i); err != nil {
-			return nil, err
+		body, err := l.segment(i)
+		if err == nil {
+			ck.Dicts[i], err = decodeDictBody(body)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("persist: checkpoint dictionary %q: %w", ck.Attrs[i], err)
 		}
 	}
 	for c := range ck.Columns {
-		if ck.Columns[c], err = l.Column(c); err != nil {
-			return nil, err
+		body, err := l.segment(nattrs + c)
+		if err == nil {
+			ck.Columns[c], err = decodeColumnBody(body, l.hdr.Rows, len(ck.Dicts[c]))
+		}
+		if err != nil {
+			return nil, fmt.Errorf("persist: checkpoint column %q: %w", ck.Attrs[c], err)
 		}
 	}
 	return ck, nil
 }
 
-// Close releases the mapping and file handle. Dict/Column/Materialize must
-// not be called afterwards.
-func (l *LazyCheckpoint) Close() error {
-	munmapFile(l.data)
-	l.data = nil
-	if l.f == nil {
-		return nil
+// Close releases the mapping. Materialize must not be called afterwards.
+func (l *LazyCheckpoint) Close() {
+	if l.mapped {
+		munmapFile(l.data)
 	}
-	err := l.f.Close()
-	l.f = nil
-	return err
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
+	l.data, l.mapped = nil, false
 }

@@ -9,7 +9,7 @@ import (
 
 // mmapFile maps the first size bytes of f read-only, returning nil when the
 // mapping is unavailable (empty file, size overflow, or a filesystem that
-// refuses mmap) — callers fall back to ReadAt.
+// refuses mmap) — callers then read the file into memory whole.
 func mmapFile(f *os.File, size int64) []byte {
 	if size <= 0 || int64(int(size)) != size {
 		return nil

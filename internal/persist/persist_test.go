@@ -1,7 +1,9 @@
 package persist
 
 import (
+	"encoding/binary"
 	"encoding/hex"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -59,7 +61,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 func TestCheckpointEmptyRows(t *testing.T) {
 	ck := &Checkpoint{Name: "e", Attrs: []string{"A"}, Generation: 1,
 		Dicts: [][]string{{}}, Columns: [][]int32{{}}}
-	got, err := decodeCheckpoint(encodeCheckpoint(ck))
+	got, err := decodeBothWays(t, encodeCheckpoint(ck))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,17 +70,148 @@ func TestCheckpointEmptyRows(t *testing.T) {
 	}
 }
 
+// decodeBothWays reads data through both entry points of the checkpoint
+// reader — DecodeCheckpoint on the bytes, and OpenLazyCheckpoint on a file
+// holding them followed by Materialize — and fails the test unless the two
+// agree: both reject, or both accept deeply equal checkpoints. It returns
+// DecodeCheckpoint's result.
+func decodeBothWays(t *testing.T, data []byte) (*Checkpoint, error) {
+	t.Helper()
+	ck, err := DecodeCheckpoint(data)
+	path := filepath.Join(t.TempDir(), checkpointFile)
+	if werr := os.WriteFile(path, data, 0o644); werr != nil {
+		t.Fatal(werr)
+	}
+	lck, ferr := OpenLazyCheckpoint(path)
+	var fck *Checkpoint
+	if ferr == nil {
+		fck, ferr = lck.Materialize()
+		lck.Close()
+	}
+	if (err == nil) != (ferr == nil) {
+		t.Fatalf("bytes and file disagree: DecodeCheckpoint error %v, file error %v", err, ferr)
+	}
+	if err == nil && !reflect.DeepEqual(ck, fck) {
+		t.Fatalf("bytes and file decode differently:\n%+v\n%+v", ck, fck)
+	}
+	return ck, err
+}
+
 func TestCheckpointCorruption(t *testing.T) {
 	data := encodeCheckpoint(testCheckpoint())
+	if _, err := decodeBothWays(t, data); err != nil {
+		t.Fatal(err)
+	}
 	for _, i := range []int{0, len(checkpointMagic) + 1, len(data) / 2, len(data) - 1} {
 		bad := append([]byte(nil), data...)
 		bad[i] ^= 0x40
-		if _, err := decodeCheckpoint(bad); err == nil {
+		if _, err := decodeBothWays(t, bad); err == nil {
 			t.Errorf("flipped byte %d accepted", i)
 		}
 	}
-	if _, err := decodeCheckpoint(data[:len(data)-3]); err == nil {
-		t.Error("truncated checkpoint accepted")
+	for _, n := range []int{0, len(checkpointMagic), len(data) - 3} {
+		if _, err := decodeBothWays(t, data[:n]); err == nil {
+			t.Errorf("checkpoint truncated to %d bytes accepted", n)
+		}
+	}
+}
+
+// TestCheckpointRejectsCodeOutsideDictionary: column code v decodes to
+// Dicts[c][v-1], so a code of 0, one past the dictionary, or a uint32 that
+// wraps negative as an int32 names no value. Every read of such a
+// checkpoint — bytes, file, Load — fails with an error naming the
+// attribute, instead of handing the service a code its encoder would later
+// reuse for a different value.
+func TestCheckpointRejectsCodeOutsideDictionary(t *testing.T) {
+	for _, code := range []int32{0, 3, -1} {
+		ck := &Checkpoint{Name: "d", Attrs: []string{"A", "B"}, Generation: 2,
+			Dicts:   [][]string{{"a1", "a2"}, {"b1"}},
+			Columns: [][]int32{{1, 2}, {1, code}}}
+		named := func(how string, err error) {
+			t.Helper()
+			if err == nil || !strings.Contains(err.Error(), `"B"`) {
+				t.Errorf("code %d, %s: error %v, want one naming attribute \"B\"", code, how, err)
+			}
+		}
+		_, err := DecodeCheckpoint(encodeCheckpoint(ck))
+		named("DecodeCheckpoint", err)
+
+		store, err := Open(t.TempDir(), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds, err := store.Dataset("default", "d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ds.WriteCheckpoint(ck); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = ds.Load()
+		named("Load", err)
+		lck, _, err := ds.LoadLazy()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = lck.Materialize()
+		lck.Close()
+		named("LoadLazy+Materialize", err)
+		ds.Close()
+	}
+}
+
+// v1Checkpoint renders ck in the retired v1 layout (magic AJDCKPT1, one CRC
+// over everything), which no reader accepts any more.
+func v1Checkpoint(ck *Checkpoint) []byte {
+	buf := []byte("AJDCKPT1")
+	buf = appendString(buf, ck.Name)
+	buf = binary.AppendUvarint(buf, uint64(ck.Generation))
+	buf = binary.AppendUvarint(buf, uint64(len(ck.Attrs)))
+	for _, a := range ck.Attrs {
+		buf = appendString(buf, a)
+	}
+	for _, dict := range ck.Dicts {
+		buf = binary.AppendUvarint(buf, uint64(len(dict)))
+		for _, v := range dict {
+			buf = appendString(buf, v)
+		}
+	}
+	buf = binary.AppendUvarint(buf, uint64(ck.NumRows()))
+	for _, col := range ck.Columns {
+		for _, v := range col {
+			buf = binary.AppendUvarint(buf, uint64(v))
+		}
+	}
+	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+}
+
+// TestCheckpointRefusesV1: a checkpoint in the v1 format is refused by every
+// read — with an error naming the format and, through the store, the
+// dataset — never decoded, and never mistaken for a missing checkpoint.
+func TestCheckpointRefusesV1(t *testing.T) {
+	data := v1Checkpoint(testCheckpoint())
+	if _, err := decodeBothWays(t, data); err == nil || !strings.Contains(err.Error(), "AJDCKPT1") {
+		t.Fatalf("v1 bytes: error %v, want one naming AJDCKPT1", err)
+	}
+	dir := t.TempDir()
+	store, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := store.Dataset("default", "flights")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	if err := os.WriteFile(filepath.Join(dir, "default", "flights", checkpointFile), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = ds.Load()
+	_, _, lerr := ds.LoadLazy()
+	for how, err := range map[string]error{"Load": err, "LoadLazy": lerr} {
+		if err == nil || !strings.Contains(err.Error(), "AJDCKPT1") || !strings.Contains(err.Error(), `"flights"`) {
+			t.Errorf("%s of a v1 checkpoint: error %v, want one naming AJDCKPT1 and the dataset", how, err)
+		}
 	}
 }
 

@@ -103,34 +103,34 @@ func (d *DatasetStore) AppendWAL(gen int64, records [][]string) error {
 
 // Load reads the dataset's durable state for recovery: the latest checkpoint
 // (nil when none exists — an interrupted registration) and every intact WAL
-// record. A torn final record — a crash mid-write leaves a frame whose
-// length runs past EOF or whose CRC does not match — is tolerated by
-// truncating the WAL back to the last intact frame. A corrupt checkpoint is
-// an error: it is the data itself, not a replayable tail.
+// record. It is LoadLazy followed by a full decode of the checkpoint. A
+// corrupt checkpoint is an error: it is the data itself, not a replayable
+// tail.
 func (d *DatasetStore) Load() (*Checkpoint, []WALRecord, error) {
-	ck, err := readCheckpointFile(filepath.Join(d.dir, checkpointFile))
-	if err != nil {
-		return nil, nil, err
+	lck, recs, err := d.LoadLazy()
+	if err != nil || lck == nil {
+		return nil, recs, err
 	}
-	if ck != nil {
-		d.lastCkpt.Store(ck.Generation)
-	}
-	recs, err := d.loadWAL()
+	defer lck.Close()
+	ck, err := lck.Materialize()
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("persist: loading dataset %q: %w", d.name, err)
 	}
 	return ck, recs, nil
 }
 
-// LoadLazy is Load without the checkpoint decode: the checkpoint is opened
-// lazily (header only; see LazyCheckpoint) while the WAL tail is still fully
+// LoadLazy reads the dataset's durable state without decoding the
+// checkpoint's segments: the checkpoint is opened lazily (header only; see
+// LazyCheckpoint) and nil when none exists, while the WAL tail is fully
 // scanned — its records must replay on first access, and truncating a torn
-// tail belongs at boot, before any new append extends the file. The caller
-// owns the returned LazyCheckpoint and must Close it after materializing.
+// tail (a crash mid-write leaves a frame whose length runs past EOF or
+// whose CRC does not match) belongs at boot, before any new append extends
+// the file. The caller owns the returned LazyCheckpoint and must Close it
+// after materializing.
 func (d *DatasetStore) LoadLazy() (*LazyCheckpoint, []WALRecord, error) {
 	lck, err := OpenLazyCheckpoint(filepath.Join(d.dir, checkpointFile))
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("persist: loading dataset %q: %w", d.name, err)
 	}
 	if lck != nil {
 		d.lastCkpt.Store(lck.Header().Generation)

@@ -3,6 +3,7 @@ package service
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"ajdloss/internal/infotheory"
 	"ajdloss/internal/persist"
@@ -62,6 +63,38 @@ func datasetFromCheckpoint(ck *persist.Checkpoint) (*relation.Relation, *relatio
 	return rel, enc, nil
 }
 
+// restoreDataset is the one path from a decoded checkpoint to a servable
+// relation, shared by boot recovery (a pending WAL tail), the first touch
+// of a lazily recovered dataset and a replica bootstrap: adopt the
+// checkpoint's columns, replay the WAL records past its generation, then
+// warm the engine as registration does. It returns the rows replayed and
+// the records dropped (see replayWAL).
+func restoreDataset(ck *persist.Checkpoint, recs []persist.WALRecord) (rel *relation.Relation, enc *relation.Encoder, replayed, dropped int, err error) {
+	rel, enc, err = datasetFromCheckpoint(ck)
+	if err != nil {
+		return nil, nil, 0, 0, err
+	}
+	if replayed, dropped, err = replayWAL(rel, enc, recs, ck.Generation); err != nil {
+		return nil, nil, 0, 0, fmt.Errorf("service: replaying WAL for %q: %w", ck.Name, err)
+	}
+	if err := warmEngine(rel); err != nil {
+		return nil, nil, 0, 0, fmt.Errorf("service: warming recovered %q: %w", ck.Name, err)
+	}
+	return rel, enc, replayed, dropped, nil
+}
+
+// warmEngine computes every singleton entropy, which builds the column
+// mirror and seeds the partition memo, so the first request to a dataset
+// does not pay the cold start.
+func warmEngine(rel *relation.Relation) error {
+	for _, a := range rel.Attrs() {
+		if _, err := infotheory.Entropy(rel, a); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // replayWAL applies the WAL tail to a relation recovered from a checkpoint
 // at generation ckptGen. Records the checkpoint already covers are skipped
 // by generation; replay of anything else is idempotent (duplicate rows add
@@ -109,7 +142,7 @@ type RecoveredDataset struct {
 	Info
 	Namespace            string // namespace the dataset was recovered into
 	CheckpointGeneration int64  // generation of the checkpoint it started from
-	ReplayedRows         int    // rows re-applied from the WAL tail (eager recovery)
+	ReplayedRows         int    // rows re-applied from the WAL tail at boot
 	DroppedRecords       int    // WAL records unusable against the checkpoint
 	// Lazy marks a dataset adopted without decoding its checkpoint: its WAL
 	// held nothing past the checkpointed generation, so the header state is
@@ -118,17 +151,17 @@ type RecoveredDataset struct {
 }
 
 // EnableDurability attaches a durability store to the service and recovers
-// every dataset in it. Datasets whose WAL holds no records past their
-// checkpoint — every dataset after a graceful shutdown — are adopted
-// *lazily*: only the checkpoint header is read (O(open + header) per
-// dataset, with the column data mmapped for first access), so booting N
-// datasets costs O(N), not O(total bytes). A dataset with a pending WAL
-// tail recovers eagerly — checkpoint decode, WAL-tail replay (a torn final
-// record was already truncated by the store), then the same warm-up
-// registration performs — and comes back at its exact pre-crash rows and
-// generation with a hot engine. EnableDurability must be called before the
-// service starts serving (the daemon recovers at boot); after it returns,
-// registrations, appends and removals of every dataset are durable.
+// every dataset in it. Each dataset is adopted from its checkpoint header
+// (O(open + header) per dataset, with the column data mmapped for first
+// access), so booting N datasets costs O(N), not O(total bytes). A dataset
+// whose WAL holds records past its checkpoint — a crash, not a graceful
+// shutdown — is materialized before it is registered: the same decode, WAL
+// replay (a torn final record was already truncated by the store) and
+// warm-up a first query runs, so it comes back at its exact pre-crash rows
+// and generation with a hot engine. EnableDurability must be called before
+// the service starts serving (the daemon recovers at boot); after it
+// returns, registrations, appends and removals of every dataset are
+// durable.
 func (s *Service) EnableDurability(store *persist.Store) ([]RecoveredDataset, error) {
 	namespaces, err := store.Namespaces()
 	if err != nil {
@@ -168,7 +201,7 @@ func (s *Service) recoverDataset(store *persist.Store, ns, name string) (*Recove
 	lck, recs, err := ds.LoadLazy()
 	if err != nil {
 		ds.Close()
-		return nil, fmt.Errorf("service: loading %q: %w", name, err)
+		return nil, fmt.Errorf("service: %w", err)
 	}
 	if lck == nil {
 		// A directory without a checkpoint is an interrupted registration:
@@ -179,68 +212,40 @@ func (s *Service) recoverDataset(store *persist.Store, ns, name string) (*Recove
 		return nil, nil
 	}
 	hdr := lck.Header()
-	if len(hdr.Attrs) == 0 {
-		lck.Close()
+	d := &Dataset{Namespace: ns, Name: name, RegisteredAt: time.Now(), store: ds}
+	d.lazy = &lazyState{ck: lck, recs: recs, info: Info{
+		Name:         name,
+		Rows:         hdr.Rows,
+		Attrs:        hdr.Attrs,
+		Generation:   hdr.Generation,
+		RegisteredAt: d.RegisteredAt.UTC().Format(time.RFC3339),
+	}}
+	fail := func(err error) (*RecoveredDataset, error) {
+		d.closeLazy()
 		ds.Close()
-		return nil, fmt.Errorf("service: checkpoint for %q has no attributes", name)
+		return nil, err
 	}
-	pending := false
-	for _, rec := range recs {
-		if rec.Generation > hdr.Generation {
-			pending = true
+	if len(hdr.Attrs) == 0 {
+		return fail(fmt.Errorf("service: checkpoint for %q has no attributes", name))
+	}
+	rec := &RecoveredDataset{Namespace: ns, CheckpointGeneration: hdr.Generation, Lazy: true}
+	for _, r := range recs {
+		if r.Generation > hdr.Generation {
+			// The header is not the dataset state: replay the tail now, so
+			// the dataset is registered at its pre-crash rows and generation.
+			if err := d.ensure(); err != nil {
+				return fail(err)
+			}
+			rec.Lazy = false
+			rec.ReplayedRows, rec.DroppedRecords = d.lazy.replayed, d.lazy.dropped
 			break
 		}
 	}
-	if !pending {
-		d, err := s.reg.adoptLazy(ns, name, ds, lck, recs)
-		if err != nil {
-			lck.Close()
-			ds.Close()
-			return nil, err
-		}
-		return &RecoveredDataset{
-			Info:                 d.Info(),
-			Namespace:            ns,
-			CheckpointGeneration: hdr.Generation,
-			Lazy:                 true,
-		}, nil
+	if _, err := s.reg.install(d, false); err != nil {
+		return fail(err)
 	}
-	ck, err := lck.Materialize()
-	lck.Close()
-	if err != nil {
-		ds.Close()
-		return nil, fmt.Errorf("service: loading %q: %w", name, err)
-	}
-	rel, enc, err := datasetFromCheckpoint(ck)
-	if err != nil {
-		ds.Close()
-		return nil, err
-	}
-	applied, droppedRecs, err := replayWAL(rel, enc, recs, ck.Generation)
-	if err != nil {
-		ds.Close()
-		return nil, fmt.Errorf("service: replaying WAL for %q: %w", name, err)
-	}
-	// Same warm-up as RegisterIn: singleton entropies build the column
-	// mirror and seed the memo before the dataset is reachable.
-	for _, a := range rel.Attrs() {
-		if _, err := infotheory.Entropy(rel, a); err != nil {
-			ds.Close()
-			return nil, fmt.Errorf("service: warming recovered %q: %w", name, err)
-		}
-	}
-	d, err := s.reg.adopt(ns, name, rel, enc, ds)
-	if err != nil {
-		ds.Close()
-		return nil, err
-	}
-	return &RecoveredDataset{
-		Info:                 d.Info(),
-		Namespace:            ns,
-		CheckpointGeneration: ck.Generation,
-		ReplayedRows:         applied,
-		DroppedRecords:       droppedRecs,
-	}, nil
+	rec.Info = d.Info()
+	return rec, nil
 }
 
 // MaterializeAll forces every lazily recovered dataset to decode now — the

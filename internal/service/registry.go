@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"ajdloss/internal/discovery"
-	"ajdloss/internal/infotheory"
 	"ajdloss/internal/persist"
 	"ajdloss/internal/relation"
 )
@@ -76,10 +75,11 @@ type Dataset struct {
 	// WAL record before publishing the new view, and checkpoints fold the WAL
 	// into a fresh columnar snapshot file. Nil means in-memory only.
 	store *persist.DatasetStore
-	// lazy, when non-nil, holds the deferred recovery state of a dataset
-	// adopted from a clean checkpoint without decoding it: Rel, Enc and the
-	// view stay unset until the first query or append materializes them (see
-	// ensure). Info/ListIn are served from the checkpoint header meanwhile.
+	// lazy, when non-nil, holds the recovery state of a dataset recovered
+	// from its checkpoint: Rel, Enc and the view stay unset until the first
+	// query or append materializes them (see ensure), or until boot recovery
+	// does because the WAL holds a tail past the checkpoint. Info/ListIn are
+	// served from the checkpoint header meanwhile.
 	lazy *lazyState
 	// removed latches (under appendMu) when the dataset leaves the registry:
 	// an Append through a stale pointer grabbed before the removal must fail
@@ -93,15 +93,19 @@ type Dataset struct {
 	checkpoints atomic.Int64
 }
 
-// lazyState is the recovery work a lazily adopted dataset still owes: the
-// opened (header-only) checkpoint and the WAL tail to replay. once latches
-// materialization so concurrent first touches decode exactly once.
+// lazyState is the recovery work a recovered dataset owes until it is
+// materialized: the opened (header-only) checkpoint and the WAL tail to
+// replay. once latches materialization so concurrent first touches decode
+// exactly once.
 type lazyState struct {
 	once sync.Once
 	ck   *persist.LazyCheckpoint
 	recs []persist.WALRecord
 	info Info
 	err  error
+	// replayed and dropped are the WAL rows applied and records dropped by
+	// materialization, which boot recovery reports for a pending tail.
+	replayed, dropped int
 }
 
 // Durable reports whether the dataset has a durability store attached.
@@ -111,12 +115,13 @@ func (d *Dataset) Durable() bool { return d.store != nil }
 // view published. Only lazily recovered datasets can be unmaterialized.
 func (d *Dataset) Materialized() bool { return d.View() != nil }
 
-// ensure materializes a lazily recovered dataset on first touch: decode the
+// ensure materializes a recovered dataset on first touch: decode the
 // checkpoint columns (off the mmap when available), rebuild the relation and
-// encoder, replay the WAL tail, warm the engine, publish the view — exactly
-// the eager recovery path, deferred to the first query or append that needs
-// the rows. Safe for concurrent callers; after a failure every later call
-// returns the same error (the daemon surfaces it as a store failure).
+// encoder, replay the WAL tail, warm the engine, publish the view. Boot
+// recovery runs it before registering a dataset with a pending WAL tail;
+// otherwise the first query or append that needs the rows does. Safe for
+// concurrent callers; after a failure every later call returns the same
+// error (the daemon surfaces it as a store failure).
 func (d *Dataset) ensure() error {
 	l := d.lazy
 	if l == nil {
@@ -130,25 +135,18 @@ func (d *Dataset) ensure() error {
 
 func (d *Dataset) materialize(l *lazyState) error {
 	ck, err := l.ck.Materialize()
+	l.ck.Close()
+	l.ck = nil
 	if err != nil {
 		return fmt.Errorf("service: decoding checkpoint for %q: %w", d.Name, err)
 	}
-	rel, enc, err := datasetFromCheckpoint(ck)
+	rel, enc, replayed, dropped, err := restoreDataset(ck, l.recs)
 	if err != nil {
 		return err
 	}
-	if _, _, err := replayWAL(rel, enc, l.recs, ck.Generation); err != nil {
-		return fmt.Errorf("service: replaying WAL for %q: %w", d.Name, err)
-	}
-	for _, a := range rel.Attrs() {
-		if _, err := infotheory.Entropy(rel, a); err != nil {
-			return fmt.Errorf("service: warming recovered %q: %w", d.Name, err)
-		}
-	}
 	d.Rel, d.Enc = rel, enc
 	d.view.Store(rel.View())
-	l.ck.Close()
-	l.ck, l.recs = nil, nil
+	l.recs, l.replayed, l.dropped = nil, replayed, dropped
 	return nil
 }
 
@@ -410,13 +408,8 @@ func (g *Registry) RegisterIn(ns, name string, r io.Reader, header bool) (*Datas
 	if rel.N() == 0 {
 		return nil, fmt.Errorf("service: dataset %q has no rows", name)
 	}
-	// Warm the engine before publishing: the per-attribute singleton
-	// entropies build the column mirror and seed the partition memo, so the
-	// first analysis request does not pay the cold start.
-	for _, a := range rel.Attrs() {
-		if _, err := infotheory.Entropy(rel, a); err != nil {
-			return nil, fmt.Errorf("service: warming dataset %q: %w", name, err)
-		}
+	if err := warmEngine(rel); err != nil {
+		return nil, fmt.Errorf("service: warming dataset %q: %w", name, err)
 	}
 	// Claim the name before the durable setup so the checkpoint write — a
 	// full serialization plus fsyncs — runs OUTSIDE the registry lock:
@@ -485,74 +478,30 @@ func (g *Registry) RegisterIn(ns, name string, r io.Reader, header bool) (*Datas
 	return d, nil
 }
 
-// adopt registers a dataset recovered from the durability store: the
-// relation and encoder were rebuilt from its checkpoint and WAL, and ds is
-// attached so further appends keep logging. It fails if the name is taken.
-// Recovered rows count against the namespace's row total (quotas are not
-// enforced at recovery — existing data always loads, over-quota namespaces
-// simply cannot grow).
-func (g *Registry) adopt(ns, name string, rel *relation.Relation, enc *relation.Encoder, ds *persist.DatasetStore) (*Dataset, error) {
+// install registers d, a dataset rebuilt from a checkpoint — recovered at
+// boot or bootstrapped from a primary — and charges its rows to the
+// namespace's total. Quotas are not enforced: existing data always loads
+// and a replica mirrors data its primary already admitted; an over-quota
+// namespace simply cannot grow. A taken name fails unless replace is set,
+// in which case the old dataset is unlinked within the same registry lock,
+// so concurrent readers always resolve the name to a complete dataset — a
+// follower re-bootstrapping from a fresh snapshot must never open a 404
+// window — and returned for the caller to retire outside the lock.
+func (g *Registry) install(d *Dataset, replace bool) (old *Dataset, err error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	n := g.ensureNSLocked(ns)
-	if _, exists := n.byName[name]; exists {
-		return nil, fmt.Errorf("service: %w: %q", ErrAlreadyRegistered, name)
+	n := g.ensureNSLocked(d.Namespace)
+	old = n.byName[d.Name]
+	if old != nil && !replace {
+		return nil, fmt.Errorf("service: %w: %q", ErrAlreadyRegistered, d.Name)
 	}
 	g.nextID++
-	d := &Dataset{
-		ID:           g.nextID,
-		Namespace:    ns,
-		Name:         name,
-		Rel:          rel,
-		Enc:          enc,
-		RegisteredAt: time.Now(),
-		ns:           n,
-		store:        ds,
-	}
-	d.keyPrefix = nsPrefix(ns) + datasetPrefix(d.ID)
-	d.view.Store(rel.View())
-	n.rows.Add(int64(rel.N()))
-	n.byName[name] = d
-	return d, nil
-}
-
-// adoptLazy registers a dataset recovered from a clean checkpoint without
-// decoding it: only the header has been read, and the first query or append
-// materializes the rows (see Dataset.ensure). The checkpoint header state is
-// the dataset state — callers must only adopt lazily when the WAL holds no
-// records past the checkpointed generation.
-func (g *Registry) adoptLazy(ns, name string, ds *persist.DatasetStore, lck *persist.LazyCheckpoint, recs []persist.WALRecord) (*Dataset, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	n := g.ensureNSLocked(ns)
-	if _, exists := n.byName[name]; exists {
-		return nil, fmt.Errorf("service: %w: %q", ErrAlreadyRegistered, name)
-	}
-	hdr := lck.Header()
-	g.nextID++
-	d := &Dataset{
-		ID:           g.nextID,
-		Namespace:    ns,
-		Name:         name,
-		RegisteredAt: time.Now(),
-		ns:           n,
-		store:        ds,
-	}
-	d.keyPrefix = nsPrefix(ns) + datasetPrefix(d.ID)
-	d.lazy = &lazyState{
-		ck:   lck,
-		recs: recs,
-		info: Info{
-			Name:         name,
-			Rows:         hdr.Rows,
-			Attrs:        hdr.Attrs,
-			Generation:   hdr.Generation,
-			RegisteredAt: d.RegisteredAt.UTC().Format(time.RFC3339),
-		},
-	}
-	n.rows.Add(int64(hdr.Rows))
-	n.byName[name] = d
-	return d, nil
+	d.ID = g.nextID
+	d.keyPrefix = nsPrefix(d.Namespace) + datasetPrefix(d.ID)
+	d.ns = n
+	n.rows.Add(int64(d.Info().Rows))
+	n.byName[d.Name] = d
+	return old, nil
 }
 
 // GetIn returns the dataset registered under (namespace, name).
@@ -616,35 +565,6 @@ func (d *Dataset) retire() {
 	d.appendMu.Unlock()
 	d.ns.rows.Add(-rows)
 	d.closeLazy()
-}
-
-// adoptReplace installs a replica-built dataset under (ns, name), replacing
-// any existing one within a single registry lock acquisition so concurrent
-// readers always resolve the name to a complete dataset — a follower
-// re-bootstrapping from a fresh snapshot must never open a 404 window. The
-// replaced dataset (nil when the name was free) is returned for the caller
-// to retire outside the lock. Quotas are not checked: a replica mirrors data
-// its primary already admitted, exactly like crash recovery.
-func (g *Registry) adoptReplace(ns, name string, rel *relation.Relation, enc *relation.Encoder) (old, d *Dataset, err error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	n := g.ensureNSLocked(ns)
-	old = n.byName[name]
-	g.nextID++
-	d = &Dataset{
-		ID:           g.nextID,
-		Namespace:    ns,
-		Name:         name,
-		Rel:          rel,
-		Enc:          enc,
-		RegisteredAt: time.Now(),
-		ns:           n,
-	}
-	d.keyPrefix = nsPrefix(ns) + datasetPrefix(d.ID)
-	d.view.Store(rel.View())
-	n.rows.Add(int64(rel.N()))
-	n.byName[name] = d
-	return old, d, nil
 }
 
 // All returns every registered dataset across all namespaces, sorted by

@@ -3,8 +3,8 @@ package service
 import (
 	"errors"
 	"fmt"
+	"time"
 
-	"ajdloss/internal/infotheory"
 	"ajdloss/internal/persist"
 )
 
@@ -139,16 +139,13 @@ func (s *Service) ReplicaAdopt(ns, name string, snapshot []byte) (int64, error) 
 	if err != nil {
 		return 0, fmt.Errorf("service: decoding replica snapshot for %q: %w", name, err)
 	}
-	rel, enc, err := datasetFromCheckpoint(ck)
+	rel, enc, _, _, err := restoreDataset(ck, nil)
 	if err != nil {
 		return 0, err
 	}
-	for _, a := range rel.Attrs() {
-		if _, err := infotheory.Entropy(rel, a); err != nil {
-			return 0, fmt.Errorf("service: warming replica %q: %w", name, err)
-		}
-	}
-	old, d, err := s.reg.adoptReplace(ns, name, rel, enc)
+	d := &Dataset{Namespace: ns, Name: name, Rel: rel, Enc: enc, RegisteredAt: time.Now()}
+	d.view.Store(rel.View())
+	old, err := s.reg.install(d, true)
 	if err != nil {
 		return 0, err
 	}
