@@ -15,24 +15,6 @@ func RhoLowerBound(j float64) float64 {
 	return math.Expm1(j)
 }
 
-// CheckLowerBound verifies Lemma 4.1, J(T) ≤ log(1+ρ(R,S)), for the given
-// relation and join tree within tol. It returns the two sides.
-func CheckLowerBound(r *relation.Relation, t *jointree.JoinTree, tol float64) (j, logLoss float64, err error) {
-	j, err = JMeasure(r, t)
-	if err != nil {
-		return 0, 0, err
-	}
-	loss, err := ComputeLossTree(r, t)
-	if err != nil {
-		return 0, 0, err
-	}
-	logLoss = loss.LogOnePlusRho()
-	if j > logLoss+tol {
-		return j, logLoss, fmt.Errorf("core: Lemma 4.1 violated: J=%.12f > log(1+ρ)=%.12f", j, logLoss)
-	}
-	return j, logLoss, nil
-}
-
 // CFactor is C(d) = 2·log(d)/√d (Eq. 45), the expected-entropy deficit bound
 // of Proposition 5.4.
 func CFactor(d int) float64 {

@@ -7,15 +7,18 @@
 // generation — a hit) or refreshes them by recomputing only what the
 // intervening appends invalidated.
 //
-// The invalidation scoping rests on two engine facts, surfaced by
-// engine.Snapshot.Delta:
+// The memo follows one snapshot chain, recognized by engine.Snapshot.Chain:
+// a view of another chain (a different relation, or one rebuilt after an
+// Insert) resets it at any generation. Its invalidation scoping rests on two
+// engine facts:
 //
 //   - every appended row joins some group of every partition, so every
 //     entropy-derived value (MI, CMI, H) changes on any append — those
 //     lattice nodes are recomputed, but in O(groups) from the incrementally
 //     extended partitions, never by re-refining rows;
-//   - group IDs are stable along the chain, so integer per-FD g₃ state
-//     (fd.G3State) advances by scanning only the appended row range.
+//   - rows and group IDs are stable along a chain, so integer per-FD g₃
+//     state (fd.G3State) advances by scanning only the appended row range,
+//     however many appends that range spans.
 //
 // Results are bit-identical to a cold recompute at every generation: warm
 // refreshes run exactly the cold code paths against the warm chain (floats
@@ -46,27 +49,26 @@ type MemoCounters struct {
 	// scoped work rather than a rebuild.
 	RecomputedNodes int64 `json:"discover_recomputed_nodes"`
 	// ColdRuns counts full cold materializations: the first run of a result
-	// kind/parameter set, runs against a view the memoized chain cannot
-	// reach (stale view, or more appends since the last call than the
-	// engine's delta horizon retains), and runs after a chain reset.
+	// kind/parameter set, runs against a stale view (older than the memo's
+	// generation), and runs after a reset by a view of another chain.
 	ColdRuns int64 `json:"discover_cold_runs"`
 }
 
 // Memo materializes the discovery results of one dataset across generations.
-// It is bound to a single relation's snapshot chain: all calls must pass
-// views of the same (append-only) dataset. Safe for concurrent use; one
-// internal mutex serializes refreshes while counters stay atomically
-// readable. Returned slices and candidates are shared materialized values —
-// callers must not modify them.
+// It follows a single snapshot chain at a time: a view of another chain
+// drops every materialized result and restarts from that view. Safe for
+// concurrent use; one internal mutex serializes refreshes while counters
+// stay atomically readable. Returned slices and candidates are shared
+// materialized values — callers must not modify them.
 type Memo struct {
 	mu sync.Mutex
 
-	// gen/rows are the chain cursor: the newest generation the memoized
-	// state has been advanced to, and its stored-row count. fd.G3States are
-	// valid only while views advance continuously from here (verified via
-	// engine Delta); a break resets them.
-	gen  int64
-	rows int
+	// chain/gen are the cursor: the snapshot chain the memoized state was
+	// computed on and the newest generation it has been advanced to.
+	// fd.G3States hold per-row state of that chain only; a view of another
+	// chain resets them.
+	chain uint64
+	gen   int64
 
 	chowLiu  *chowLiuEntry
 	mvds     map[string]*mvdEntry
@@ -119,37 +121,32 @@ const (
 	modeStale                   // view is older than the cursor; serve off-memo
 )
 
-// advance moves the chain cursor to the view's generation. Called under mu.
-// When the view is ahead of the cursor it verifies chain continuity through
-// the engine's delta records; if the chain cannot be followed (delta horizon
-// exceeded, or a foreign/rebuilt relation), every generation-dependent state
-// is dropped and the memo restarts cold from this view.
+// advance moves the cursor to the view's generation. Called under mu. A view
+// of another chain (a different relation, or one rebuilt after an Insert)
+// drops every generation-dependent state and restarts the memo from this
+// view, whatever its generation; on the memo's own chain an older view is
+// stale and a newer one advances the cursor.
 func (m *Memo) advance(r *relation.Relation) memoMode {
-	gen, rows := r.Generation(), r.N()
-	switch {
-	case m.gen == 0: // first contact
-		m.gen, m.rows = gen, rows
-	case gen == m.gen:
+	snap := r.Snapshot()
+	switch chain, gen := snap.Chain(), snap.Generation(); {
+	case chain != m.chain:
+		m.reset(chain, gen)
 	case gen < m.gen:
 		return modeStale
 	default:
-		if sum, ok := r.Snapshot().Delta(m.gen); ok && sum.FromRows == m.rows {
-			m.gen, m.rows = gen, rows
-		} else {
-			m.reset(gen, rows)
-		}
+		m.gen = gen
 	}
 	return modeCurrent
 }
 
 // reset drops every generation-dependent materialization and restarts the
 // cursor; the next call of each kind runs cold.
-func (m *Memo) reset(gen int64, rows int) {
-	m.gen, m.rows = gen, rows
+func (m *Memo) reset(chain uint64, gen int64) {
+	m.chain, m.gen = chain, gen
 	m.chowLiu = nil
-	m.mvds = make(map[string]*mvdEntry)
-	m.fds = make(map[string]*fdEntry)
-	m.fdStates = make(map[string]*fd.G3State)
+	clear(m.mvds)
+	clear(m.fds)
+	clear(m.fdStates)
 }
 
 // ChowLiu returns the Chow-Liu candidate for the view, serving the
@@ -281,23 +278,16 @@ func (m *Memo) fdG3(r *relation.Relation, f fd.FD) (float64, error) {
 
 // FD answers one FD query (does X → Y hold, and its g₃ error) through the
 // memo's incremental per-FD state — the batch-query path. Bit-identical to
-// the engine's fd batch kind (the same group-ID algorithm). A repeated query
-// at an unchanged generation counts as a hit; otherwise the advanced
-// candidate counts as a recomputed node.
+// fd.Holds and fd.G3Error. A repeated query at an unchanged generation
+// counts as a hit; otherwise the advanced candidate (or a stale view's
+// off-memo answer) counts as a recomputed node.
 func (m *Memo) FD(r *relation.Relation, x, y []string) (holds bool, g3 float64, err error) {
 	f := fd.FD{X: x, Y: y}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.advance(r) == modeStale {
+	stale := m.advance(r) == modeStale
+	if stale {
 		m.recomputed.Add(1)
-		if holds, err = fd.Holds(r, f); err != nil {
-			return false, 0, err
-		}
-		if len(y) == 0 || r.N() == 0 {
-			return holds, 0, nil
-		}
-		g3, err = fd.G3Error(r, f)
-		return holds, g3, err
 	}
 	if holds, err = fd.Holds(r, f); err != nil {
 		return false, 0, err
@@ -305,8 +295,11 @@ func (m *Memo) FD(r *relation.Relation, x, y []string) (holds bool, g3 float64, 
 	if len(y) == 0 || r.N() == 0 {
 		return holds, 0, nil
 	}
-	st := m.fdStates[f.String()]
-	if st != nil && st.Rows() == r.N() {
+	if stale {
+		g3, err = fd.G3Error(r, f)
+		return holds, g3, err
+	}
+	if st := m.fdStates[f.String()]; st != nil && st.Rows() == r.N() {
 		m.hits.Add(1)
 	} else {
 		m.recomputed.Add(1)

@@ -193,8 +193,9 @@ func TestMemoCounters(t *testing.T) {
 		t.Fatalf("repeat FD query must hit: %+v", c)
 	}
 
-	// A foreign relation (same attrs, unrelated chain, later generation) must
-	// reset rather than serve from incompatible state.
+	// A foreign relation (same attrs, unrelated chain) must reset rather than
+	// serve from incompatible state. Its engine is built after its append, so
+	// it sits at generation 1, below the memo's cursor.
 	foreign := relation.FromRows(memoTestAttrs, live.Rows())
 	if _, err := foreign.Append([]relation.Tuple{memoTestRow(rng)}); err != nil {
 		t.Fatal(err)
@@ -212,6 +213,99 @@ func TestMemoCounters(t *testing.T) {
 	}
 	if c := m.Counters(); c.ColdRuns != 3 {
 		t.Fatalf("foreign relation must trigger a cold reset run: %+v", c)
+	}
+}
+
+// TestMemoForeignRelationSameGeneration gives a memo relation A and then a
+// different relation B at the same generation: B must reset the memo, so
+// every answer equals a cold recompute of B and each kind counts a cold run,
+// and switching back to A resets again rather than reuse B's FD state.
+func TestMemoForeignRelationSameGeneration(t *testing.T) {
+	rowsOf := func(seed int64, n int, mix func(relation.Tuple) relation.Tuple) []relation.Tuple {
+		rng := rand.New(rand.NewSource(seed))
+		out := make([]relation.Tuple, n)
+		for i := range out {
+			out[i] = mix(memoTestRow(rng))
+		}
+		return out
+	}
+	a := relation.FromRows(memoTestAttrs, rowsOf(7, 40, func(t relation.Tuple) relation.Tuple { return t }))
+	// In B, D is a function of A and C of B, so B's structure is not A's.
+	b := relation.FromRows(memoTestAttrs, rowsOf(8, 40, func(t relation.Tuple) relation.Tuple {
+		t[3] = t[0] % 2
+		t[2] = t[1]
+		return t
+	}))
+	if a.Generation() != b.Generation() {
+		t.Fatalf("generations %d and %d, want equal", a.Generation(), b.Generation())
+	}
+	m := NewMemo()
+	cfg := fd.DiscoverConfig{MaxLHS: 2, MaxG3: 0.3}
+	f := fd.FD{X: []string{"A"}, Y: []string{"D"}}
+
+	check := func(r *relation.Relation, name string) {
+		t.Helper()
+		cold := relation.FromRows(memoTestAttrs, r.Rows())
+		cand, err := m.ChowLiu(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantCand, err := ChowLiu(cold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if candKey(cand) != candKey(wantCand) {
+			t.Fatalf("%s: ChowLiu %s, cold %s", name, candKey(cand), candKey(wantCand))
+		}
+		mvds, err := m.FindMVDs(r, 1, 0.01)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantMVDs, err := FindMVDs(cold, 1, 0.01)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mvdKey(mvds) != mvdKey(wantMVDs) {
+			t.Fatalf("%s: FindMVDs\n%s cold\n%s", name, mvdKey(mvds), mvdKey(wantMVDs))
+		}
+		fds, err := m.DiscoverFDs(r, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantFDs, err := fd.Discover(cold, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fdKey(fds) != fdKey(wantFDs) {
+			t.Fatalf("%s: DiscoverFDs\n%s cold\n%s", name, fdKey(fds), fdKey(wantFDs))
+		}
+		holds, g3, err := m.FD(r, f.X, f.Y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantHolds, err := fd.Holds(cold, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantG3, err := fd.G3Error(cold, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if holds != wantHolds || math.Float64bits(g3) != math.Float64bits(wantG3) {
+			t.Fatalf("%s: FD(%v) = (%v, %v), cold (%v, %v)", name, f, holds, g3, wantHolds, wantG3)
+		}
+	}
+
+	// Per relation: one cold run for each of ChowLiu, FindMVDs and
+	// DiscoverFDs, and one hit for FD, whose state DiscoverFDs just advanced.
+	for i, step := range []struct {
+		r    *relation.Relation
+		name string
+	}{{a, "A"}, {b, "B"}, {a, "A again"}} {
+		check(step.r, step.name)
+		if c, k := m.Counters(), int64(i+1); c.ColdRuns != 3*k || c.Hits != k || c.RecomputedNodes != 0 {
+			t.Fatalf("after %s: %+v, want %d cold runs and %d hits (a reset)", step.name, c, 3*k, k)
+		}
 	}
 }
 

@@ -7,7 +7,8 @@ import "fmt"
 //
 //	"entropy"  H(Attrs), or H(Attrs|Given) when Given is set
 //	"mi"       I(A;B), "cmi" I(A;B|Given) (mi with Given behaves as cmi)
-//	"fd"       the FD X → Y: whether it holds plus its g₃ error
+//	"fd"       the FD X → Y: planned here (its X and X∪Y groupings), but
+//	           answered by internal/fd, which owns the g₃ computation
 //	"distinct" the number of distinct projected rows of Attrs
 type Query struct {
 	Kind  string
@@ -20,17 +21,17 @@ type Query struct {
 }
 
 // Result is the answer to one batch query. Entropy-family kinds fill Nats;
-// "fd" fills Holds and G3; "distinct" fills Distinct.
+// "distinct" fills Distinct.
 type Result struct {
 	Nats     float64
-	Holds    bool
-	G3       float64
 	Distinct int
 }
 
-// entropySets appends the attribute sets whose entropies answer q, or the
-// grouping-only sets for non-entropy kinds, and validates the query shape.
-func (q *Query) addToPlan(p *Plan) error {
+// AddToPlan adds the lattice nodes q needs to p and validates the query
+// shape. A batch adds every query to one plan, so the whole batch shares one
+// parents-first run, and then answers each query with Eval (fd queries
+// through internal/fd instead).
+func (q *Query) AddToPlan(p *Plan) error {
 	switch q.Kind {
 	case "entropy":
 		if len(q.Attrs) == 0 {
@@ -70,19 +71,10 @@ func (q *Query) addToPlan(p *Plan) error {
 	}
 }
 
-// AddToPlan adds the lattice nodes q needs to p, validating the query shape —
-// the per-query planning half of RunBatch, exported so callers that answer
-// some kinds out of band (the service's incremental FD path) can still share
-// one parents-first plan across a whole batch.
-func (q *Query) AddToPlan(p *Plan) error { return q.addToPlan(p) }
-
-// Eval answers q from the snapshot's memo; the lattice work must have been
-// done by a prior plan run (see AddToPlan). The evaluation half of RunBatch.
-func (q *Query) Eval(s *Snapshot) (Result, error) { return q.eval(s) }
-
-// eval answers q against the snapshot; all lattice work was done by the plan,
-// so this only combines memoized values (plus an O(n) scan for fd's g₃).
-func (q *Query) eval(s *Snapshot) (Result, error) {
+// Eval answers q from the snapshot's memo, which a prior plan run filled
+// (see AddToPlan), so it only combines memoized values. It refuses fd
+// queries: their g₃ error is computed by internal/fd.
+func (q *Query) Eval(s *Snapshot) (Result, error) {
 	switch q.Kind {
 	case "entropy":
 		hag, err := s.GroupEntropy(union(q.Attrs, q.Given)...)
@@ -122,7 +114,7 @@ func (q *Query) eval(s *Snapshot) (Result, error) {
 		}
 		return Result{Nats: v}, nil
 	case "fd":
-		return s.evalFD(q.X, q.Y)
+		return Result{}, fmt.Errorf("engine: fd queries are answered by internal/fd, not Eval")
 	case "distinct":
 		g, err := s.Grouping(q.Attrs...)
 		if err != nil {
@@ -132,71 +124,6 @@ func (q *Query) eval(s *Snapshot) (Result, error) {
 	default:
 		return Result{}, fmt.Errorf("engine: unknown batch query kind %q", q.Kind)
 	}
-}
-
-// evalFD answers the FD X → Y: Holds iff every X-group maps to one Y-value
-// (the X and X∪Y partitions have equally many groups), and G3 is the minimum
-// fraction of tuples to remove for it to hold — the same group-ID algorithm
-// as internal/fd.G3Error, kept in sync by a parity test there.
-func (s *Snapshot) evalFD(x, y []string) (Result, error) {
-	gx, err := s.Grouping(x...)
-	if err != nil {
-		return Result{}, err
-	}
-	gxy, err := s.Grouping(union(x, y)...)
-	if err != nil {
-		return Result{}, err
-	}
-	nx := gx.Groups()
-	if len(x) == 0 && s.n > 0 {
-		nx = 1
-	}
-	res := Result{Holds: gxy.Groups() == nx}
-	if s.n == 0 {
-		res.Holds = true
-		return res, nil
-	}
-	// For each X-group keep the most frequent Y-value: best[g] is the largest
-	// XY-group count among rows whose X-group is g.
-	best := make([]int, gx.Groups())
-	for i := 0; i < s.n; i++ {
-		c := gxy.Counts[gxy.IDs[i]]
-		if c > best[gx.IDs[i]] {
-			best[gx.IDs[i]] = c
-		}
-	}
-	keep := 0
-	for _, c := range best {
-		keep += c
-	}
-	res.G3 = float64(s.total-keep) / float64(s.total)
-	return res, nil
-}
-
-// RunBatch answers a set of queries against this one snapshot: it builds a
-// plan of every lattice node any query needs, runs it parents-first on the
-// worker pool (shared refinements are computed once across the whole batch),
-// then evaluates each query from the memo. Queries are validated up front; an
-// invalid query fails the whole batch before any computation.
-func (s *Snapshot) RunBatch(qs []Query, workers int) ([]Result, error) {
-	p := s.Plan()
-	for i := range qs {
-		if err := qs[i].addToPlan(p); err != nil {
-			return nil, fmt.Errorf("query %d: %w", i+1, err)
-		}
-	}
-	p.Run(workers)
-	out := make([]Result, len(qs))
-	errs := make([]error, len(qs))
-	ForEach(len(qs), workers, func(i int) {
-		out[i], errs[i] = qs[i].eval(s)
-	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("query %d: %w", i+1, err)
-		}
-	}
-	return out, nil
 }
 
 // union returns the concatenation of attribute lists with duplicates removed,

@@ -53,14 +53,16 @@ var benchBatch = []Query{
 // a per-request service without the snapshot layer would pay) and
 // sequentially warm (one engine, queries one at a time: memo sharing without
 // the planner's ordering and parallelism). Every variant starts from a cold
-// engine per iteration so the numbers measure real partition work.
+// engine per iteration so the numbers measure real partition work. Queries
+// run as the service runs them (runBatch): the fd queries' groupings are
+// planned, their g₃ scan is internal/fd's and not timed here.
 func BenchmarkBatchAnalyze(b *testing.B) {
 	rows := benchRows(20000)
 	b.Run("batch", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			snap := rowSnapshot(benchAttrs, rows)
-			if _, err := snap.RunBatch(benchBatch, 0); err != nil {
+			if _, err := runBatch(snap, benchBatch, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -70,7 +72,7 @@ func BenchmarkBatchAnalyze(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			snap := rowSnapshot(benchAttrs, rows)
 			for _, q := range benchBatch {
-				if _, err := snap.RunBatch([]Query{q}, 1); err != nil {
+				if _, err := runBatch(snap, []Query{q}, 1); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -81,7 +83,7 @@ func BenchmarkBatchAnalyze(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, q := range benchBatch {
 				snap := rowSnapshot(benchAttrs, rows)
-				if _, err := snap.RunBatch([]Query{q}, 1); err != nil {
+				if _, err := runBatch(snap, []Query{q}, 1); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -104,7 +106,7 @@ func BenchmarkSnapshotExtend(b *testing.B) {
 	base, fresh := all[:20000], all[20000:]
 	warm := func(b *testing.B) *Snapshot {
 		snap := rowSnapshot(benchAttrs, base)
-		if _, err := snap.RunBatch(benchBatch, 0); err != nil {
+		if _, err := runBatch(snap, benchBatch, 0); err != nil {
 			b.Fatal(err)
 		}
 		return snap

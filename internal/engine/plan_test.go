@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -40,8 +42,34 @@ func TestPlanPrefixClosure(t *testing.T) {
 	}
 }
 
-// TestRunBatch: every query kind against direct single-query computation,
-// plus validation failures.
+// runBatch answers a batch the way the analysis service does: one plan of
+// every query's lattice nodes (fd included), one parents-first run, then Eval
+// for every query but fd, whose g₃ internal/fd computes. An fd query's slot
+// is left zero.
+func runBatch(snap *Snapshot, qs []Query, workers int) ([]Result, error) {
+	p := snap.Plan()
+	for i := range qs {
+		if err := qs[i].AddToPlan(p); err != nil {
+			return nil, fmt.Errorf("query %d: %w", i+1, err)
+		}
+	}
+	p.Run(workers)
+	out := make([]Result, len(qs))
+	for i := range qs {
+		if qs[i].Kind == "fd" {
+			continue
+		}
+		var err error
+		if out[i], err = qs[i].Eval(snap); err != nil {
+			return nil, fmt.Errorf("query %d: %w", i+1, err)
+		}
+	}
+	return out, nil
+}
+
+// TestRunBatch: every query kind the engine answers against direct
+// single-query computation, the fd kind's plan coverage, and validation
+// failures.
 func TestRunBatch(t *testing.T) {
 	attrs := []string{"A", "B", "C"}
 	// B = A (an exact FD A→B); C is noisy.
@@ -59,7 +87,7 @@ func TestRunBatch(t *testing.T) {
 		{Kind: "fd", X: []string{"C"}, Y: []string{"A"}},
 		{Kind: "distinct", Attrs: []string{"A", "C"}},
 	}
-	res, err := snap.RunBatch(qs, 0)
+	res, err := runBatch(snap, qs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,18 +104,19 @@ func TestRunBatch(t *testing.T) {
 	if math.Abs(res[2].Nats-hA) > 1e-12 {
 		t.Fatalf("I(A;B) = %v, want H(A) = %v", res[2].Nats, hA)
 	}
-	if !res[4].Holds || res[4].G3 != 0 {
-		t.Fatalf("FD A→B: holds=%v g3=%v, want true, 0", res[4].Holds, res[4].G3)
-	}
-	if res[5].Holds {
-		t.Fatal("FD C→A reported as holding")
-	}
-	if res[5].G3 <= 0 || res[5].G3 >= 1 {
-		t.Fatalf("g3(C→A) = %v, want in (0,1)", res[5].G3)
-	}
 	gAC, _ := snap.Grouping("A", "C")
 	if res[6].Distinct != gAC.Groups() {
 		t.Fatalf("distinct(A,C) = %d, want %d", res[6].Distinct, gAC.Groups())
+	}
+	// The plan covered the fd queries' X and X∪Y groupings, but their
+	// answers belong to internal/fd.
+	for _, key := range []string{colsKey([]int{0}), colsKey([]int{0, 1}), colsKey([]int{2}), colsKey([]int{0, 2})} {
+		if _, ok := snap.memo[key]; !ok {
+			t.Fatalf("plan did not memoize the fd grouping %s", key)
+		}
+	}
+	if _, err := qs[4].Eval(snap); err == nil || !strings.Contains(err.Error(), "internal/fd") {
+		t.Fatalf("Eval(fd) = %v, want an error naming internal/fd", err)
 	}
 
 	for _, bad := range []Query{
@@ -97,7 +126,7 @@ func TestRunBatch(t *testing.T) {
 		{Kind: "nope", Attrs: []string{"A"}},
 		{Kind: "entropy", Attrs: []string{"Z"}},
 	} {
-		if _, err := snap.RunBatch([]Query{bad}, 0); err == nil {
+		if _, err := runBatch(snap, []Query{bad}, 0); err == nil {
 			t.Fatalf("invalid query %+v accepted", bad)
 		}
 	}

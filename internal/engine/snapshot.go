@@ -14,8 +14,8 @@
 // reader/writer lock from its read path.
 //
 // Layering: engine sits below internal/relation (which delegates its group
-// machinery here) and implements infotheory's Source/EntropySource contracts
-// structurally, so measures can run against a Snapshot directly.
+// machinery here) and implements infotheory's Source contract structurally,
+// so measures can run against a Snapshot directly.
 package engine
 
 import (
@@ -94,17 +94,13 @@ type Snapshot struct {
 	n       int     // number of stored (distinct) rows
 	total   int     // Σ weights (== n when weights is nil)
 	gen     int64   // 1 for a fresh snapshot; +1 per Extend
+	chain   uint64  // identity of the chain; shared by every Extend descendant
 
 	// colMin/colMax track each column's value range so refinement can pick
 	// dense probe tables (see refine.go); maintained at construction and by
 	// Extend, never mutated afterwards.
 	colMin []Value
 	colMax []Value
-
-	// deltas are the per-extend change records of the chain this snapshot
-	// ends (newest last, at most maxDeltaChain retained); Delta queries read
-	// them. Immutable once the snapshot is published.
-	deltas []deltaRecord
 
 	mu      sync.Mutex
 	memo    map[string]*memoEntry
@@ -137,6 +133,9 @@ func NewWeightedSnapshot(attrs []string, cols [][]Value, weights []int64, total 
 	return newSnapshot(attrs, cols, len(weights), weights, total)
 }
 
+// chains numbers the snapshot chains of the process; see Snapshot.Chain.
+var chains atomic.Uint64
+
 func newSnapshot(attrs []string, cols [][]Value, n int, weights []int64, total int) *Snapshot {
 	pos := make(map[string]int, len(attrs))
 	for i, a := range attrs {
@@ -150,6 +149,7 @@ func newSnapshot(attrs []string, cols [][]Value, n int, weights []int64, total i
 		n:       n,
 		total:   total,
 		gen:     1,
+		chain:   chains.Add(1),
 		colMin:  make([]Value, len(attrs)),
 		colMax:  make([]Value, len(attrs)),
 		memo:    make(map[string]*memoEntry),
@@ -193,6 +193,14 @@ func (s *Snapshot) Columns() [][]Value { return s.cols }
 // Generation returns the snapshot's generation: 1 at construction,
 // incremented by every Extend along the chain.
 func (s *Snapshot) Generation() int64 { return s.gen }
+
+// Chain identifies the snapshot's chain: every constructor starts a new one,
+// and Extend's child inherits its parent's. Row i is the same in every
+// snapshot of a chain that holds it (owners never rewrite a published row),
+// so state a consumer derived from one snapshot's rows advances to a later
+// generation of the same chain by reading only the rows past its own. The
+// identity is a number, not a pointer: it keeps no snapshot alive.
+func (s *Snapshot) Chain() uint64 { return s.chain }
 
 // Pos returns the column position of attribute a, or false.
 func (s *Snapshot) Pos(a string) (int, bool) {
@@ -259,7 +267,7 @@ func (s *Snapshot) GroupCounts(attrs ...string) ([]int, error) {
 }
 
 // GroupEntropy returns H(attrs) in nats under the snapshot's empirical
-// distribution, memoized per attribute set — the infotheory.EntropySource
+// distribution, memoized per attribute set — the infotheory.Source
 // contract.
 func (s *Snapshot) GroupEntropy(attrs ...string) (float64, error) {
 	cols, err := s.sortedColumns(attrs)
@@ -338,9 +346,9 @@ func (s *Snapshot) groupEntropy(cols []int) float64 {
 // this snapshot's, and rows NumRows..n-1 are the freshly appended
 // (distinct) rows. The child adopts the columns as NewSnapshotAt does,
 // every grouping memoized at call time is extended copy-on-write, the
-// generation is bumped, and the entropy memo starts empty (every entropy
-// changes when the total does; the next query recomputes in O(groups) from
-// the already-extended grouping).
+// generation is bumped on the same chain, and the entropy memo starts empty
+// (every entropy changes when the total does; the next query recomputes in
+// O(groups) from the already-extended grouping).
 //
 // Cost per memoized set: O(batch) probes of the refinement probe, which
 // moves from this snapshot's entry to the child's and is probed in place,
@@ -381,6 +389,7 @@ func (s *Snapshot) Extend(cols [][]Value, n int) *Snapshot {
 		n:       n,
 		total:   s.total + fresh,
 		gen:     s.gen + 1,
+		chain:   s.chain,
 		colMin:  make([]Value, len(cols)),
 		colMax:  make([]Value, len(cols)),
 		memo:    make(map[string]*memoEntry, len(entries)),
@@ -390,27 +399,6 @@ func (s *Snapshot) Extend(cols [][]Value, n int) *Snapshot {
 		child.cols[c] = cols[c][:n:n]
 		child.colMin[c], child.colMax[c] = valueRange(child.cols[c][s.n:], s.colMin[c], s.colMax[c])
 	}
-	// Record this extend's delta summary: the row range, which dictionaries
-	// grew, and (below, as each level publishes) how many groups every
-	// memoized grouping gained. The parent's record slice is copied, never
-	// appended to in place — siblings extended from the same parent must not
-	// share backing storage.
-	rec := deltaRecord{
-		fromGen:  s.gen,
-		fromRows: s.n,
-		toRows:   child.n,
-		dictGrew: make([]bool, len(cols)),
-		gained:   make(map[string]int, len(entries)),
-	}
-	for c := range cols {
-		rec.dictGrew[c] = child.colMin[c] != s.colMin[c] || child.colMax[c] != s.colMax[c]
-	}
-	prior := s.deltas
-	if len(prior) >= maxDeltaChain {
-		prior = prior[len(prior)-maxDeltaChain+1:]
-	}
-	child.deltas = append(append(make([]deltaRecord, 0, len(prior)+1), prior...), rec)
-
 	// Extend parents-first (shorter column sets first): a child's appended ids
 	// are derived from its parent's, and the memo's prefix closure guarantees
 	// the parent entry is present. Entries of one lattice level have no data
@@ -459,9 +447,8 @@ func (s *Snapshot) Extend(cols [][]Value, n int) *Snapshot {
 		ForEach(len(level), workers, func(i int) {
 			extended[i] = extendOne(level[i])
 		})
-		for i, ent := range extended {
+		for _, ent := range extended {
 			child.memo[colsKey(ent.cols)] = ent
-			rec.gained[colsKey(ent.cols)] = len(ent.g.Counts) - len(level[i].g.Counts)
 		}
 		lo = hi
 	}

@@ -211,6 +211,31 @@ func TestExtendEmptyAndNoop(t *testing.T) {
 	}
 }
 
+// TestSnapshotChainIdentity: every constructor starts a chain and every
+// Extend child inherits its parent's, so two snapshots of equal rows and
+// generation but separate construction are told apart.
+func TestSnapshotChainIdentity(t *testing.T) {
+	attrs := []string{"A", "B", "C"}
+	rows := randRows(5, 20, 3, 3)
+	s1 := rowSnapshot(attrs, rows[:10])
+	s2 := extendRows(s1, rows[10:15])
+	s3 := extendRows(s2, rows[15:])
+	if s2.Chain() != s1.Chain() || s3.Chain() != s1.Chain() {
+		t.Fatalf("Extend changed the chain: %d, %d, %d", s1.Chain(), s2.Chain(), s3.Chain())
+	}
+	twin := rowSnapshot(attrs, rows[:10])
+	if twin.Chain() == s1.Chain() || twin.Generation() != s1.Generation() {
+		t.Fatalf("a second construction over the same rows shares chain %d", twin.Chain())
+	}
+	recovered := NewSnapshotAt(attrs, columnsOf(3, rows), len(rows), s3.Generation())
+	weighted := NewWeightedSnapshot(attrs, columnsOf(3, rows), make([]int64, len(rows)), len(rows))
+	for _, other := range []*Snapshot{recovered, weighted} {
+		if other.Chain() == s1.Chain() || other.Chain() == twin.Chain() {
+			t.Fatalf("constructor reused chain %d", other.Chain())
+		}
+	}
+}
+
 // TestWeightedSnapshot: multiplicity-weighted counts and entropies.
 func TestWeightedSnapshot(t *testing.T) {
 	rows := []Tuple{{1, 1}, {1, 2}, {2, 1}}

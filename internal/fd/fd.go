@@ -81,36 +81,11 @@ func ConditionalEntropy(r Source, f FD) (float64, error) {
 
 // G3Error returns the g₃ measure of the FD: the minimum fraction of tuples
 // that must be removed from R for X → Y to hold. 0 iff the FD holds. It runs
-// over the memoized group-ID partitions of X and X∪Y — no per-row hashing.
+// over the memoized group-ID partitions of X and X∪Y — no per-row hashing —
+// as the first Advance of a fresh G3State.
 func G3Error(r Source, f FD) (float64, error) {
-	if r.N() == 0 {
-		return 0, fmt.Errorf("fd: g3 of an empty relation is undefined")
-	}
-	if len(f.Y) == 0 {
-		return 0, nil
-	}
-	gx, err := r.Grouping(f.X...)
-	if err != nil {
-		return 0, err
-	}
-	gxy, err := r.Grouping(infotheory.Union(f.X, f.Y)...)
-	if err != nil {
-		return 0, err
-	}
-	// For each X-group keep the most frequent Y-value: best[g] is the largest
-	// XY-group size among rows whose X-group is g.
-	best := make([]int, gx.Groups())
-	for i := range gxy.IDs {
-		c := gxy.Counts[gxy.IDs[i]]
-		if c > best[gx.IDs[i]] {
-			best[gx.IDs[i]] = c
-		}
-	}
-	keep := 0
-	for _, c := range best {
-		keep += c
-	}
-	return float64(r.N()-keep) / float64(r.N()), nil
+	g3, _, err := new(G3State).Advance(r, f)
+	return g3, err
 }
 
 // Closure returns the attribute closure X⁺ under the given FDs (Armstrong

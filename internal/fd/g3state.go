@@ -8,13 +8,14 @@ import (
 
 // G3State is the retained integer state of one FD's g₃ computation across
 // the appends of a snapshot chain: best[g] is the largest X∪Y-group count
-// among rows whose X-group is g, and keep is Σ best — exactly the integers
-// G3Error derives from a full scan. Group IDs are a pure function of
-// stored-row order (extension assigns exactly the IDs a from-scratch rebuild
-// would), so advancing the state over just the appended rows reproduces the
-// full scan's integers and the resulting g₃ is bit-identical to a cold
-// G3Error at every generation. This is what turns warm FD discovery from
-// O(n) per candidate per request into O(appended batch).
+// among rows whose X-group is g, and keep is Σ best. Its Advance holds the
+// module's one g₃ loop: G3Error is the first Advance of a fresh state, a
+// full scan. Group IDs are a pure function of stored-row order (extension
+// assigns exactly the IDs a from-scratch rebuild would), so advancing the
+// state over just the appended rows reproduces the full scan's integers and
+// the resulting g₃ is bit-identical to a cold G3Error at every generation.
+// This is what turns warm FD discovery from O(n) per candidate per request
+// into O(appended batch).
 //
 // Why the appended range suffices: an X∪Y-group's count only changes when an
 // appended row lands in it, and every such row is scanned against the
@@ -24,9 +25,10 @@ import (
 // The zero value is ready to use. A state is bound to one FD over one
 // append-only row sequence: Advance must only be called with sources whose
 // first Rows() entries are the rows previously folded (successive views of
-// the same dataset's snapshot chain). Like G3Error, it requires unweighted
-// sources (N() equal to the number of stored rows). Not safe for concurrent
-// use; callers lock around it.
+// the same dataset's snapshot chain), and advancing requires unweighted
+// sources (N() equal to the number of stored rows); a fresh state's first
+// Advance, which is all G3Error does, also answers weighted ones. Not safe
+// for concurrent use; callers lock around it.
 type G3State struct {
 	rows int   // stored rows folded in so far
 	keep int   // Σ best, maintained exactly
@@ -62,16 +64,19 @@ func (st *G3State) Advance(r Source, f FD) (g3 float64, ok bool, err error) {
 	if err != nil {
 		return 0, false, err
 	}
-	for len(st.best) < gx.Groups() {
-		st.best = append(st.best, 0)
+	if grow := gx.Groups() - len(st.best); grow > 0 {
+		st.best = append(st.best, make([]int, grow)...)
 	}
-	for i := st.rows; i < n; i++ {
+	// Keep each X-group's most frequent Y-value: a row's X∪Y-group count
+	// raises its X-group's best, and keep follows Σ best.
+	rows := len(gxy.IDs) // stored rows; n counts multiplicities
+	for i := st.rows; i < rows; i++ {
 		g := gx.IDs[i]
 		if c := gxy.Counts[gxy.IDs[i]]; c > st.best[g] {
 			st.keep += c - st.best[g]
 			st.best[g] = c
 		}
 	}
-	st.rows = n
+	st.rows = rows
 	return float64(n-st.keep) / float64(n), true, nil
 }

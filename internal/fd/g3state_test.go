@@ -157,3 +157,49 @@ func TestDiscoverWithMatchesDiscover(t *testing.T) {
 		}
 	}
 }
+
+// TestG3ErrorAndFreshState: G3Error is a fresh state's first Advance, so the
+// two agree on an exact FD (holds, g₃ 0), on a violated one (g₃ strictly
+// between 0 and 1), and on a weighted source, where rows and tuples differ.
+func TestG3ErrorAndFreshState(t *testing.T) {
+	// B = A, so A → B holds; C is noisy, so C → A does not.
+	var rows []relation.Tuple
+	for i := 0; i < 40; i++ {
+		rows = append(rows, relation.Tuple{relation.Value(i % 8), relation.Value(i % 8), relation.Value(i % 5)})
+	}
+	r := relation.FromRows([]string{"A", "B", "C"}, rows)
+	for _, c := range []struct {
+		f     FD
+		holds bool
+	}{
+		{FD{X: []string{"A"}, Y: []string{"B"}}, true},
+		{FD{X: []string{"C"}, Y: []string{"A"}}, false},
+	} {
+		holds, err := Holds(r, c.f)
+		if err != nil || holds != c.holds {
+			t.Fatalf("Holds(%v) = %v, %v; want %v", c.f, holds, err, c.holds)
+		}
+		g3, err := G3Error(r, c.f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.holds && g3 != 0 || !c.holds && (g3 <= 0 || g3 >= 1) {
+			t.Fatalf("g3(%v) = %v with holds %v", c.f, g3, c.holds)
+		}
+		st, ok, err := new(G3State).Advance(r, c.f)
+		if err != nil || !ok || math.Float64bits(st) != math.Float64bits(g3) {
+			t.Fatalf("fresh state g3(%v) = %v (ok %v, %v), G3Error %v", c.f, st, ok, err, g3)
+		}
+	}
+
+	// City 10 holds customer 1 three times and customer 2 twice; City 20
+	// holds customer 3 once. Keeping each city's majority removes 2 of 6.
+	m := relation.NewMultiset("Cust", "City")
+	m.Add(relation.Tuple{1, 10}, 3)
+	m.Add(relation.Tuple{2, 10}, 2)
+	m.Add(relation.Tuple{3, 20}, 1)
+	g3, err := G3Error(m, FD{X: []string{"City"}, Y: []string{"Cust"}})
+	if err != nil || math.Abs(g3-2.0/6) > 1e-12 {
+		t.Fatalf("weighted g3 = %v, %v; want 1/3", g3, err)
+	}
+}

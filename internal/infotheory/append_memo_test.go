@@ -8,10 +8,10 @@ import (
 )
 
 // TestEntropyMemoAcrossAppends pins the memo interaction of streaming
-// appends: Entropy's EntropySource fast path answers from a per-attribute-set
-// memo, and an Append must refresh (not stale-serve) every memoized value —
-// the engine extends its groupings in place and invalidates the entropy memo
-// wholesale, so the next query recomputes from the extended counts.
+// appends: Entropy answers from the source's per-attribute-set memo, and an
+// Append must refresh (not stale-serve) every memoized value — the engine
+// extends its groupings in place and invalidates the entropy memo wholesale,
+// so the next query recomputes from the extended counts.
 func TestEntropyMemoAcrossAppends(t *testing.T) {
 	r := relation.FromRows([]string{"A", "B"}, []relation.Tuple{{1, 1}, {1, 2}, {2, 1}})
 

@@ -18,19 +18,14 @@ import (
 // definition. N is the total number of tuples counted with multiplicity;
 // GroupCounts returns the multiplicities of the multiset projection onto
 // attrs as a dense slice indexed by group id (the columnar group-count
-// engine of internal/relation; group identities are irrelevant to every
-// measure here, only the count multiset matters).
+// engine; group identities are irrelevant to every measure here, only the
+// count multiset matters). GroupEntropy returns H(attrs), memoized per
+// attribute set, so the repeated overlapping queries of CMI and schema
+// discovery share partition refinements and entropies. relation.Relation,
+// relation.Multiset and engine.Snapshot implement it.
 type Source interface {
 	N() int
 	GroupCounts(attrs ...string) ([]int, error)
-}
-
-// EntropySource is an optional Source extension for sources that memoize
-// per-attribute-set entropies (relation.Relation and relation.Multiset do,
-// sharing partition refinements across the repeated overlapping queries of
-// CMI and schema discovery). Entropy uses it when available.
-type EntropySource interface {
-	Source
 	GroupEntropy(attrs ...string) (float64, error)
 }
 
@@ -85,21 +80,14 @@ func cLogC(c int) float64 {
 
 // Entropy returns H(attrs) (nats) under the empirical distribution of r:
 // the entropy of the multiset projection of r onto attrs. For attrs equal to
-// the full schema of a (set-valued) relation this is log N. Sources that
-// memoize entropies (EntropySource) answer repeated queries in O(1).
+// the full schema of a (set-valued) relation this is log N. The source
+// memoizes entropies, so repeated queries answer in O(1).
 func Entropy(r Source, attrs ...string) (float64, error) {
 	if len(attrs) == 0 {
 		// H(∅) = 0: the empty projection is a single constant outcome.
 		return 0, nil
 	}
-	if es, ok := r.(EntropySource); ok {
-		return es.GroupEntropy(attrs...)
-	}
-	counts, err := r.GroupCounts(attrs...)
-	if err != nil {
-		return 0, err
-	}
-	return EntropyFromCounts(counts, r.N()), nil
+	return r.GroupEntropy(attrs...)
 }
 
 // MustEntropy is Entropy but panics on unknown attributes.

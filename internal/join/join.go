@@ -9,7 +9,6 @@ package join
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"ajdloss/internal/engine"
@@ -344,56 +343,6 @@ func countBags(snap *engine.Snapshot, bags [][]string, parent []int, sep [][]str
 			}
 		}
 		messages[pos] = out
-	}
-	return total, nil
-}
-
-// CountTreeFloat is CountTree in float64 arithmetic; it never overflows but
-// loses exactness above 2⁵³. Used for loss estimates of astronomically large
-// joins.
-func CountTreeFloat(t *jointree.JoinTree, rels []*relation.Relation) (float64, error) {
-	plan, err := newTreePlan(t, rels)
-	if err != nil {
-		return 0, err
-	}
-	m := len(plan.rooted.Order)
-	messages := make([][]float64, m)
-	aggregate := func(pos int) float64 {
-		rel := plan.rels[pos]
-		var out []float64
-		if pos > 0 {
-			out = make([]float64, plan.groups[pos])
-		}
-		var total float64
-		for i := 0; i < rel.N(); i++ {
-			w := 1.0
-			ok := true
-			for _, c := range plan.children[pos] {
-				cw := messages[c][plan.parentIDs[c][i]]
-				if cw == 0 {
-					ok = false
-					break
-				}
-				w *= cw
-			}
-			if !ok {
-				continue
-			}
-			if pos > 0 {
-				out[plan.childIDs[pos][i]] += w
-			} else {
-				total += w
-			}
-		}
-		messages[pos] = out
-		return total
-	}
-	for pos := m - 1; pos >= 1; pos-- {
-		aggregate(pos)
-	}
-	total := aggregate(0)
-	if math.IsInf(total, 0) || math.IsNaN(total) {
-		return 0, fmt.Errorf("join: float64 cardinality not finite")
 	}
 	return total, nil
 }

@@ -130,13 +130,6 @@ func TestCountMatchesMaterializeChain(t *testing.T) {
 	if cnt != int64(mat.N()) {
 		t.Fatalf("count %d != materialized %d", cnt, mat.N())
 	}
-	f, err := CountTreeFloat(tree, rels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int64(f+0.5) != cnt {
-		t.Fatalf("float count %v != %d", f, cnt)
-	}
 }
 
 func TestCountCrossProduct(t *testing.T) {
@@ -159,9 +152,6 @@ func TestCountArityMismatch(t *testing.T) {
 	}
 	if _, err := MaterializeTree(tree, nil); err == nil {
 		t.Fatal("wrong relation count accepted (materialize)")
-	}
-	if _, err := CountTreeFloat(tree, nil); err == nil {
-		t.Fatal("wrong relation count accepted (float)")
 	}
 }
 
@@ -186,22 +176,6 @@ func TestCountOverflow(t *testing.T) {
 	s := jointree.MustSchema(bags...)
 	if _, err := CountAcyclicJoin(r, s); err == nil {
 		t.Fatal("overflow not detected")
-	}
-	// The float path copes.
-	tree, err := jointree.BuildJoinTree(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rels, err := Projections(r, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := CountTreeFloat(tree, rels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f != 1e21 {
-		t.Fatalf("float count = %g, want 1e21", f)
 	}
 }
 

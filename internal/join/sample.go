@@ -154,15 +154,6 @@ func (s *Sampler) sampleNode(rng *rand.Rand, pos int, group int32, out relation.
 	}
 }
 
-// SampleMany draws k tuples (with replacement, each uniform over the join).
-func (s *Sampler) SampleMany(rng *rand.Rand, k int) []relation.Tuple {
-	out := make([]relation.Tuple, k)
-	for i := range out {
-		out[i] = s.Sample(rng)
-	}
-	return out
-}
-
 // SampleSpurious draws up to k tuples uniform over the join and returns the
 // ones not contained in r (spurious under the schema that produced the
 // projections). The expected yield per draw is ρ/(1+ρ).

@@ -145,26 +145,6 @@ func (r *Rooted) SupportMVDs() []MVD {
 	return out
 }
 
-// PeelingMVDs returns the m−1 MVDs {Δᵢ ↠ Ω_{1:i−1} | Ωᵢ} for i ∈ [2,m] —
-// the "peeling" form used in the induction proofs of Proposition 5.1 and
-// Proposition 3.1: in reverse DFS order uᵢ is always a leaf of the tree
-// induced by u₁..uᵢ, and by the running intersection property
-// Ω_{1:i−1} ∩ Ωᵢ = Δᵢ exactly, so the two sides share precisely the
-// separator. The corresponding conditional mutual informations
-// I(Ω_{1:i−1}; Ωᵢ | Δᵢ) telescope to J(T) exactly.
-func (r *Rooted) PeelingMVDs() []MVD {
-	m := len(r.Order)
-	out := make([]MVD, 0, m-1)
-	for i := 1; i < m; i++ {
-		out = append(out, MVD{
-			X: append([]string(nil), r.Sep[i]...),
-			Y: r.Prefix(i - 1),
-			Z: append([]string(nil), r.Bag(i)...),
-		})
-	}
-	return out
-}
-
 // EdgeMVDs returns Beeri et al.'s support: one MVD per tree edge,
 // φ_{u,v} = χ(u)∩χ(v) ↠ χ(T_u) | χ(T_v).
 func (t *JoinTree) EdgeMVDs() []MVD {

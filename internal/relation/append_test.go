@@ -122,6 +122,25 @@ func TestAppendIsIncremental(t *testing.T) {
 	}
 }
 
+// TestInsertStartsNewChain: Append extends the snapshot chain, while Insert
+// drops the head and the next query rebuilds it as a new chain (at the
+// base generation), which is how a consumer following the chain by
+// identity — the discovery memo — learns that its per-row state is void.
+func TestInsertStartsNewChain(t *testing.T) {
+	r := FromRows([]string{"A", "B"}, []Tuple{{1, 1}, {1, 2}})
+	chain := r.Snapshot().Chain()
+	if _, err := r.Append([]Tuple{{2, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if c := r.Snapshot().Chain(); c != chain {
+		t.Fatalf("Append moved the relation to chain %d, want %d", c, chain)
+	}
+	r.Insert(Tuple{3, 3})
+	if c := r.Snapshot().Chain(); c == chain {
+		t.Fatal("the snapshot rebuilt after Insert kept the old chain")
+	}
+}
+
 func TestAppendDuplicatesAndArity(t *testing.T) {
 	r := FromRows([]string{"A", "B"}, []Tuple{{1, 1}, {1, 2}})
 	if _, err := r.Grouping("A"); err != nil {

@@ -90,7 +90,7 @@ func (r *Relation) GroupCounts(attrs ...string) ([]int, error) {
 }
 
 // GroupEntropy returns H(attrs) in nats under r's empirical distribution,
-// memoized per attribute set. It implements infotheory.EntropySource.
+// memoized per attribute set. It implements infotheory.Source.
 func (r *Relation) GroupEntropy(attrs ...string) (float64, error) {
 	return r.Snapshot().GroupEntropy(attrs...)
 }
@@ -123,7 +123,7 @@ func (m *Multiset) GroupCounts(attrs ...string) ([]int, error) {
 }
 
 // GroupEntropy returns H(attrs) in nats under m's empirical distribution,
-// memoized per attribute set. It implements infotheory.EntropySource.
+// memoized per attribute set. It implements infotheory.Source.
 func (m *Multiset) GroupEntropy(attrs ...string) (float64, error) {
 	return m.Snapshot().GroupEntropy(attrs...)
 }

@@ -109,16 +109,6 @@ func RandomJoinTree(rng *rand.Rand, m, nAttrs int, grow float64) (*jointree.Join
 	return jointree.NewJoinTree(bags, edges)
 }
 
-// RandomAcyclicSchema generates the (possibly non-reduced) schema of a
-// random join tree.
-func RandomAcyclicSchema(rng *rand.Rand, m, nAttrs int, grow float64) (*jointree.Schema, error) {
-	t, err := RandomJoinTree(rng, m, nAttrs, grow)
-	if err != nil {
-		return nil, err
-	}
-	return t.Schema(), nil
-}
-
 // UniformDomains maps every attribute to domain size d.
 func UniformDomains(attrs []string, d int) map[string]int {
 	out := make(map[string]int, len(attrs))

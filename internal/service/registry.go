@@ -108,9 +108,6 @@ type lazyState struct {
 	replayed, dropped int
 }
 
-// Durable reports whether the dataset has a durability store attached.
-func (d *Dataset) Durable() bool { return d.store != nil }
-
 // Materialized reports whether the dataset's relation is decoded and its
 // view published. Only lazily recovered datasets can be unmaterialized.
 func (d *Dataset) Materialized() bool { return d.View() != nil }

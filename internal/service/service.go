@@ -636,12 +636,12 @@ func (s *Service) BatchIn(ns, dataset string, qs []BatchQuery) (*BatchView, erro
 	keyGen := rel.Generation()
 	key := requestKey(d, keyGen) + "batch|" + batchKey(eqs)
 	v, err := s.do(d, key, keyGen, func() (any, error) {
-		// One parents-first plan still covers every query's lattice nodes
-		// (shared refinements computed once on the pool, as RunBatch would),
-		// but fd queries are answered through the dataset's discovery memo:
-		// its per-FD integer g₃ state advances over only the rows appended
-		// since the FD was last asked, instead of rescanning all n rows per
-		// request. Answers are bit-identical to the engine's fd kind.
+		// One parents-first plan covers every query's lattice nodes (shared
+		// refinements computed once on the pool); fd queries are answered
+		// through the dataset's discovery memo: its per-FD integer g₃ state
+		// advances over only the rows appended since the FD was last asked,
+		// instead of rescanning all n rows per request. Answers are
+		// bit-identical to fd.G3Error.
 		snap := rel.Snapshot()
 		p := snap.Plan()
 		for i := range eqs {
