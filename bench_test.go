@@ -329,6 +329,7 @@ func benchDiscoverSuite(b *testing.B, m *discovery.Memo, r *relation.Relation) {
 // the incrementally extended partitions plus the tree rebuild.
 func BenchmarkChowLiuWarmDelta(b *testing.B) {
 	attrs, base, extra := benchDeltaRelation(b, 5000)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -351,6 +352,7 @@ func BenchmarkChowLiuWarmDelta(b *testing.B) {
 // against an engine-cold relation with an empty memo, every iteration.
 func BenchmarkDiscoverIncrementalCold(b *testing.B) {
 	r := benchWideRelation(b, 5000)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -368,6 +370,7 @@ func BenchmarkDiscoverIncrementalWarm(b *testing.B) {
 	r := benchWideRelation(b, 5000)
 	memo := discovery.NewMemo()
 	benchDiscoverSuite(b, memo, r)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchDiscoverSuite(b, memo, r)
@@ -381,6 +384,7 @@ func BenchmarkDiscoverIncrementalWarm(b *testing.B) {
 // only the appended rows.
 func BenchmarkDiscoverIncrementalWarmDelta(b *testing.B) {
 	attrs, base, extra := benchDeltaRelation(b, 5000)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()

@@ -366,10 +366,10 @@ func TestQuickKLFromEmpiricalBitIdentical(t *testing.T) {
 		for i := 0; i < r.N(); i++ {
 			var lp float64
 			for _, g := range fac.bagGroups {
-				lp += math.Log(float64(g.Counts[g.IDs[i]]) / fac.n)
+				lp += math.Log(float64(g.Counts.At(int(g.IDs[i]))) / fac.n)
 			}
 			for _, g := range fac.sepGroups {
-				lp -= math.Log(float64(g.Counts[g.IDs[i]]) / fac.n)
+				lp -= math.Log(float64(g.Counts.At(int(g.IDs[i]))) / fac.n)
 			}
 			want += invN * (logInvN - lp)
 		}

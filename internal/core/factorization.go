@@ -106,7 +106,7 @@ func count(t relation.Tuple, cols []int, proj *relation.Relation, g *relation.Gr
 	if j < 0 {
 		return 0
 	}
-	return g.Counts[j]
+	return g.Counts.At(j)
 }
 
 // Prob returns P^T(t) for a tuple t over r's full schema. Tuples whose bag
@@ -154,7 +154,7 @@ func (f *Factorization) LogProb(t relation.Tuple) (float64, bool) {
 // verified in tests and exposed as an internal consistency check.
 //
 // ln P^T of a row of r needs no lookup: every bag and separator projection
-// of a row occurs in r, so its count is Counts[IDs[i]] of the matching
+// of a row occurs in r, so its count is Counts.At(IDs[i]) of the matching
 // grouping. The log of each group's relative frequency is tabulated once,
 // and each row sums table loads, bags then separators, in tree order.
 func (f *Factorization) KLFromEmpirical() (float64, error) {
@@ -183,10 +183,13 @@ func (f *Factorization) KLFromEmpirical() (float64, error) {
 func (f *Factorization) groupLogs(groups []*relation.Grouping) [][]float64 {
 	logs := make([][]float64, len(groups))
 	for k, g := range groups {
-		logs[k] = make([]float64, len(g.Counts))
-		for j, c := range g.Counts {
-			logs[k][j] = math.Log(float64(c) / f.n)
-		}
+		l := make([]float64, 0, g.Groups())
+		g.Counts.Each(func(part []int) {
+			for _, c := range part {
+				l = append(l, math.Log(float64(c)/f.n))
+			}
+		})
+		logs[k] = l
 	}
 	return logs
 }

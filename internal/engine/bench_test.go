@@ -101,6 +101,9 @@ func BenchmarkBatchAnalyze(b *testing.B) {
 //   - reextend: extends one warm parent again and again, discarding each
 //     child. After the first iteration the parent's probes are gone, so this
 //     times the O(n)-per-set rebuild a second Extend of a snapshot pays.
+//   - wide: chain's path on a memo of near-key sets, each of 10k groups or
+//     more (wideRows): a batch touches few of their count chunks, so this
+//     case shows what sharing the untouched ones saves.
 func BenchmarkSnapshotExtend(b *testing.B) {
 	all := benchRows(20200)
 	base, fresh := all[:20000], all[20000:]
@@ -122,6 +125,24 @@ func BenchmarkSnapshotExtend(b *testing.B) {
 			snap.Extend(cols, n)
 		}
 	})
+	b.Run("wide", func(b *testing.B) {
+		all := wideRows(20200)
+		base, fresh := all[:20000], all[20000:]
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			snap := rowSnapshot(wideAttrs, base)
+			for _, set := range wideSets {
+				if _, err := snap.GroupEntropy(set...); err != nil {
+					b.Fatal(err)
+				}
+			}
+			cols, n := growColumns(snap, fresh)
+			runtime.GC()
+			b.StartTimer()
+			snap.Extend(cols, n)
+		}
+	})
 	b.Run("reextend", func(b *testing.B) {
 		snap := warm(b)
 		cols, n := growColumns(snap, fresh)
@@ -135,6 +156,30 @@ func BenchmarkSnapshotExtend(b *testing.B) {
 			snap.Extend(cols, n)
 		}
 	})
+}
+
+var (
+	wideAttrs = []string{"A", "B", "C"}
+	wideSets  = [][]string{{"A"}, {"B"}, {"C"}, {"A", "B"}}
+)
+
+// wideRows draws n distinct rows of three columns uniform over 16384 codes,
+// so at n = 20000 each column has about 11.5k distinct values and {A,B} is a
+// key: every set of wideSets groups into 10k groups or more, and about 70%
+// of a batch's values land in existing groups of {A}, {B} and {C}.
+func wideRows(n int) []Tuple {
+	rng := rand.New(rand.NewSource(13))
+	seen := make(map[[3]Value]bool)
+	rows := make([]Tuple, 0, n)
+	for len(rows) < n {
+		t := [3]Value{Value(rng.Intn(16384)), Value(rng.Intn(16384)), Value(rng.Intn(16384))}
+		if seen[t] {
+			continue
+		}
+		seen[t] = true
+		rows = append(rows, Tuple{t[0], t[1], t[2]})
+	}
+	return rows
 }
 
 // refineSink keeps BenchmarkRefineDense's result live.

@@ -142,9 +142,9 @@ func (p *probe) insert(parent int32, val Value, id int32) {
 // Extend can probe it for appended rows: incremental and from-scratch
 // construction assign identical ids because both follow stored row order.
 // A first pass assigns the ids; a second sums each group's rows (or row
-// weights) into Counts, allocated at its exact size.
+// weights) into Counts, whose chunks share one backing array.
 func (s *Snapshot) refine(parent *Grouping, col int) (*Grouping, *probe) {
-	pr := newProbe(len(parent.Counts), s.probeWidth(col), denseProbeBudget(s.n), len(parent.Counts)*2)
+	pr := newProbe(parent.Groups(), s.probeWidth(col), denseProbeBudget(s.n), parent.Groups()*2)
 	ids := make([]int32, s.n, s.n+extendHeadroom(s.n))
 	var groups int
 	if pr.dense != nil {
@@ -152,14 +152,14 @@ func (s *Snapshot) refine(parent *Grouping, col int) (*Grouping, *probe) {
 	} else {
 		groups = refineMap(pr, parent.IDs[:s.n], s.cols[col][:s.n], ids)
 	}
-	counts := make([]int, groups)
+	counts, flat := newCounts(groups)
 	if s.weights == nil {
 		for _, id := range ids {
-			counts[id]++
+			flat[id]++
 		}
 	} else {
 		for i, id := range ids {
-			counts[id] += int(s.weights[i])
+			flat[id] += int(s.weights[i])
 		}
 	}
 	return &Grouping{IDs: ids, Counts: counts}, pr
@@ -210,7 +210,7 @@ func refineMap(pr *probe, pids []int32, column []Value, ids []int32) int {
 // snapshot's. Extend needs it only when the probe has already moved to
 // another child, i.e. on a second Extend of the same snapshot.
 func (s *Snapshot) rebuildProbe(parent, g *Grouping, col int) *probe {
-	pr := newProbe(len(parent.Counts), s.probeWidth(col), denseProbeBudget(s.n), len(g.Counts))
+	pr := newProbe(parent.Groups(), s.probeWidth(col), denseProbeBudget(s.n), g.Groups())
 	column := s.cols[col]
 	for i := 0; i < s.n; i++ {
 		pr.insert(parent.IDs[i], column[i], g.IDs[i])

@@ -159,6 +159,7 @@ func oracleGrouping(attrs []string, cols [][]Value, n int, weights []int64, set 
 	}
 	seen := make(map[string]int32)
 	g := &Grouping{IDs: make([]int32, n)}
+	var counts []int
 	var key strings.Builder
 	for i := 0; i < n; i++ {
 		key.Reset()
@@ -167,17 +168,18 @@ func oracleGrouping(attrs []string, cols [][]Value, n int, weights []int64, set 
 		}
 		id, ok := seen[key.String()]
 		if !ok {
-			id = int32(len(g.Counts))
+			id = int32(len(counts))
 			seen[key.String()] = id
-			g.Counts = append(g.Counts, 0)
+			counts = append(counts, 0)
 		}
 		g.IDs[i] = id
 		if weights == nil {
-			g.Counts[id]++
+			counts[id]++
 		} else {
-			g.Counts[id] += int(weights[i])
+			counts[id] += int(weights[i])
 		}
 	}
+	g.Counts = countsOf(counts)
 	return g
 }
 
@@ -244,11 +246,11 @@ func TestQuickRefineKernelParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got.IDs) != len(want.IDs) || fmt.Sprint(got.IDs, got.Counts) != fmt.Sprint(want.IDs, want.Counts) {
-				t.Logf("%s %v: ids/counts %v %v, oracle %v %v", label, set, got.IDs, got.Counts, want.IDs, want.Counts)
+			if len(got.IDs) != len(want.IDs) || fmt.Sprint(got.IDs, got.Counts.Flatten()) != fmt.Sprint(want.IDs, want.Counts.Flatten()) {
+				t.Logf("%s %v: ids/counts %v %v, oracle %v %v", label, set, got.IDs, got.Counts.Flatten(), want.IDs, want.Counts.Flatten())
 				return false
 			}
-			if wantH := infotheory.EntropyFromCounts(want.Counts, s.N()); h != wantH {
+			if wantH := infotheory.EntropyFromCounts(want.Counts.Flatten(), s.N()); h != wantH {
 				t.Logf("%s %v: entropy %v, oracle %v", label, set, h, wantH)
 				return false
 			}

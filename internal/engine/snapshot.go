@@ -35,8 +35,9 @@ type Value = int32
 
 // Grouping is the multiset projection of a snapshot onto an attribute set in
 // columnar form: IDs[i] is the dense group id (first-occurrence order over
-// stored rows) of row i, and Counts[g] is the multiplicity-weighted number of
-// tuples in group g. len(Counts) is the number of distinct projected rows.
+// stored rows) of row i, and Counts.At(g) is the multiplicity-weighted number
+// of tuples in group g. Counts.Len() is the number of distinct projected
+// rows.
 //
 // Groupings returned by a snapshot are shared, memoized values: callers must
 // not modify them. Unlike the pre-snapshot engine they are frozen — a later
@@ -44,11 +45,11 @@ type Value = int32
 // to hold one across appends.
 type Grouping struct {
 	IDs    []int32
-	Counts []int
+	Counts Counts
 }
 
 // Groups returns the number of distinct groups.
-func (g *Grouping) Groups() int { return len(g.Counts) }
+func (g *Grouping) Groups() int { return g.Counts.Len() }
 
 // memoEntry is one memoized grouping together with what copy-on-write
 // extension needs: the sorted column set it projects onto (to order
@@ -256,14 +257,15 @@ func (s *Snapshot) Grouping(attrs ...string) (*Grouping, error) {
 	return s.grouping(cols), nil
 }
 
-// GroupCounts returns the multiplicities of the multiset projection onto
-// attrs, indexed by dense group id — the infotheory.Source contract.
+// GroupCounts returns a fresh copy of the multiplicities of the multiset
+// projection onto attrs, indexed by dense group id, for tests and
+// diagnostics. Measures read Grouping(attrs...).Counts instead.
 func (s *Snapshot) GroupCounts(attrs ...string) ([]int, error) {
 	g, err := s.Grouping(attrs...)
 	if err != nil {
 		return nil, err
 	}
-	return g.Counts, nil
+	return g.Counts.Flatten(), nil
 }
 
 // GroupEntropy returns H(attrs) in nats under the snapshot's empirical
@@ -318,13 +320,23 @@ func (s *Snapshot) groupingKeyed(key string, cols []int) *Grouping {
 func (s *Snapshot) trivialGrouping() *Grouping {
 	g := &Grouping{IDs: make([]int32, s.n, s.n+extendHeadroom(s.n))}
 	if s.n > 0 {
-		g.Counts = []int{s.total}
+		g.Counts = singleCount(s.total)
 	}
 	return g
 }
 
+// singleCount returns the counts of one group of total tuples.
+func singleCount(total int) Counts {
+	c, flat := newCounts(1)
+	flat[0] = total
+	return c
+}
+
 // groupEntropy returns the entropy (nats) of the distribution assigning
-// probability Counts[g]/total to each group, memoized per column set.
+// probability Counts.At(g)/total to each group, memoized per column set. It
+// sums the c·log c terms chunk by chunk in group order, the order
+// infotheory.EntropyFromCounts sums a flat slice in, so the two agree to the
+// bit.
 func (s *Snapshot) groupEntropy(cols []int) float64 {
 	key := colsKey(cols)
 	s.mu.Lock()
@@ -334,7 +346,9 @@ func (s *Snapshot) groupEntropy(cols []int) float64 {
 		return h
 	}
 	g := s.groupingKeyed(key, cols)
-	h = infotheory.EntropyFromCounts(g.Counts, s.total)
+	var sum float64
+	g.Counts.Each(func(part []int) { sum = infotheory.AddCLogC(sum, part) })
+	h = infotheory.EntropyFromCLogC(sum, s.total)
 	s.mu.Lock()
 	s.entropy[key] = h
 	s.mu.Unlock()
@@ -352,15 +366,19 @@ func (s *Snapshot) groupEntropy(cols []int) float64 {
 //
 // Cost per memoized set: O(batch) probes of the refinement probe, which
 // moves from this snapshot's entry to the child's and is probed in place,
-// plus an O(groups) copy of Counts that keeps this snapshot's counts frozen.
-// A second Extend of the same snapshot finds the probe gone and rebuilds it
-// in O(n) per set; the answers are the same either way.
+// plus a copy of the count chunks the batch writes, into one slab, and of
+// the chunk table (one pointer per chunk). The other chunks are shared with
+// this snapshot. Once a set's slabs would outnumber its chunks, the Extend
+// copies all of its chunks instead (see Counts), so the copy stays O(batch)
+// amortized. A second Extend of the same snapshot finds the probe gone and
+// rebuilds it in O(n) per set; the answers are the same either way.
 //
 // The parent snapshot is left untouched: its groupings, counts and entropies
 // keep answering queries for readers that grabbed it before the extension.
-// Backing arrays of columns and grouping IDs are shared where capacity
-// allows — the child only writes indexes ≥ the parent's row count, which the
-// parent never reads.
+// Count chunks are shared but never written once published. Backing arrays
+// of columns and grouping IDs are shared where capacity allows — the child
+// only writes indexes ≥ the parent's row count, which the parent never
+// reads.
 //
 // Extend must be called by at most one writer per snapshot (the owning
 // relation serializes appends); it panics on weighted snapshots.
@@ -409,7 +427,7 @@ func (s *Snapshot) Extend(cols [][]Value, n int) *Snapshot {
 	extendOne := func(ent *memoEntry) *memoEntry {
 		if len(ent.cols) == 0 {
 			ids := append(ent.g.IDs[:s.n:cap(ent.g.IDs)], make([]int32, fresh)...)
-			return &memoEntry{g: &Grouping{IDs: ids, Counts: []int{child.total}}}
+			return &memoEntry{g: &Grouping{IDs: ids, Counts: singleCount(child.total)}}
 		}
 		parent := child.memo[colsKey(ent.cols[:len(ent.cols)-1])].g
 		col := ent.cols[len(ent.cols)-1]
@@ -418,20 +436,20 @@ func (s *Snapshot) Extend(cols [][]Value, n int) *Snapshot {
 		if next == nil {
 			next = s.rebuildProbe(parent, ent.g, col)
 		}
-		counts := append(make([]int, 0, len(ent.g.Counts)+fresh), ent.g.Counts...)
+		groups := ent.g.Groups()
 		ids := ent.g.IDs[:s.n:cap(ent.g.IDs)]
 		for i := s.n; i < child.n; i++ {
 			pid := parent.IDs[i]
 			v := column[i]
 			id := next.lookup(pid, v)
 			if id < 0 {
-				id = int32(len(counts))
+				id = int32(groups)
 				next.insert(pid, v, id)
-				counts = append(counts, 0)
+				groups++
 			}
 			ids = append(ids, id)
-			counts[id]++
 		}
+		counts := extendCounts(ent.g.Counts, ids[s.n:], groups)
 		out := &memoEntry{g: &Grouping{IDs: ids, Counts: counts}, cols: ent.cols}
 		out.next.Store(next)
 		return out

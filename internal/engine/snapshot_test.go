@@ -88,9 +88,9 @@ func sameGrouping(t *testing.T, label string, got, want *Grouping) {
 			t.Fatalf("%s: id[%d] = %d, want %d", label, i, got.IDs[i], want.IDs[i])
 		}
 	}
-	for g := range got.Counts {
-		if got.Counts[g] != want.Counts[g] {
-			t.Fatalf("%s: count[%d] = %d, want %d", label, g, got.Counts[g], want.Counts[g])
+	for g := 0; g < got.Groups(); g++ {
+		if got.Counts.At(g) != want.Counts.At(g) {
+			t.Fatalf("%s: count[%d] = %d, want %d", label, g, got.Counts.At(g), want.Counts.At(g))
 		}
 	}
 }
@@ -146,7 +146,7 @@ func TestExtendLeavesParentFrozen(t *testing.T) {
 		t.Fatal(err)
 	}
 	idsBefore := append([]int32(nil), gAB.IDs...)
-	countsBefore := append([]int(nil), gAB.Counts...)
+	countsBefore := gAB.Counts.Flatten()
 	hBefore, _ := parent.GroupEntropy("A", "B")
 
 	child := extendRows(parent, rows[40:])
@@ -161,7 +161,7 @@ func TestExtendLeavesParentFrozen(t *testing.T) {
 		}
 	}
 	for g := range countsBefore {
-		if gAB.Counts[g] != countsBefore[g] {
+		if gAB.Counts.At(g) != countsBefore[g] {
 			t.Fatalf("parent count[%d] changed", g)
 		}
 	}

@@ -58,19 +58,19 @@ func Holds(r Source, f FD) (bool, error) {
 	if len(f.Y) == 0 {
 		return true, nil // trivial
 	}
-	xCounts, err := r.GroupCounts(f.X...)
+	gx, err := r.Grouping(f.X...)
 	if err != nil {
 		return false, err
 	}
-	xyCounts, err := r.GroupCounts(infotheory.Union(f.X, f.Y)...)
+	gxy, err := r.Grouping(infotheory.Union(f.X, f.Y)...)
 	if err != nil {
 		return false, err
 	}
-	nx := len(xCounts)
+	nx := gx.Groups()
 	if len(f.X) == 0 {
 		nx = 1
 	}
-	return len(xyCounts) == nx, nil
+	return gxy.Groups() == nx, nil
 }
 
 // ConditionalEntropy returns H(Y|X) in nats — Lee's characterization:
@@ -147,11 +147,11 @@ func IsSuperkey(r Source, x []string) (bool, error) {
 	if len(x) == 0 {
 		return r.N() <= 1, nil
 	}
-	counts, err := r.GroupCounts(x...)
+	g, err := r.Grouping(x...)
 	if err != nil {
 		return false, err
 	}
-	return len(counts) == r.N(), nil
+	return g.Groups() == r.N(), nil
 }
 
 // CandidateKeys returns the minimal keys of r (attribute sets that determine

@@ -72,7 +72,7 @@ func (st *G3State) Advance(r Source, f FD) (g3 float64, ok bool, err error) {
 	rows := len(gxy.IDs) // stored rows; n counts multiplicities
 	for i := st.rows; i < rows; i++ {
 		g := gx.IDs[i]
-		if c := gxy.Counts[gxy.IDs[i]]; c > st.best[g] {
+		if c := gxy.Counts.At(int(gxy.IDs[i])); c > st.best[g] {
 			st.keep += c - st.best[g]
 			st.best[g] = c
 		}

@@ -16,16 +16,12 @@ import (
 // attributes: a relation instance (uniform over its tuples) or a multiset
 // (probability proportional to multiplicity), per the paper's Section 2.2
 // definition. N is the total number of tuples counted with multiplicity;
-// GroupCounts returns the multiplicities of the multiset projection onto
-// attrs as a dense slice indexed by group id (the columnar group-count
-// engine; group identities are irrelevant to every measure here, only the
-// count multiset matters). GroupEntropy returns H(attrs), memoized per
-// attribute set, so the repeated overlapping queries of CMI and schema
-// discovery share partition refinements and entropies. relation.Relation,
-// relation.Multiset and engine.Snapshot implement it.
+// GroupEntropy returns H(attrs), memoized per attribute set, so the repeated
+// overlapping queries of CMI and schema discovery share partition
+// refinements and entropies. relation.Relation, relation.Multiset and
+// engine.Snapshot implement it.
 type Source interface {
 	N() int
-	GroupCounts(attrs ...string) ([]int, error)
 	GroupEntropy(attrs ...string) (float64, error)
 }
 
@@ -40,11 +36,13 @@ func Nats(bits float64) float64 { return bits * math.Ln2 }
 // input. total must equal the sum of counts; it is passed in because callers
 // always know it (the relation size N).
 func EntropyFromCounts(counts []int, total int) float64 {
-	if total <= 0 {
-		return 0
-	}
-	// H = log N − (1/N) Σ c·log c, numerically stable for uniform-ish counts.
-	var s float64
+	return EntropyFromCLogC(AddCLogC(0, counts), total)
+}
+
+// AddCLogC adds c·log c of each count to s, left to right, and returns the
+// sum. Counts held in pieces (the engine's count chunks) sum piece by piece
+// in group order, which rounds exactly as one pass over a flat slice does.
+func AddCLogC(s float64, counts []int) float64 {
 	for _, c := range counts {
 		if uint(c) < uint(len(cLogCTable)) {
 			s += cLogCTable[c]
@@ -52,7 +50,17 @@ func EntropyFromCounts(counts []int, total int) float64 {
 			s += cLogC(c)
 		}
 	}
-	return math.Log(float64(total)) - s/float64(total)
+	return s
+}
+
+// EntropyFromCLogC returns the entropy (nats) of counts summing to total
+// whose Σ c·log c is sum (see AddCLogC): H = log N − (1/N) Σ c·log c,
+// numerically stable for uniform-ish counts. It returns 0 when total ≤ 0.
+func EntropyFromCLogC(sum float64, total int) float64 {
+	if total <= 0 {
+		return 0
+	}
+	return math.Log(float64(total)) - sum/float64(total)
 }
 
 // cLogCTable[c] is cLogC(c) for the small counts that dominate group-count

@@ -6,7 +6,8 @@ import (
 )
 
 // SnapshotMut flags writes to engine.Snapshot fields outside the
-// constructor/Extend path.
+// constructor/Extend path, and writes into a grouping's count chunks outside
+// refine and Extend's copy-on-write helper.
 //
 // Invariant (PR 4): a Snapshot is published through an atomic pointer and is
 // the unit of consistency for every measure — any number of readers hold it
@@ -16,10 +17,19 @@ import (
 // value) and Extend (which only writes fields of the child it is building).
 // Map fills through the memo/entropy fields (s.memo[k] = v) are the designed
 // lazy cache and are not field writes; this analyzer leaves them alone.
+//
+// Count chunks (engine.countChunk) are shared by pointer between a snapshot
+// and the children Extend builds from it, so a write into one after
+// publication changes the counts of every snapshot sharing it. Only refine
+// (filling a grouping it has not published) and extendCounts (writing the
+// chunks it allocated in the same call) may write one: an element
+// assignment or increment, an assignment through a chunk pointer, or a copy
+// into a slice of a chunk.
 var SnapshotMut = &Analyzer{
 	Name: "snapshotmut",
-	Doc: "flags assignments to engine.Snapshot fields outside the constructor/Extend path; " +
-		"published snapshots are read lock-free by any number of goroutines and must stay frozen",
+	Doc: "flags assignments to engine.Snapshot fields outside the constructor/Extend path, and writes " +
+		"into engine count chunks outside refine/extendCounts; published snapshots are read lock-free by " +
+		"any number of goroutines and must stay frozen",
 	Run: runSnapshotMut,
 }
 
@@ -33,6 +43,14 @@ var snapshotMutAllowed = map[string]bool{
 	"Extend":              true,
 }
 
+// chunkWriteAllowed are the engine functions that may write into a count
+// chunk: refine fills the chunks of a grouping before publishing it, and
+// extendCounts writes only the chunks it allocated in the same call.
+var chunkWriteAllowed = map[string]bool{
+	"refine":       true,
+	"extendCounts": true,
+}
+
 const enginePathSuffix = "internal/engine"
 
 func runSnapshotMut(pass *Pass) error {
@@ -41,26 +59,62 @@ func runSnapshotMut(pass *Pass) error {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if ok && fn.Body != nil {
-				allowed := inEngine && snapshotMutAllowed[fn.Name.Name]
-				checkSnapshotWrites(pass, fn.Body, allowed)
+				name := fn.Name.Name
+				checkSnapshotWrites(pass, fn.Body, inEngine && snapshotMutAllowed[name], inEngine && chunkWriteAllowed[name])
 			}
 		}
 	}
 	return nil
 }
 
-func checkSnapshotWrites(pass *Pass, body ast.Node, allowed bool) {
+func checkSnapshotWrites(pass *Pass, body ast.Node, fieldsAllowed, chunksAllowed bool) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch st := n.(type) {
 		case *ast.AssignStmt:
 			for _, lhs := range st.Lhs {
-				reportSnapshotFieldWrite(pass, lhs, allowed)
+				reportSnapshotFieldWrite(pass, lhs, fieldsAllowed)
+				reportChunkWrite(pass, lhs, chunksAllowed)
 			}
 		case *ast.IncDecStmt:
-			reportSnapshotFieldWrite(pass, st.X, allowed)
+			reportSnapshotFieldWrite(pass, st.X, fieldsAllowed)
+			reportChunkWrite(pass, st.X, chunksAllowed)
+		case *ast.CallExpr:
+			if id, ok := ast.Unparen(st.Fun).(*ast.Ident); ok && len(st.Args) > 0 {
+				if _, builtin := pass.TypesInfo.Uses[id].(*types.Builtin); builtin && id.Name == "copy" {
+					if dst, ok := ast.Unparen(st.Args[0]).(*ast.SliceExpr); ok {
+						reportChunkWrite(pass, dst, chunksAllowed)
+					}
+				}
+			}
 		}
 		return true
 	})
+}
+
+// reportChunkWrite flags dst when it writes into an engine count chunk — an
+// element of one (chunk[i]), a whole chunk through a pointer (*chunk) or a
+// slice of one (chunk[:], as copy's destination) — outside refine and
+// extendCounts.
+func reportChunkWrite(pass *Pass, dst ast.Expr, allowed bool) {
+	if allowed {
+		return
+	}
+	var chunk ast.Expr
+	switch e := ast.Unparen(dst).(type) {
+	case *ast.IndexExpr:
+		chunk = e.X
+	case *ast.SliceExpr:
+		chunk = e.X
+	case *ast.StarExpr:
+		chunk = e
+	default:
+		return
+	}
+	if !isNamed(pass.TypesInfo.TypeOf(chunk), enginePathSuffix, "countChunk") {
+		return
+	}
+	pass.Reportf(dst.Pos(), "write into an engine count chunk outside refine/extendCounts: "+
+		"chunks are shared with published snapshots and must be copied before they are written")
 }
 
 // reportSnapshotFieldWrite flags lhs when it is a direct selection of a

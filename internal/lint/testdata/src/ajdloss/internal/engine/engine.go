@@ -38,3 +38,36 @@ func (s *Snapshot) Memoize(k string, v float64) {
 func (s *Snapshot) Reset() {
 	s.Gen = 0 // want `write to engine\.Snapshot field Gen outside the constructor/Extend path`
 }
+
+// countChunk mimics the real engine's shared count chunk.
+type countChunk [4]int
+
+// refine is on the chunk-write allowlist: it fills chunks it has not
+// published yet.
+func refine(chunks []*countChunk, g int) {
+	chunks[g>>2][g&3]++
+}
+
+// extendCounts is on the chunk-write allowlist: it copies a parent chunk
+// into one it owns and writes only that.
+func extendCounts(parent, own *countChunk) {
+	*own = *parent
+	own[1] += 2
+}
+
+// bump writes into chunks that may be shared with a published snapshot.
+func bump(chunks []*countChunk, slab []countChunk, g int) {
+	chunks[g>>2][g&3]++          // want `write into an engine count chunk outside refine/extendCounts`
+	slab[0][1] = 5               // want `write into an engine count chunk outside refine/extendCounts`
+	*chunks[0] = countChunk{}    // want `write into an engine count chunk outside refine/extendCounts`
+	copy(chunks[1][:], []int{1}) // want `write into an engine count chunk outside refine/extendCounts`
+}
+
+// readChunk only reads chunks, and copies out of one: no diagnostic.
+func readChunk(chunks []*countChunk, g int) []int {
+	out := make([]int, 4)
+	copy(out, chunks[0][:])
+	local := []int{chunks[g>>2][g&3]}
+	local[0]++
+	return append(out, local...)
+}

@@ -53,18 +53,18 @@ func TestAppendMatchesRebuildExactly(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got.IDs) != len(want.IDs) || len(got.Counts) != len(want.Counts) {
+			if len(got.IDs) != len(want.IDs) || got.Groups() != want.Groups() {
 				t.Fatalf("batch %d %v: shape (%d ids, %d groups) vs rebuild (%d ids, %d groups)",
-					batch, w, len(got.IDs), len(got.Counts), len(want.IDs), len(want.Counts))
+					batch, w, len(got.IDs), got.Groups(), len(want.IDs), want.Groups())
 			}
 			for i := range got.IDs {
 				if got.IDs[i] != want.IDs[i] {
 					t.Fatalf("batch %d %v: id[%d] = %d, rebuild %d", batch, w, i, got.IDs[i], want.IDs[i])
 				}
 			}
-			for g := range got.Counts {
-				if got.Counts[g] != want.Counts[g] {
-					t.Fatalf("batch %d %v: count[%d] = %d, rebuild %d", batch, w, g, got.Counts[g], want.Counts[g])
+			for g := 0; g < got.Groups(); g++ {
+				if got.Counts.At(g) != want.Counts.At(g) {
+					t.Fatalf("batch %d %v: count[%d] = %d, rebuild %d", batch, w, g, got.Counts.At(g), want.Counts.At(g))
 				}
 			}
 			hGot, err := r.GroupEntropy(w...)
@@ -205,7 +205,7 @@ func TestAppendIntoEmptyWarmEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(g.IDs) != 2 || g.Groups() != 1 || g.Counts[0] != 2 {
+	if len(g.IDs) != 2 || g.Groups() != 1 || g.Counts.At(0) != 2 {
 		t.Fatalf("trivial grouping after append: %+v", g)
 	}
 }

@@ -83,8 +83,9 @@ func (r *Relation) Grouping(attrs ...string) (*Grouping, error) {
 	return r.Snapshot().Grouping(attrs...)
 }
 
-// GroupCounts returns the multiplicities of the multiset projection of r
-// onto attrs, indexed by dense group id. It implements infotheory.Source.
+// GroupCounts returns a fresh copy of the multiplicities of the multiset
+// projection of r onto attrs, indexed by dense group id, for tests and
+// diagnostics; measures read Grouping(attrs...).Counts.
 func (r *Relation) GroupCounts(attrs ...string) ([]int, error) {
 	return r.Snapshot().GroupCounts(attrs...)
 }
@@ -116,8 +117,9 @@ func (m *Multiset) Grouping(attrs ...string) (*Grouping, error) {
 	return m.Snapshot().Grouping(attrs...)
 }
 
-// GroupCounts returns the multiplicities of the multiset projection onto
-// attrs, indexed by dense group id. It implements infotheory.Source.
+// GroupCounts returns a fresh copy of the multiplicities of the multiset
+// projection onto attrs, indexed by dense group id, for tests and
+// diagnostics; measures read Grouping(attrs...).Counts.
 func (m *Multiset) GroupCounts(attrs ...string) ([]int, error) {
 	return m.Snapshot().GroupCounts(attrs...)
 }

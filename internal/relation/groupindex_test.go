@@ -92,7 +92,7 @@ func TestGroupingIDsConsistent(t *testing.T) {
 		}
 	}
 	totals := 0
-	for _, c := range g.Counts {
+	for _, c := range g.Counts.Flatten() {
 		totals += c
 	}
 	if totals != r.N() {
@@ -106,7 +106,7 @@ func TestGroupingEmptyAttrSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Groups() != 1 || g.Counts[0] != 2 {
+	if g.Groups() != 1 || g.Counts.At(0) != 2 {
 		t.Fatalf("trivial grouping = %+v, want one group of 2", g)
 	}
 	h, err := r.GroupEntropy("A")
