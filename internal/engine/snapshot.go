@@ -327,9 +327,7 @@ func (s *Snapshot) trivialGrouping() *Grouping {
 
 // singleCount returns the counts of one group of total tuples.
 func singleCount(total int) Counts {
-	c, flat := newCounts(1)
-	flat[0] = total
-	return c
+	return Counts{chunks: []*countChunk{{total}}, n: 1}
 }
 
 // groupEntropy returns the entropy (nats) of the distribution assigning

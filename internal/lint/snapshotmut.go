@@ -24,7 +24,11 @@ import (
 // (filling a grouping it has not published) and extendCounts (writing the
 // chunks it allocated in the same call) may write one: an element
 // assignment or increment, an assignment through a chunk pointer, or a copy
-// into a slice of a chunk.
+// into a slice of a chunk. Two []int slices alias chunk memory and are
+// tracked too: the parameter of a function literal passed to Counts.Each,
+// and the flat slice newCounts returns. Slices derived from those (a
+// reslice bound to another variable, a visitor that is not a literal) are
+// not followed.
 var SnapshotMut = &Analyzer{
 	Name: "snapshotmut",
 	Doc: "flags assignments to engine.Snapshot fields outside the constructor/Extend path, and writes " +
@@ -60,30 +64,29 @@ func runSnapshotMut(pass *Pass) error {
 			fn, ok := decl.(*ast.FuncDecl)
 			if ok && fn.Body != nil {
 				name := fn.Name.Name
-				checkSnapshotWrites(pass, fn.Body, inEngine && snapshotMutAllowed[name], inEngine && chunkWriteAllowed[name])
+				w := &chunkWrites{pass: pass, aliases: chunkAliases(pass, fn.Body), allowed: inEngine && chunkWriteAllowed[name]}
+				checkSnapshotWrites(pass, fn.Body, inEngine && snapshotMutAllowed[name], w)
 			}
 		}
 	}
 	return nil
 }
 
-func checkSnapshotWrites(pass *Pass, body ast.Node, fieldsAllowed, chunksAllowed bool) {
+func checkSnapshotWrites(pass *Pass, body ast.Node, fieldsAllowed bool, chunks *chunkWrites) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch st := n.(type) {
 		case *ast.AssignStmt:
 			for _, lhs := range st.Lhs {
 				reportSnapshotFieldWrite(pass, lhs, fieldsAllowed)
-				reportChunkWrite(pass, lhs, chunksAllowed)
+				chunks.report(lhs, false)
 			}
 		case *ast.IncDecStmt:
 			reportSnapshotFieldWrite(pass, st.X, fieldsAllowed)
-			reportChunkWrite(pass, st.X, chunksAllowed)
+			chunks.report(st.X, false)
 		case *ast.CallExpr:
 			if id, ok := ast.Unparen(st.Fun).(*ast.Ident); ok && len(st.Args) > 0 {
 				if _, builtin := pass.TypesInfo.Uses[id].(*types.Builtin); builtin && id.Name == "copy" {
-					if dst, ok := ast.Unparen(st.Args[0]).(*ast.SliceExpr); ok {
-						reportChunkWrite(pass, dst, chunksAllowed)
-					}
+					chunks.report(st.Args[0], true)
 				}
 			}
 		}
@@ -91,29 +94,86 @@ func checkSnapshotWrites(pass *Pass, body ast.Node, fieldsAllowed, chunksAllowed
 	})
 }
 
-// reportChunkWrite flags dst when it writes into an engine count chunk — an
-// element of one (chunk[i]), a whole chunk through a pointer (*chunk) or a
-// slice of one (chunk[:], as copy's destination) — outside refine and
-// extendCounts.
-func reportChunkWrite(pass *Pass, dst ast.Expr, allowed bool) {
-	if allowed {
+// chunkWrites reports writes into engine count chunks in one function body.
+// aliases holds the []int variables of the body that alias chunk memory.
+type chunkWrites struct {
+	pass    *Pass
+	aliases map[types.Object]bool
+	allowed bool
+}
+
+// chunkAliases returns the variables in body that alias count-chunk memory:
+// the parameter of a function literal passed to engine.Counts.Each, and the
+// flat slice bound from engine.newCounts' second result.
+func chunkAliases(pass *Pass, body ast.Node) map[types.Object]bool {
+	aliases := map[types.Object]bool{}
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch st := n.(type) {
+		case *ast.CallExpr:
+			f := calleeOf(pass.TypesInfo, st)
+			if f == nil || f.Name() != "Each" || len(st.Args) != 1 || !isNamed(recvTypeOf(f), enginePathSuffix, "Counts") {
+				return true
+			}
+			if lit, ok := ast.Unparen(st.Args[0]).(*ast.FuncLit); ok {
+				for _, field := range lit.Type.Params.List {
+					for _, name := range field.Names {
+						aliases[pass.TypesInfo.Defs[name]] = true
+					}
+				}
+			}
+		case *ast.AssignStmt:
+			if len(st.Lhs) != 2 || len(st.Rhs) != 1 {
+				return true
+			}
+			call, ok := ast.Unparen(st.Rhs[0]).(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			f := calleeOf(pass.TypesInfo, call)
+			if f == nil || f.Name() != "newCounts" || f.Pkg() == nil || !pathHasSuffix(f.Pkg().Path(), enginePathSuffix) {
+				return true
+			}
+			if flat, ok := st.Lhs[1].(*ast.Ident); ok {
+				aliases[pass.TypesInfo.ObjectOf(flat)] = true
+			}
+		}
+		return true
+	})
+	return aliases
+}
+
+// report flags dst when it writes into an engine count chunk — an element of
+// one (chunk[i]), a whole chunk through a pointer (*chunk), a slice of one
+// (chunk[:], as copy's destination), or an element or copy destination of a
+// slice aliasing one (see chunkAliases) — outside refine and extendCounts.
+// isCopy says dst is copy's destination, which writes through a bare slice
+// variable too.
+func (w *chunkWrites) report(dst ast.Expr, isCopy bool) {
+	if w.allowed {
 		return
 	}
-	var chunk ast.Expr
+	var target ast.Expr
 	switch e := ast.Unparen(dst).(type) {
 	case *ast.IndexExpr:
-		chunk = e.X
+		target = e.X
 	case *ast.SliceExpr:
-		chunk = e.X
+		target = e.X
 	case *ast.StarExpr:
-		chunk = e
+		target = e
+	case *ast.Ident:
+		if !isCopy {
+			return
+		}
+		target = e
 	default:
 		return
 	}
-	if !isNamed(pass.TypesInfo.TypeOf(chunk), enginePathSuffix, "countChunk") {
+	id, _ := ast.Unparen(target).(*ast.Ident)
+	aliased := id != nil && w.aliases[w.pass.TypesInfo.ObjectOf(id)]
+	if !aliased && !isNamed(w.pass.TypesInfo.TypeOf(target), enginePathSuffix, "countChunk") {
 		return
 	}
-	pass.Reportf(dst.Pos(), "write into an engine count chunk outside refine/extendCounts: "+
+	w.pass.Reportf(dst.Pos(), "write into an engine count chunk outside refine/extendCounts: "+
 		"chunks are shared with published snapshots and must be copied before they are written")
 }
 

@@ -42,10 +42,29 @@ func (s *Snapshot) Reset() {
 // countChunk mimics the real engine's shared count chunk.
 type countChunk [4]int
 
+// Counts mimics the real engine's chunked counts.
+type Counts struct{ chunks []*countChunk }
+
+// Each passes the counts to visit one chunk at a time.
+func (c Counts) Each(visit func(part []int)) {
+	for _, ch := range c.chunks {
+		visit(ch[:])
+	}
+}
+
+// newCounts returns zero counts and a flat slice over their chunk memory.
+func newCounts() (Counts, []int) {
+	flat := make([]int, 4)
+	return Counts{chunks: []*countChunk{(*countChunk)(flat)}}, flat
+}
+
 // refine is on the chunk-write allowlist: it fills chunks it has not
-// published yet.
-func refine(chunks []*countChunk, g int) {
+// published yet, directly or through newCounts' flat slice.
+func refine(chunks []*countChunk, g int) Counts {
 	chunks[g>>2][g&3]++
+	c, flat := newCounts()
+	flat[g&3]++
+	return c
 }
 
 // extendCounts is on the chunk-write allowlist: it copies a parent chunk
@@ -61,6 +80,31 @@ func bump(chunks []*countChunk, slab []countChunk, g int) {
 	slab[0][1] = 5               // want `write into an engine count chunk outside refine/extendCounts`
 	*chunks[0] = countChunk{}    // want `write into an engine count chunk outside refine/extendCounts`
 	copy(chunks[1][:], []int{1}) // want `write into an engine count chunk outside refine/extendCounts`
+}
+
+// scale writes through slices that alias chunk memory: the visitor's
+// parameter and newCounts' flat slice.
+func scale(c Counts) {
+	c.Each(func(part []int) {
+		part[0] *= 2         // want `write into an engine count chunk outside refine/extendCounts`
+		copy(part, []int{1}) // want `write into an engine count chunk outside refine/extendCounts`
+	})
+	_, flat := newCounts()
+	flat[1] = 3 // want `write into an engine count chunk outside refine/extendCounts`
+}
+
+// total only reads the visitor's slices, and rebinding the parameter
+// writes no chunk: no diagnostic.
+func total(c Counts) int {
+	var s int
+	c.Each(func(part []int) {
+		for _, v := range part {
+			s += v
+		}
+		part = nil
+		_ = part
+	})
+	return s
 }
 
 // readChunk only reads chunks, and copies out of one: no diagnostic.
