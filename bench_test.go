@@ -116,7 +116,9 @@ func BenchmarkDiscovery(b *testing.B) {
 
 // --- E10: counting vs materializing ---
 
-func benchAblationInstance(b *testing.B) (*jointree.JoinTree, []*relation.Relation) {
+// benchAblationTree is the ablation instance before projection: 3000 random
+// rows over six attributes of domain 8 and the join tree of a width-2 chain.
+func benchAblationTree(b *testing.B) (*relation.Relation, *jointree.JoinTree) {
 	b.Helper()
 	attrs := schemagen.AttrNames(6)
 	schema, err := schemagen.Chain(attrs, 2, 1)
@@ -132,7 +134,13 @@ func benchAblationInstance(b *testing.B) (*jointree.JoinTree, []*relation.Relati
 	if err != nil {
 		b.Fatal(err)
 	}
-	rels, err := join.Projections(r, schema)
+	return r, tree
+}
+
+func benchAblationInstance(b *testing.B) (*jointree.JoinTree, []*relation.Relation) {
+	b.Helper()
+	r, tree := benchAblationTree(b)
+	rels, err := join.Projections(r, tree.Schema())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -144,6 +152,21 @@ func BenchmarkJoinCount(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := join.CountTree(tree, rels); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCountSnapshot is BenchmarkJoinCount's count on the snapshot
+// path, the one every ρ of discovery and analysis takes: CountSnapshot over
+// the relation's memoized bag and separator groupings, which the first
+// iteration computes and every later one reuses.
+func BenchmarkCountSnapshot(b *testing.B) {
+	r, tree := benchAblationTree(b)
+	snap := r.Snapshot()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := join.CountSnapshot(snap, tree); err != nil {
 			b.Fatal(err)
 		}
 	}

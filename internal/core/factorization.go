@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"ajdloss/internal/infotheory"
+	"ajdloss/internal/join"
 	"ajdloss/internal/jointree"
 	"ajdloss/internal/relation"
 )
@@ -207,7 +208,7 @@ func (f *Factorization) Dist() (infotheory.Dist, *relation.Relation, error) {
 			return nil, nil, err
 		}
 	}
-	joined, err := materializeForDist(f.rooted, rels)
+	joined, err := join.MaterializeTree(f.rooted.Tree, rels)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -228,15 +229,6 @@ func (f *Factorization) Dist() (infotheory.Dist, *relation.Relation, error) {
 		return nil, nil, fmt.Errorf("core: P^T sums to %.9f over the join support, want 1", total)
 	}
 	return d, joined, nil
-}
-
-// materializeForDist joins the per-bag relations in rooted order.
-func materializeForDist(rooted *jointree.Rooted, rels []*relation.Relation) (*relation.Relation, error) {
-	acc := rels[rooted.Order[0]]
-	for i := 1; i < len(rooted.Order); i++ {
-		acc = acc.NaturalJoin(rels[rooted.Order[i]])
-	}
-	return acc, nil
 }
 
 // ModelsTree reports whether the empirical distribution of r models the join

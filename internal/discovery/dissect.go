@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"ajdloss/internal/core"
+	"ajdloss/internal/infotheory"
 	"ajdloss/internal/jointree"
 	"ajdloss/internal/relation"
 )
@@ -120,7 +121,7 @@ func dissect(r *relation.Relation, attrs, iface []string, cfg DissectConfig) ([]
 	var out [][]string
 	for _, g := range bestGroups {
 		bag := append(append([]string(nil), bestSep...), g...)
-		childIface := intersectLists(bag, infotheoryUnion(iface, bestSep))
+		childIface := intersectLists(bag, infotheory.Union(iface, bestSep))
 		sub, err := dissect(r, bag, childIface, cfg)
 		if err != nil {
 			return nil, err
@@ -176,21 +177,6 @@ func intersectLists(a, b []string) []string {
 	for _, x := range a {
 		if in[x] {
 			out = append(out, x)
-		}
-	}
-	return out
-}
-
-// infotheoryUnion concatenates attribute lists without duplicates.
-func infotheoryUnion(lists ...[]string) []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, l := range lists {
-		for _, a := range l {
-			if !seen[a] {
-				seen[a] = true
-				out = append(out, a)
-			}
 		}
 	}
 	return out

@@ -1,6 +1,10 @@
 package engine
 
-import "fmt"
+import (
+	"fmt"
+
+	"ajdloss/internal/infotheory"
+)
 
 // Query is one request of a batch against a snapshot. Kind selects the
 // measure and which fields are read:
@@ -37,7 +41,7 @@ func (q *Query) AddToPlan(p *Plan) error {
 		if len(q.Attrs) == 0 {
 			return fmt.Errorf("engine: %q query needs attrs", q.Kind)
 		}
-		if err := p.AddEntropy(union(q.Attrs, q.Given)...); err != nil {
+		if err := p.AddEntropy(infotheory.Union(q.Attrs, q.Given)...); err != nil {
 			return err
 		}
 		return p.AddEntropy(q.Given...)
@@ -46,7 +50,8 @@ func (q *Query) AddToPlan(p *Plan) error {
 			return fmt.Errorf("engine: %q query needs both a and b", q.Kind)
 		}
 		for _, set := range [][]string{
-			union(q.B, q.Given), union(q.A, q.Given), union(q.A, q.B, q.Given), q.Given,
+			infotheory.Union(q.B, q.Given), infotheory.Union(q.A, q.Given),
+			infotheory.Union(q.A, q.B, q.Given), q.Given,
 		} {
 			if err := p.AddEntropy(set...); err != nil {
 				return err
@@ -60,7 +65,7 @@ func (q *Query) AddToPlan(p *Plan) error {
 		if err := p.AddGrouping(q.X...); err != nil {
 			return err
 		}
-		return p.AddGrouping(union(q.X, q.Y)...)
+		return p.AddGrouping(infotheory.Union(q.X, q.Y)...)
 	case "distinct":
 		if len(q.Attrs) == 0 {
 			return fmt.Errorf("engine: distinct query needs attrs")
@@ -77,42 +82,11 @@ func (q *Query) AddToPlan(p *Plan) error {
 func (q *Query) Eval(s *Snapshot) (Result, error) {
 	switch q.Kind {
 	case "entropy":
-		hag, err := s.GroupEntropy(union(q.Attrs, q.Given)...)
-		if err != nil {
-			return Result{}, err
-		}
-		if len(q.Given) == 0 {
-			return Result{Nats: hag}, nil
-		}
-		hg, err := s.GroupEntropy(q.Given...)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Nats: hag - hg}, nil
+		h, err := infotheory.ConditionalEntropy(s, q.Attrs, q.Given)
+		return Result{Nats: h}, err
 	case "mi", "cmi":
-		hbc, err := s.GroupEntropy(union(q.B, q.Given)...)
-		if err != nil {
-			return Result{}, err
-		}
-		hac, err := s.GroupEntropy(union(q.A, q.Given)...)
-		if err != nil {
-			return Result{}, err
-		}
-		habc, err := s.GroupEntropy(union(q.A, q.B, q.Given)...)
-		if err != nil {
-			return Result{}, err
-		}
-		hc := 0.0
-		if len(q.Given) > 0 {
-			if hc, err = s.GroupEntropy(q.Given...); err != nil {
-				return Result{}, err
-			}
-		}
-		v := hbc + hac - habc - hc
-		if v < 0 && v > -1e-9 {
-			v = 0 // CMI is non-negative; clamp floating-point residue
-		}
-		return Result{Nats: v}, nil
+		v, err := infotheory.ConditionalMutualInformation(s, q.A, q.B, q.Given)
+		return Result{Nats: v}, err
 	case "fd":
 		return Result{}, fmt.Errorf("engine: fd queries are answered by internal/fd, not Eval")
 	case "distinct":
@@ -124,20 +98,4 @@ func (q *Query) Eval(s *Snapshot) (Result, error) {
 	default:
 		return Result{}, fmt.Errorf("engine: unknown batch query kind %q", q.Kind)
 	}
-}
-
-// union returns the concatenation of attribute lists with duplicates removed,
-// preserving first-occurrence order.
-func union(lists ...[]string) []string {
-	seen := make(map[string]struct{})
-	var out []string
-	for _, l := range lists {
-		for _, a := range l {
-			if _, ok := seen[a]; !ok {
-				seen[a] = struct{}{}
-				out = append(out, a)
-			}
-		}
-	}
-	return out
 }

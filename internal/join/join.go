@@ -5,10 +5,16 @@
 // passing without materializing the join (the join of an acyclic schema can
 // be exponentially larger than its inputs; Figure 1 needs joins of size 10⁶
 // whose inputs have 10⁵ rows, and the count is all the loss measure needs).
+//
+// The count is one bottom-up pass over a rooted join tree, written once:
+// CountTree and NewSampler run it over aligned bag projections, and
+// CountSnapshot and CountMVD over a snapshot's memoized bag and separator
+// groupings; the sampler keeps each tuple's weight from the same pass.
 package join
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"ajdloss/internal/engine"
@@ -83,58 +89,40 @@ func AcyclicJoin(r *relation.Relation, s *jointree.Schema) (*relation.Relation, 
 // ErrOverflow is returned when a join cardinality exceeds int64.
 var ErrOverflow = fmt.Errorf("join: cardinality overflows int64")
 
-func mulCheck(a, b int64) (int64, error) {
-	if a == 0 || b == 0 {
-		return 0, nil
-	}
-	c := a * b
-	if c/b != a || c < 0 {
-		return 0, ErrOverflow
-	}
-	return c, nil
-}
-
-func addCheck(a, b int64) (int64, error) {
-	c := a + b
-	if c < 0 {
-		return 0, ErrOverflow
-	}
-	return c, nil
-}
-
-// treePlan precomputes, for a rooted join tree, the child lists and the
-// per-edge group alignments between each node's relation and its parent's
-// relation on the separator attributes. All message passing then runs over
-// dense integer group-IDs — no string keys.
+// treePlan is a rooted join tree in DFS order (parent before child) laid
+// out for the bottom-up count, the one pass behind CountTree, CountSnapshot,
+// CountMVD and NewSampler. Row i of the node at position pos carries
+// up[pos][i], its separator group on the edge to its parent (pos ≥ 1), and
+// down[c][i], its group on the edge to each child c; msgs[c] holds one
+// zeroed slot per group of edge c. With first set, only the first row of each
+// group of first[pos] is a tuple of the node (the snapshot path, where a
+// bag's rows repeat); otherwise every row of rels[pos] is. All message
+// passing runs over dense integer group IDs — no string keys.
 type treePlan struct {
-	rooted   *jointree.Rooted
-	rels     []*relation.Relation // by DFS position
+	rels     []*relation.Relation // by DFS position; nil on the snapshot path
+	first    []*engine.Grouping   // by DFS position; nil on the projection path
 	children [][]int              // children[pos]: DFS child positions
-	// For pos ≥ 1, edge pos→parent: childIDs[pos][i] is the aligned
-	// separator group of row i of the relation at pos; parentIDs[pos][i] the
-	// aligned group of row i of the parent's relation; groups[pos] the size
-	// of the shared id space.
-	childIDs  [][]int32
-	parentIDs [][]int32
-	groups    []int
+	up, down [][]int32
+	msgs     [][]int64
 }
 
-func newTreePlan(t *jointree.JoinTree, rels []*relation.Relation) (*treePlan, error) {
+// newTreePlan roots t at bag 0 and aligns each edge's separator groups
+// between the projections at its two ends.
+func newTreePlan(t *jointree.JoinTree, rels []*relation.Relation) (*treePlan, *jointree.Rooted, error) {
 	if len(rels) != t.Len() {
-		return nil, fmt.Errorf("join: %d relations for %d bags", len(rels), t.Len())
+		return nil, nil, fmt.Errorf("join: %d relations for %d bags", len(rels), t.Len())
 	}
 	rooted, err := jointree.Root(t, 0)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	m := len(rooted.Order)
 	p := &treePlan{
-		rooted:    rooted,
-		rels:      make([]*relation.Relation, m),
-		children:  make([][]int, m),
-		childIDs:  make([][]int32, m),
-		parentIDs: make([][]int32, m),
-		groups:    make([]int, m),
+		rels:     make([]*relation.Relation, m),
+		children: make([][]int, m),
+		up:       make([][]int32, m),
+		down:     make([][]int32, m),
+		msgs:     make([][]int64, m),
 	}
 	for pos := 0; pos < m; pos++ {
 		p.rels[pos] = rels[rooted.Order[pos]]
@@ -143,81 +131,86 @@ func newTreePlan(t *jointree.JoinTree, rels []*relation.Relation) (*treePlan, er
 		par := rooted.Parent[i]
 		p.children[par] = append(p.children[par], i)
 		sep := rooted.Sep[i]
-		parentIDs, childIDs, groups, err := relation.AlignGroups(p.rels[par], sep, p.rels[i], sep)
+		down, up, groups, err := relation.AlignGroups(p.rels[par], sep, p.rels[i], sep)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		p.parentIDs[i] = parentIDs
-		p.childIDs[i] = childIDs
-		p.groups[i] = groups
+		p.up[i], p.down[i], p.msgs[i] = up, down, make([]int64, groups)
 	}
-	return p, nil
+	return p, rooted, nil
+}
+
+// count runs the message passing leaves first and returns the join size.
+// The message on edge c maps each separator group to the number of join
+// extensions in c's subtree consistent with it. A tuple's weight is the
+// product of its children's messages in child order; it is 0 at the first
+// zero message, so a later product that would overflow is never taken. If
+// weights is non-nil, weights[pos][i] receives the weight of row i at pos.
+func (p *treePlan) count(weights [][]int64) (int64, error) {
+	var total int64
+	for pos := len(p.children) - 1; pos >= 0; pos-- {
+		var ids []int32
+		n, last := 0, 0
+		if p.first != nil {
+			ids, last = p.first[pos].IDs, p.first[pos].Groups()
+			n = len(ids)
+		} else {
+			n = p.rels[pos].N()
+		}
+		if weights != nil {
+			weights[pos] = make([]int64, n)
+		}
+		// Group IDs are numbered in first-occurrence row order, so row i
+		// starts a new group exactly when its ID is the next unseen one,
+		// and no row is left to count once the last group has started.
+		next := int32(0)
+		for i := 0; i < n; i++ {
+			if ids != nil {
+				if ids[i] != next {
+					continue
+				}
+				if next++; int(next) == last {
+					n = i + 1
+				}
+			}
+			w := int64(1)
+			for _, c := range p.children[pos] {
+				cw := p.msgs[c][p.down[c][i]]
+				if cw == 0 {
+					w = 0
+					break
+				}
+				if w > math.MaxInt64/cw {
+					return 0, ErrOverflow
+				}
+				w *= cw
+			}
+			if w == 0 {
+				continue
+			}
+			if weights != nil {
+				weights[pos][i] = w
+			}
+			sum := &total
+			if pos > 0 {
+				sum = &p.msgs[pos][p.up[pos][i]]
+			}
+			if *sum += w; *sum < 0 {
+				return 0, ErrOverflow
+			}
+		}
+	}
+	return total, nil
 }
 
 // CountTree returns |⋈ᵢ rels[i]| over the join tree without materializing
-// the join, by bottom-up message passing: the message from a node to its
-// parent maps each aligned separator group to the number of join extensions
-// in the node's subtree consistent with that separator value.
+// the join, by bottom-up message passing over the aligned projections.
 func CountTree(t *jointree.JoinTree, rels []*relation.Relation) (int64, error) {
-	plan, err := newTreePlan(t, rels)
+	plan, _, err := newTreePlan(t, rels)
 	if err != nil {
 		return 0, err
 	}
-	m := len(plan.rooted.Order)
-	// messages[pos]: extension count per aligned separator group of edge pos.
-	messages := make([][]int64, m)
-
-	// aggregate computes the subtree weight of every tuple at pos and either
-	// sums weights into the edge message (pos ≥ 1) or returns the total.
-	aggregate := func(pos int) (int64, error) {
-		rel := plan.rels[pos]
-		var out []int64
-		if pos > 0 {
-			out = make([]int64, plan.groups[pos])
-		}
-		var total int64
-		for i := 0; i < rel.N(); i++ {
-			w := int64(1)
-			ok := true
-			for _, c := range plan.children[pos] {
-				cw := messages[c][plan.parentIDs[c][i]]
-				if cw == 0 {
-					ok = false
-					break
-				}
-				var err error
-				if w, err = mulCheck(w, cw); err != nil {
-					return 0, err
-				}
-			}
-			if !ok {
-				continue
-			}
-			if pos > 0 {
-				g := plan.childIDs[pos][i]
-				s, err := addCheck(out[g], w)
-				if err != nil {
-					return 0, err
-				}
-				out[g] = s
-			} else {
-				var err error
-				if total, err = addCheck(total, w); err != nil {
-					return 0, err
-				}
-			}
-		}
-		messages[pos] = out
-		return total, nil
-	}
-
-	// Process in reverse DFS order (leaves first).
-	for pos := m - 1; pos >= 1; pos-- {
-		if _, err := aggregate(pos); err != nil {
-			return 0, err
-		}
-	}
-	return aggregate(0)
+	return plan.count(nil)
 }
 
 // CountAcyclicJoin counts the acyclic join cardinality |⋈ᵢ R[Ωᵢ]| of r's
@@ -266,10 +259,12 @@ func CountMVD(snap *engine.Snapshot, m jointree.MVD) (int64, error) {
 	return countBags(snap, [][]string{left, right}, []int{-1, 0}, [][]string{nil, sep})
 }
 
-// countBags is the message passing of CountTree over a rooted tree given in
-// DFS order (parent[pos] < pos; sep[pos] = bags[pos] ∩ bags[parent[pos]]),
-// on the snapshot's groupings. All of them are planned through one engine
-// plan first, so overlapping bags and separators share refinements.
+// countBags is CountTree over a rooted tree given in DFS order
+// (parent[pos] < pos; sep[pos] = bags[pos] ∩ bags[parent[pos]]), on the
+// snapshot's groupings. All of them are planned through one engine plan
+// first, so overlapping bags and separators share refinements. A row's
+// separator group is the same toward the parent and as seen from it, so
+// up and down are one table of separator IDs.
 func countBags(snap *engine.Snapshot, bags [][]string, parent []int, sep [][]string) (int64, error) {
 	m := len(bags)
 	plan := snap.Plan()
@@ -284,65 +279,27 @@ func countBags(snap *engine.Snapshot, bags [][]string, parent []int, sep [][]str
 		}
 	}
 	plan.Run(0)
-	bagG := make([]*engine.Grouping, m)
-	sepG := make([]*engine.Grouping, m)
-	children := make([][]int, m)
+	ids := make([][]int32, m)
+	p := &treePlan{
+		first:    make([]*engine.Grouping, m),
+		children: make([][]int, m),
+		up:       ids,
+		down:     ids,
+		msgs:     make([][]int64, m),
+	}
 	for pos := 0; pos < m; pos++ {
 		var err error
-		if bagG[pos], err = snap.Grouping(bags[pos]...); err != nil {
+		if p.first[pos], err = snap.Grouping(bags[pos]...); err != nil {
 			return 0, err
 		}
 		if pos > 0 {
-			if sepG[pos], err = snap.Grouping(sep[pos]...); err != nil {
-				return 0, err
-			}
-			children[parent[pos]] = append(children[parent[pos]], pos)
-		}
-	}
-	// messages[pos]: extension count per separator group of edge pos.
-	messages := make([][]int64, m)
-	var total int64
-	// Leaves first: every child's message is complete before its parent runs.
-	for pos := m - 1; pos >= 0; pos-- {
-		var out []int64
-		if pos > 0 {
-			out = make([]int64, sepG[pos].Groups())
-		}
-		g := bagG[pos]
-		// Group IDs are numbered in first-occurrence row order, so row i
-		// starts a new bag group exactly when its ID is the next unseen one.
-		next := int32(0)
-		for i, b := range g.IDs {
-			if b != next {
-				continue
-			}
-			next++
-			w := int64(1)
-			for _, c := range children[pos] {
-				cw := messages[c][sepG[c].IDs[i]]
-				var err error
-				if w, err = mulCheck(w, cw); err != nil {
-					return 0, err
-				}
-				if w == 0 {
-					break
-				}
-			}
-			var err error
-			if pos > 0 {
-				id := sepG[pos].IDs[i]
-				out[id], err = addCheck(out[id], w)
-			} else {
-				total, err = addCheck(total, w)
-			}
+			g, err := snap.Grouping(sep[pos]...)
 			if err != nil {
 				return 0, err
 			}
-			if int(next) == g.Groups() {
-				break
-			}
+			ids[pos], p.msgs[pos] = g.IDs, make([]int64, g.Groups())
+			p.children[parent[pos]] = append(p.children[parent[pos]], pos)
 		}
-		messages[pos] = out
 	}
-	return total, nil
+	return p.count(nil)
 }

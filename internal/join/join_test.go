@@ -1,6 +1,8 @@
 package join
 
 import (
+	"errors"
+	"fmt"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -155,27 +157,118 @@ func TestCountArityMismatch(t *testing.T) {
 	}
 }
 
+// column returns a one-attribute relation holding the values 1..n.
+func column(attr string, n int) *relation.Relation {
+	r := relation.New(attr)
+	for v := 1; v <= n; v++ {
+		r.Insert(relation.Tuple{relation.Value(v)})
+	}
+	return r
+}
+
+// zeroAndOverflowTree is a root bag {A} holding A = 1 whose children are a
+// bag {A, Z} and two bags {B} and {C}, each the parent of three disjoint
+// 2000-value bags, so each sends the root a message of 2000³ = 8·10⁹ and
+// their product, 6.4·10¹⁹, overflows int64. {A, Z} holds A = 1 when
+// joinable and A = 2 otherwise, which makes its message 0; zeroFirst puts it
+// before the two large children, and otherwise after them.
+func zeroAndOverflowTree(zeroFirst, joinable bool) (*jointree.JoinTree, []*relation.Relation) {
+	a := relation.Value(2)
+	if joinable {
+		a = 1
+	}
+	az := relation.FromRows([]string{"A", "Z"}, []relation.Tuple{{a, 1}})
+	bags := [][]string{{"A"}}
+	rels := []*relation.Relation{column("A", 1)}
+	var edges [][2]int
+	add := func(parent int, bag []string, r *relation.Relation) int {
+		bags, rels = append(bags, bag), append(rels, r)
+		edges = append(edges, [2]int{parent, len(bags) - 1})
+		return len(bags) - 1
+	}
+	if zeroFirst {
+		add(0, []string{"A", "Z"}, az)
+	}
+	for _, hub := range []string{"B", "C"} {
+		h := add(0, []string{hub}, column(hub, 1))
+		for k := 1; k <= 3; k++ {
+			leaf := fmt.Sprintf("%s%d", hub, k)
+			add(h, []string{leaf}, column(leaf, 2000))
+		}
+	}
+	if !zeroFirst {
+		add(0, []string{"A", "Z"}, az)
+	}
+	return jointree.MustJoinTree(bags, edges), rels
+}
+
+// TestCountOverflow checks that the three callers of the one counting pass —
+// CountTree, CountSnapshot and NewSampler — agree on the zero rule, on
+// overflow and on the empty join. A tuple's weight is 0 at its first zero
+// child message, before a later product can overflow; an overflow met
+// before the zero is ErrOverflow. The snapshot path counts projections of
+// one relation, which are globally consistent, so it never sees a zero
+// message: the two ordering cases run on independent relations, and the
+// snapshot path runs on the overflow and empty cases.
 func TestCountOverflow(t *testing.T) {
-	// Star of k independent attributes each with large domains would
-	// overflow; verify detection using a deep cross product.
+	// 1000 tuples over seven attributes, each with 1000 distinct values: the
+	// join of the singleton bags is 1000⁷ = 10²¹ > MaxInt64.
 	attrs := []string{"A", "B", "C", "D", "E", "F", "G"}
-	bags := make([][]string, len(attrs))
-	r := relation.New(attrs...)
+	wide := relation.New(attrs...)
 	row := make(relation.Tuple, len(attrs))
-	// 1000 tuples, each attribute with ~1000 distinct values: the full
-	// cross product is 1000^7 = 10^21 > MaxInt64.
 	for i := 0; i < 1000; i++ {
 		for j := range row {
 			row[j] = relation.Value(i + j*1000)
 		}
-		r.Insert(row)
+		wide.Insert(row)
 	}
+	singletons := make([][]string, len(attrs))
 	for i, a := range attrs {
-		bags[i] = []string{a}
+		singletons[i] = []string{a}
 	}
-	s := jointree.MustSchema(bags...)
-	if _, err := CountAcyclicJoin(r, s); err == nil {
-		t.Fatal("overflow not detected")
+	wideTree, err := jointree.BuildJoinTree(jointree.MustSchema(singletons...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	zeroFirst, zeroFirstRels := zeroAndOverflowTree(true, false)
+	zeroLast, zeroLastRels := zeroAndOverflowTree(false, false)
+	noZero, noZeroRels := zeroAndOverflowTree(true, true)
+	// Every case's join is empty or overflows, so each count is 0 or
+	// ErrOverflow, and the sampler refuses every case.
+	cases := []struct {
+		name    string
+		tree    *jointree.JoinTree
+		rels    []*relation.Relation // nil: the projections of r
+		r       *relation.Relation   // nil: the case has no snapshot form
+		wantErr error
+	}{
+		{"zero before overflow", zeroFirst, zeroFirstRels, nil, nil},
+		{"overflow before zero", zeroLast, zeroLastRels, nil, ErrOverflow},
+		{"overflow, no zero", noZero, noZeroRels, nil, ErrOverflow},
+		{"overflowing snapshot", wideTree, nil, wide, ErrOverflow},
+		{"empty join", chainTree(t), nil, relation.New("A", "B", "C", "D"), nil},
+	}
+	for _, c := range cases {
+		check := func(path string, got int64, err error) {
+			t.Helper()
+			if got != 0 || !errors.Is(err, c.wantErr) || (err != nil) != (c.wantErr != nil) {
+				t.Errorf("%s: %s = %d, %v; want 0, %v", c.name, path, got, err, c.wantErr)
+			}
+		}
+		rels := c.rels
+		if c.r != nil {
+			if rels, err = Projections(c.r, c.tree.Schema()); err != nil {
+				t.Fatal(err)
+			}
+			got, err := CountSnapshot(c.r.Snapshot(), c.tree)
+			check("CountSnapshot", got, err)
+		}
+		got, err := CountTree(c.tree, rels)
+		check("CountTree", got, err)
+		s, err := NewSampler(c.tree, rels)
+		if s != nil || err == nil || errors.Is(err, ErrOverflow) != (c.wantErr != nil) {
+			t.Errorf("%s: NewSampler = %v, %v; want an error, ErrOverflow: %v", c.name, s, err, c.wantErr != nil)
+		}
 	}
 }
 

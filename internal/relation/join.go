@@ -1,7 +1,5 @@
 package relation
 
-import "fmt"
-
 // joinPlan precomputes the column bookkeeping for a natural join of r ⋈ s:
 // the shared attributes (join key) and the s-columns that are not in r.
 type joinPlan struct {
@@ -103,18 +101,4 @@ func (r *Relation) Semijoin(s *Relation) *Relation {
 		present[id] = true
 	}
 	return r.subset(func(i int) bool { return present[rIDs[i]] })
-}
-
-// NaturalJoinAll joins the relations left to right. For an acyclic schema the
-// caller should pass the relations in a connected join-tree order so no
-// intermediate cross products arise. It returns an error on an empty input.
-func NaturalJoinAll(rels []*Relation) (*Relation, error) {
-	if len(rels) == 0 {
-		return nil, fmt.Errorf("relation: NaturalJoinAll of zero relations")
-	}
-	acc := rels[0]
-	for _, s := range rels[1:] {
-		acc = acc.NaturalJoin(s)
-	}
-	return acc, nil
 }

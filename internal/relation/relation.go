@@ -247,9 +247,11 @@ func (r *Relation) insert(t Tuple) bool {
 // existing rows and within the batch, and reports how many were newly added.
 // Unlike Insert, Append maintains the columnar group engine *incrementally*:
 // each memoized grouping absorbs the new rows with O(batch) probes of the
-// refinement probe handed down from the previous snapshot, plus an O(groups)
-// copy of its counts, instead of being discarded and rebuilt (O(n × queried
-// sets)), which is what makes streaming ingestion over a warm engine cheap.
+// refinement probe handed down from the previous snapshot, plus a copy of
+// its chunk table and of the fixed-size count chunks the batch's rows land
+// in (the rest are shared with the previous snapshot; see engine.Counts),
+// instead of being discarded and rebuilt (O(n × queried sets)), which is
+// what makes streaming ingestion over a warm engine cheap.
 // Incremental maintenance assigns exactly the group ids a from-scratch
 // rebuild over the concatenated rows would.
 //

@@ -203,22 +203,6 @@ func TestSemijoin(t *testing.T) {
 	}
 }
 
-func TestNaturalJoinAll(t *testing.T) {
-	if _, err := NaturalJoinAll(nil); err == nil {
-		t.Fatal("empty NaturalJoinAll did not error")
-	}
-	r := FromRows([]string{"A", "B"}, []Tuple{{1, 2}})
-	s := FromRows([]string{"B", "C"}, []Tuple{{2, 3}})
-	u := FromRows([]string{"C", "D"}, []Tuple{{3, 4}})
-	j, err := NaturalJoinAll([]*Relation{r, s, u})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.N() != 1 {
-		t.Fatalf("3-way join N = %d", j.N())
-	}
-}
-
 func TestSortedRowsDeterministic(t *testing.T) {
 	r := FromRows([]string{"A", "B"}, []Tuple{{2, 1}, {1, 2}, {1, 1}})
 	got := r.SortedRows()
