@@ -140,7 +140,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready fun
 	dataDir := fs.String("data", "", "durability directory: WAL + checkpoints per dataset, recovery at boot (empty = in-memory only)")
 	walCompact := fs.Int64("wal-compact", persist.DefaultCompactAt, "WAL bytes that trigger background checkpoint compaction (<0 disables)")
 	fsync := fs.Bool("fsync", false, "fsync the WAL on every append (power-failure durability)")
-	procs := fs.Int("procs", 0, "cap worker goroutines per operation: engine plan levels, batch queries and discovery separators (0 = GOMAXPROCS)")
+	procs := fs.Int("procs", 0, "cap worker goroutines per operation: engine plan and append levels large enough to fan out, batch queries included (0 = GOMAXPROCS)")
 	eager := fs.Bool("eager-recovery", false, "decode every recovered dataset at boot instead of on first access")
 	defaultNS := fs.String("default-ns", "default", "namespace the legacy unversioned routes alias")
 	quotaDatasets := fs.Int64("quota-datasets", 0, "max datasets per namespace (0 = unlimited)")
@@ -370,6 +370,19 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready fun
 	return nil
 }
 
+// Server timeouts. Without ReadHeaderTimeout a client that never finishes
+// its request headers holds a connection and a goroutine for good; without
+// IdleTimeout so does a keep-alive connection left idle.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer returns the daemon's HTTP server for h.
+func newServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 // serveHTTP binds addr, serves h until ctx is cancelled, then drains
 // gracefully. The "listening" line goes to stdout for scripts to scrape.
 func serveHTTP(ctx context.Context, addr string, h http.Handler, drain time.Duration, stdout, stderr io.Writer, ready func(net.Addr)) error {
@@ -377,7 +390,7 @@ func serveHTTP(ctx context.Context, addr string, h http.Handler, drain time.Dura
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: h}
+	srv := newServer(h)
 	fmt.Fprintf(stdout, "ajdlossd listening on http://%s\n", ln.Addr())
 	if ready != nil {
 		ready(ln.Addr())

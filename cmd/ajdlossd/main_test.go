@@ -449,3 +449,16 @@ func TestDaemonNamespaceFlags(t *testing.T) {
 		t.Fatalf("graceful shutdown: %v", err)
 	}
 }
+
+// TestNewServerTimeouts: the daemon's server bounds how long a client may
+// take to send its headers and how long an idle keep-alive connection stays
+// open.
+func TestNewServerTimeouts(t *testing.T) {
+	srv := newServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != readHeaderTimeout || srv.ReadHeaderTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout = %v, want %v", srv.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if srv.IdleTimeout != idleTimeout || srv.IdleTimeout <= 0 {
+		t.Fatalf("IdleTimeout = %v, want %v", srv.IdleTimeout, idleTimeout)
+	}
+}

@@ -170,15 +170,28 @@ func TestEngineJMeasureAndLossParity(t *testing.T) {
 	}
 }
 
+// poolInstance draws 20 000 rows over four attributes of domain 16: enough
+// rows that the engine's plan levels fan out on its worker pool, which the
+// parallel-determinism tests below must reach.
+func poolInstance(t *testing.T, seed uint64) *relation.Relation {
+	t.Helper()
+	model := randrel.Model{Attrs: []string{"A", "B", "C", "D"}, Domains: []int{16, 16, 16, 16}, N: 20000}
+	r, err := model.Sample(randrel.NewRand(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func TestChowLiuParallelDeterminism(t *testing.T) {
-	base := parityInstance(t, 42, 150)
+	base := poolInstance(t, 42)
 	first, err := discovery.ChowLiu(base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for run := 0; run < 5; run++ {
 		// Fresh relation each run: cold engine caches, fresh worker pool.
-		r := parityInstance(t, 42, 150)
+		r := poolInstance(t, 42)
 		c, err := discovery.ChowLiu(r)
 		if err != nil {
 			t.Fatal(err)
@@ -196,12 +209,12 @@ func TestChowLiuParallelDeterminism(t *testing.T) {
 }
 
 func TestFindMVDsParallelDeterminism(t *testing.T) {
-	first, err := discovery.FindMVDs(parityInstance(t, 7, 200), 2, 0.05)
+	first, err := discovery.FindMVDs(poolInstance(t, 7), 2, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for run := 0; run < 3; run++ {
-		got, err := discovery.FindMVDs(parityInstance(t, 7, 200), 2, 0.05)
+		got, err := discovery.FindMVDs(poolInstance(t, 7), 2, 0.05)
 		if err != nil {
 			t.Fatal(err)
 		}

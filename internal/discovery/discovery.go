@@ -270,53 +270,88 @@ type MVDCandidate struct {
 // components of the conditional-dependence graph (edge between Yᵢ,Y_j iff
 // I(Yᵢ;Y_j|X) > threshold). Separators yielding ≥2 components become MVD
 // candidates, returned sorted by ascending J.
+//
+// Every entropy it reads is planned first: one engine plan holds H(X),
+// H(X∪a) and H(X∪a∪b) for each separator X and attributes a, b outside it,
+// and a second holds the candidates' star bags and the full attribute set
+// for J. The sets overlap heavily across separators, and a plan refines each
+// exactly once, parents-first, spreading only the levels that scan enough
+// rows over the engine's pool. The separator scans and the J sums then read
+// the memo serially, in a fixed order, so the output is deterministic.
 func FindMVDs(r *relation.Relation, maxSep int, threshold float64) ([]MVDCandidate, error) {
 	attrs := r.Attrs()
 	n := len(attrs)
 	if maxSep < 0 || maxSep >= n {
 		return nil, fmt.Errorf("discovery: need 0 ≤ maxSep < #attrs, got %d with %d attrs", maxSep, n)
 	}
-	// Warm the shared lower lattice through one plan before fanning out: every
-	// separator's CMI scan reads H(sep) and H(sep ∪ {a}) for each remaining
-	// attribute, and those sets (plus their sorted prefixes) overlap heavily
-	// across separators. The plan computes each exactly once, parents-first,
-	// instead of letting the workers below race to refine the same prefixes.
-	// The per-pair sets sep ∪ {a,b} are leaves — unshared — and stay on
-	// demand inside the scan.
 	snap := r.Snapshot()
 	seps := subsetsUpTo(attrs, maxSep)
+	rests := make([][]string, len(seps))
+	var buf []string
 	plan := snap.Plan()
-	for _, sep := range seps {
+	for k, sep := range seps {
+		rests[k] = exclude(attrs, sep)
+		if len(rests[k]) < 2 {
+			continue
+		}
 		if err := plan.AddEntropy(sep...); err != nil {
 			return nil, err
 		}
-		for _, a := range exclude(attrs, sep) {
-			if err := plan.AddEntropy(append(append([]string(nil), sep...), a)...); err != nil {
+		for i, a := range rests[k] {
+			buf = withAttrs(buf, sep, a)
+			if err := plan.AddEntropy(buf...); err != nil {
 				return nil, err
+			}
+			for _, b := range rests[k][i+1:] {
+				buf = withAttrs(buf, sep, a, b)
+				if err := plan.AddEntropy(buf...); err != nil {
+					return nil, err
+				}
 			}
 		}
 	}
 	plan.Run(0)
-	// Each separator's work — the O(|rest|²) CMI scan plus the star-schema
-	// J — is independent; fan it out on the engine's worker pool (so the
-	// SetMaxProcs cap bounds it). Per-separator slots keep the output order,
-	// the reported error (the lowest failing separator's) and the final sort
-	// deterministic.
-	results := make([]*MVDCandidate, len(seps))
-	errs := make([]error, len(seps))
-	engine.ForEach(len(seps), 0, func(k int) {
-		results[k], errs[k] = separatorMVD(snap, attrs, seps[k], threshold)
-	})
-	for _, err := range errs {
+	var out []MVDCandidate
+	var schemas []*jointree.Schema
+	plan = snap.Plan()
+	for k, sep := range seps {
+		if len(rests[k]) < 2 {
+			continue
+		}
+		comps, err := dependenceComponents(snap, rests[k], sep, threshold)
 		if err != nil {
 			return nil, err
 		}
-	}
-	var out []MVDCandidate
-	for _, c := range results {
-		if c != nil {
-			out = append(out, *c)
+		if len(comps) < 2 {
+			continue
 		}
+		schema, err := jointree.MVDSchema(sep, comps...)
+		if err != nil {
+			return nil, err
+		}
+		for _, bag := range schema.Bags() {
+			if err := plan.AddEntropy(bag...); err != nil {
+				return nil, err
+			}
+		}
+		out = append(out, MVDCandidate{X: sep, Groups: comps})
+		schemas = append(schemas, schema)
+	}
+	if len(out) == 0 {
+		return nil, nil
+	}
+	// J also reads each star's separator X, planned above, and H of every
+	// attribute.
+	if err := plan.AddEntropy(attrs...); err != nil {
+		return nil, err
+	}
+	plan.Run(0)
+	for k, schema := range schemas {
+		j, err := core.JMeasureSchema(snap, schema)
+		if err != nil {
+			return nil, err
+		}
+		out[k].J = j
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].J != out[j].J {
@@ -327,32 +362,26 @@ func FindMVDs(r *relation.Relation, maxSep int, threshold float64) ([]MVDCandida
 	return out, nil
 }
 
-// separatorMVD splits the attributes outside sep into the components of
-// the conditional-dependence graph given sep; it returns nil when fewer than
-// two components (so no MVD) arise.
-func separatorMVD(snap *engine.Snapshot, attrs, sep []string, threshold float64) (*MVDCandidate, error) {
-	rest := exclude(attrs, sep)
-	if len(rest) < 2 {
-		return nil, nil
-	}
-	comps, err := dependenceComponents(snap, rest, sep, threshold)
-	if err != nil || len(comps) < 2 {
-		return nil, err
-	}
-	schema, err := jointree.MVDSchema(sep, comps...)
+// dependenceComponents partitions rest into the connected components of the
+// graph with an edge (a,b) whenever I(a;b|sep) > threshold, in union-find
+// root order, members in rest order. H(sep) and each H(sep∪{a}) are read
+// once per call and H(sep∪{a,b}) once per pair, from the snapshot's memo
+// where a plan has filled it. Each I(a;b|sep) is summed as
+// hbc + hac − habc − hc and clamped, the terms and order of
+// infotheory.ConditionalMutualInformation, so it is bit-identical to it.
+func dependenceComponents(snap *engine.Snapshot, rest, sep []string, threshold float64) ([][]string, error) {
+	hc, err := infotheory.Entropy(snap, sep...)
 	if err != nil {
 		return nil, err
 	}
-	j, err := core.JMeasureSchema(snap, schema)
-	if err != nil {
-		return nil, err
+	var buf []string
+	single := make([]float64, len(rest))
+	for i, a := range rest {
+		buf = withAttrs(buf, sep, a)
+		if single[i], err = infotheory.Entropy(snap, buf...); err != nil {
+			return nil, err
+		}
 	}
-	return &MVDCandidate{X: sep, Groups: comps, J: j}, nil
-}
-
-// dependenceComponents partitions rest into connected components of the
-// graph with an edge (a,b) whenever I(a;b|sep) > threshold.
-func dependenceComponents(r infotheory.Source, rest, sep []string, threshold float64) ([][]string, error) {
 	n := len(rest)
 	parent := make([]int, n)
 	for i := range parent {
@@ -368,11 +397,17 @@ func dependenceComponents(r infotheory.Source, rest, sep []string, threshold flo
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			mi, err := infotheory.ConditionalMutualInformation(r, []string{rest[i]}, []string{rest[j]}, sep)
+			buf = withAttrs(buf, sep, rest[i], rest[j])
+			habc, err := infotheory.Entropy(snap, buf...)
 			if err != nil {
 				return nil, err
 			}
-			if mi > threshold {
+			hbc, hac := single[j], single[i]
+			v := hbc + hac - habc - hc
+			if v < 0 && v > -1e-9 {
+				v = 0
+			}
+			if v > threshold {
 				parent[find(i)] = find(j)
 			}
 		}
@@ -392,6 +427,11 @@ func dependenceComponents(r infotheory.Source, rest, sep []string, threshold flo
 		out = append(out, groups[root])
 	}
 	return out, nil
+}
+
+// withAttrs returns sep followed by extra, written over buf's storage.
+func withAttrs(buf, sep []string, extra ...string) []string {
+	return append(append(buf[:0], sep...), extra...)
 }
 
 // subsetsUpTo returns all subsets of attrs of size 0..k, smallest first.

@@ -199,11 +199,12 @@ func TestFindMVDsRankedByJ(t *testing.T) {
 	}
 }
 
-// TestFindMVDsUnderProcsCap: FindMVDs fans its separators out on the
-// engine's pool, so engine.SetMaxProcs (the daemon's -procs) bounds it; the
-// candidates must be identical capped and uncapped.
+// TestFindMVDsUnderProcsCap: FindMVDs' plans run on the engine's pool, so
+// engine.SetMaxProcs (the daemon's -procs) bounds them; the candidates must
+// be identical capped and uncapped. 20000 rows make the plan levels large
+// enough to fan out when uncapped.
 func TestFindMVDsUnderProcsCap(t *testing.T) {
-	model := randrel.Model{Attrs: []string{"A", "B", "C", "D", "E"}, Domains: []int{3, 3, 3, 3, 3}, N: 120}
+	model := randrel.Model{Attrs: []string{"A", "B", "C", "D", "E"}, Domains: []int{16, 16, 16, 16, 16}, N: 20000}
 	find := func(procs int) []MVDCandidate {
 		engine.SetMaxProcs(procs)
 		defer engine.SetMaxProcs(0)

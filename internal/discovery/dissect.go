@@ -91,7 +91,7 @@ func dissect(r *relation.Relation, attrs, iface []string, cfg DissectConfig) ([]
 		if len(rest) < 2 {
 			continue
 		}
-		comps, err := dependenceComponents(r, rest, sep, cfg.Threshold)
+		comps, err := dependenceComponents(r.Snapshot(), rest, sep, cfg.Threshold)
 		if err != nil {
 			return nil, err
 		}

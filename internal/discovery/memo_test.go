@@ -312,12 +312,20 @@ func TestMemoForeignRelationSameGeneration(t *testing.T) {
 // TestMemoConcurrentAppendParity runs readers against generation-pinned views
 // while a writer appends, asserting memo answers stay bit-identical to cold
 // recomputes of each view's own rows. Run under -race this also checks the
-// memo's locking discipline.
+// memo's locking discipline. The base has enough rows (over domains of 40)
+// that Chow-Liu's cold plan levels fan out on the engine's pool.
 func TestMemoConcurrentAppendParity(t *testing.T) {
+	wideRow := func(rng *rand.Rand) relation.Tuple {
+		row := make(relation.Tuple, len(memoTestAttrs))
+		for c := range row {
+			row[c] = relation.Value(rng.Intn(40))
+		}
+		return row
+	}
 	rng := rand.New(rand.NewSource(5))
-	base := make([]relation.Tuple, 0, 30)
-	for i := 0; i < 30; i++ {
-		base = append(base, memoTestRow(rng))
+	base := make([]relation.Tuple, 0, 18000)
+	for i := 0; i < 18000; i++ {
+		base = append(base, wideRow(rng))
 	}
 	live := relation.FromRows(memoTestAttrs, base)
 	m := NewMemo()
@@ -335,7 +343,7 @@ func TestMemoConcurrentAppendParity(t *testing.T) {
 		for i := 0; i < steps; i++ {
 			batch := make([]relation.Tuple, 1+wrng.Intn(5))
 			for j := range batch {
-				batch[j] = memoTestRow(wrng)
+				batch[j] = wideRow(wrng)
 			}
 			if _, err := live.Append(batch); err != nil {
 				t.Error(err)

@@ -23,6 +23,7 @@ type Plan struct {
 }
 
 type planNode struct {
+	key     string
 	cols    []int
 	entropy bool
 }
@@ -62,7 +63,7 @@ func (p *Plan) addCols(cols []int, entropy bool) *planNode {
 	key := colsKey(cols)
 	n, ok := p.nodes[key]
 	if !ok {
-		n = &planNode{cols: append([]int(nil), cols...)}
+		n = &planNode{key: key, cols: append([]int(nil), cols...)}
 		p.nodes[key] = n
 	}
 	n.entropy = n.entropy || entropy
@@ -78,6 +79,8 @@ func (p *Plan) Len() int { return len(p.nodes) }
 // GOMAXPROCS). Because levels are barriers, every node's refinement parent is
 // already memoized when the node runs — each refinement happens exactly once,
 // and the snapshot's memo makes the results available to every later query.
+// Nodes the memo already answers are skipped, and a level whose remaining
+// work is under parallelRows runs inline (see levelWorkers).
 func (p *Plan) Run(workers int) {
 	levels := make(map[int][]*planNode)
 	maxLevel := 0
@@ -89,8 +92,8 @@ func (p *Plan) Run(workers int) {
 		}
 	}
 	for l := 0; l <= maxLevel; l++ {
-		nodes := levels[l]
-		ForEach(len(nodes), workers, func(i int) {
+		nodes, work := p.snap.pending(levels[l])
+		forEach(len(nodes), levelWorkers(work, workers), func(i int) {
 			n := nodes[i]
 			if n.entropy {
 				p.snap.groupEntropy(n.cols)
@@ -101,12 +104,55 @@ func (p *Plan) Run(workers int) {
 	}
 }
 
-// ForEach runs fn(i) for i in [0,n) on the engine's pool of at most workers
+// pending returns the nodes of one plan level the memo does not answer yet,
+// and their work in rows: every row for a grouping still to be refined, and
+// the group count of a memoized grouping whose entropy is still to be
+// summed.
+func (s *Snapshot) pending(nodes []*planNode) ([]*planNode, int) {
+	out := nodes[:0]
+	work := 0
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, n := range nodes {
+		ent, ok := s.memo[n.key]
+		switch {
+		case !ok:
+			work += s.n
+		case !n.entropy:
+			continue
+		default:
+			if _, done := s.entropy[n.key]; done {
+				continue
+			}
+			work += ent.g.Groups()
+		}
+		out = append(out, n)
+	}
+	return out, work
+}
+
+// parallelRows is the work, in rows scanned or groups summed, from which a
+// lattice level fans out over the worker pool. Below it the level runs on
+// the caller: starting and waking workers, and the memo latch moving between
+// cores, cost more than such a level saves (EXPERIMENTS.md, *Fan out only
+// levels that scan rows*, sweeps 2¹⁴–2¹⁸).
+const parallelRows = 1 << 16
+
+// levelWorkers returns the worker count for a lattice level of the given
+// work in rows: workers (≤ 0 means the pool default) once the work reaches
+// parallelRows, else 1, which runs the level inline.
+func levelWorkers(work, workers int) int {
+	if work < parallelRows {
+		return 1
+	}
+	return workers
+}
+
+// forEach runs fn(i) for i in [0,n) on the engine's pool of at most workers
 // goroutines (workers ≤ 0 means GOMAXPROCS, always clamped by SetMaxProcs).
 // fn must synchronize its own writes; results should land in caller-owned
-// per-index slots. Callers above the engine (discovery's separator fan-out)
-// use it so the -procs cap bounds their parallelism too.
-func ForEach(n, workers int, fn func(i int)) {
+// per-index slots.
+func forEach(n, workers int, fn func(i int)) {
 	workers = maxWorkers(workers)
 	if workers > n {
 		workers = n

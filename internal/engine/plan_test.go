@@ -169,7 +169,7 @@ func TestConcurrentSnapshotReads(t *testing.T) {
 			}
 		}
 	}()
-	ForEach(64, 8, func(i int) {
+	forEach(64, 8, func(i int) {
 		set := sets[i%len(sets)]
 		h1, err := snap.GroupEntropy(set...)
 		if err != nil {
@@ -190,4 +190,71 @@ func TestConcurrentSnapshotReads(t *testing.T) {
 		}
 	})
 	<-done
+}
+
+// TestLevelWorkersRowWork pins the fan-out rule: a level runs inline below
+// parallelRows rows of work and on the requested pool at and above it.
+func TestLevelWorkersRowWork(t *testing.T) {
+	for _, c := range []struct{ work, workers, want int }{
+		{0, 0, 1},
+		{parallelRows - 1, 0, 1},
+		{parallelRows - 1, 8, 1},
+		{parallelRows, 0, 0},
+		{parallelRows, 8, 8},
+		{parallelRows + 1, 4, 4},
+	} {
+		if got := levelWorkers(c.work, c.workers); got != c.want {
+			t.Errorf("levelWorkers(%d, %d) = %d, want %d", c.work, c.workers, got, c.want)
+		}
+	}
+}
+
+// TestPlanPendingWork checks what a plan level counts as work: every row of
+// a grouping the memo lacks, the group count of a memoized grouping whose
+// entropy is still missing, and nothing for a node the memo answers, which
+// the level then skips.
+func TestPlanPendingWork(t *testing.T) {
+	snap := rowSnapshot([]string{"A", "B", "C", "D"}, randRows(3, 200, 4, 4))
+	level := func(entropyA bool) []*planNode {
+		p := snap.Plan()
+		add := p.AddGrouping
+		if entropyA {
+			add = p.AddEntropy
+		}
+		if err := add("A"); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.AddGrouping("B"); err != nil {
+			t.Fatal(err)
+		}
+		var out []*planNode
+		for _, n := range p.nodes {
+			if len(n.cols) == 1 {
+				out = append(out, n)
+			}
+		}
+		return out
+	}
+	check := func(label string, entropyA bool, wantNodes, wantWork int) {
+		t.Helper()
+		nodes, work := snap.pending(level(entropyA))
+		if len(nodes) != wantNodes || work != wantWork {
+			t.Fatalf("%s: %d nodes, work %d; want %d nodes, work %d", label, len(nodes), work, wantNodes, wantWork)
+		}
+	}
+	rows := snap.NumRows()
+	check("cold", true, 2, 2*rows)
+	g, err := snap.Grouping("A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("A grouped, entropy missing", true, 2, g.Groups()+rows)
+	check("A grouped, no entropy asked", false, 1, rows)
+	if _, err := snap.GroupEntropy("A"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := snap.Grouping("B"); err != nil {
+		t.Fatal(err)
+	}
+	check("all memoized", true, 0, 0)
 }

@@ -24,9 +24,10 @@ import (
 var maxProcsCap atomic.Int32
 
 // SetMaxProcs caps the engine's worker pool at n goroutines (n <= 0
-// restores the default, GOMAXPROCS). The pool runs the nodes of a plan
-// level, Extend levels, batch queries and discovery's separators; each
-// node's refinement is one serial scan. The cap bounds CPU usage per
+// restores the default, GOMAXPROCS). The pool runs the nodes of a plan level
+// (batch queries and discovery's plans included) and the sets of an Extend
+// level, once the level's work reaches parallelRows rows; smaller levels,
+// and each node's refinement, run serially. The cap bounds CPU usage per
 // operation, not correctness: results are bit-identical at every setting.
 func SetMaxProcs(n int) {
 	if n < 0 {

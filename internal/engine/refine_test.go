@@ -52,8 +52,15 @@ func TestRefineMapProbe(t *testing.T) {
 // guarantee the daemon's -procs flag documents: worker count bounds CPU,
 // never results.
 func TestRefineDeterministicAcrossGOMAXPROCS(t *testing.T) {
-	attrs, rows := bigRows(10000)
+	attrs := []string{"A", "B", "C", "D"}
+	all := randRows(7, 73000, 4, 64)
+	rows, fresh := all[:40000], all[40000:]
 	sets := [][]string{{"A"}, {"A", "B"}, {"B", "C", "D"}, {"A", "B", "C", "D"}}
+	// The plan's levels 1–3 and the Extend's hold two sets each; both must
+	// reach the fan-out size, or the pool goes untested.
+	if 2*len(rows) < parallelRows || 2*len(fresh) < parallelRows {
+		t.Fatalf("%d rows and %d appended rows do not reach parallelRows = %d", len(rows), len(fresh), parallelRows)
+	}
 	type outcome struct {
 		ids [][]int32
 		ent []float64
@@ -72,8 +79,7 @@ func TestRefineDeterministicAcrossGOMAXPROCS(t *testing.T) {
 			}
 		}
 		p.Run(0)
-		s2 := s
-		s2 = extendRows(s2, randRows(99, 300, 4, 16))
+		s2 := extendRows(s, fresh)
 		got := &outcome{}
 		for _, set := range sets {
 			g, err := s2.Grouping(set...)

@@ -418,9 +418,9 @@ func (s *Snapshot) Extend(cols [][]Value, n int) *Snapshot {
 	// Extend parents-first (shorter column sets first): a child's appended ids
 	// are derived from its parent's, and the memo's prefix closure guarantees
 	// the parent entry is present. Entries of one lattice level have no data
-	// dependencies between them, so each level runs on the worker pool —
-	// results land in per-entry slots and publish into the memo at the level
-	// barrier.
+	// dependencies between them, so a level whose appended rows × sets reach
+	// parallelRows runs on the worker pool — results land in per-entry slots
+	// and publish into the memo at the level barrier.
 	sort.Slice(entries, func(i, j int) bool { return len(entries[i].cols) < len(entries[j].cols) })
 	extendOne := func(ent *memoEntry) *memoEntry {
 		if len(ent.cols) == 0 {
@@ -452,7 +452,6 @@ func (s *Snapshot) Extend(cols [][]Value, n int) *Snapshot {
 		out.next.Store(next)
 		return out
 	}
-	workers := maxWorkers(0)
 	for lo := 0; lo < len(entries); {
 		hi := lo + 1
 		for hi < len(entries) && len(entries[hi].cols) == len(entries[lo].cols) {
@@ -460,7 +459,7 @@ func (s *Snapshot) Extend(cols [][]Value, n int) *Snapshot {
 		}
 		level := entries[lo:hi]
 		extended := make([]*memoEntry, len(level))
-		ForEach(len(level), workers, func(i int) {
+		forEach(len(level), levelWorkers(fresh*len(level), 0), func(i int) {
 			extended[i] = extendOne(level[i])
 		})
 		for _, ent := range extended {

@@ -363,7 +363,7 @@ func TestHandoffConcurrentReaders(t *testing.T) {
 	}()
 	read := func(snap *Snapshot) {
 		cold := rowSnapshot(attrs, rowsOf(snap))
-		ForEach(len(sets), 4, func(i int) {
+		forEach(len(sets), 4, func(i int) {
 			set := sets[i]
 			h, err := snap.GroupEntropy(set...)
 			if err != nil {

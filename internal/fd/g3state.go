@@ -68,15 +68,31 @@ func (st *G3State) Advance(r Source, f FD) (g3 float64, ok bool, err error) {
 		st.best = append(st.best, make([]int, grow)...)
 	}
 	// Keep each X-group's most frequent Y-value: a row's X∪Y-group count
-	// raises its X-group's best, and keep follows Σ best.
+	// raises its X-group's best, and keep follows Σ best. A range of more
+	// rows than X∪Y has groups (a first, full scan) reads the counts from
+	// one flat copy, one load per row instead of At's two.
 	rows := len(gxy.IDs) // stored rows; n counts multiplicities
-	for i := st.rows; i < rows; i++ {
-		g := gx.IDs[i]
-		if c := gxy.Counts.At(int(gxy.IDs[i])); c > st.best[g] {
-			st.keep += c - st.best[g]
-			st.best[g] = c
+	best, keep := st.best, st.keep
+	xs, xys := gx.IDs[st.rows:rows], gxy.IDs[st.rows:rows]
+	if len(xys) > gxy.Groups() {
+		counts := gxy.Counts.Flatten()
+		for i, h := range xys {
+			keep = fold(best, xs[i], counts[h], keep)
+		}
+	} else {
+		for i, h := range xys {
+			keep = fold(best, xs[i], gxy.Counts.At(int(h)), keep)
 		}
 	}
-	st.rows = rows
+	st.keep, st.rows = keep, rows
 	return float64(n-st.keep) / float64(n), true, nil
+}
+
+// fold raises best[g] to c if c is larger and returns keep grown by the
+// rise. It always stores, so the scan has no data-dependent branch.
+func fold(best []int, g int32, c, keep int) int {
+	b := best[g]
+	nb := max(b, c)
+	best[g] = nb
+	return keep + nb - b
 }

@@ -99,6 +99,38 @@ func TestQuickSnapshotCountParity(t *testing.T) {
 	})
 }
 
+// TestSnapshotCountParityOnPool repeats the parity check on a relation
+// large enough that the count's plan levels fan out on the engine's pool:
+// a chain of seven bags over 20000 rows puts seven groupings of every row
+// on each of its first two levels. CountTree over the bag projections of a
+// cold copy is the oracle; the join is too large to materialize.
+func TestSnapshotCountParityOnPool(t *testing.T) {
+	attrs := []string{"A", "B", "C", "D", "E", "F", "G", "H"}
+	bags := make([][]string, len(attrs)-1)
+	edges := make([][2]int, 0, len(bags)-1)
+	for i := range bags {
+		bags[i] = attrs[i : i+2]
+		if i > 0 {
+			edges = append(edges, [2]int{i - 1, i})
+		}
+	}
+	tree := jointree.MustJoinTree(bags, edges)
+	r := randomRelation(rand.New(rand.NewPCG(8, 9)), attrs, 8, 20000)
+	want, err := oracleCount(r, tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	atEachGOMAXPROCS(t, func(t *testing.T) {
+		view := r.Clone() // a cold snapshot at every pool size
+		if got, err := CountSnapshot(view.Snapshot(), tree); err != nil || got != want {
+			t.Fatalf("snapshot count %d (%v), oracle %d", got, err, want)
+		}
+		if got, err := CountAcyclicJoin(view, tree.Schema()); err != nil || got != want {
+			t.Fatalf("CountAcyclicJoin %d (%v), oracle %d", got, err, want)
+		}
+	})
+}
+
 // TestSnapshotCountEdgeCases pins the cases the random trees reach only by
 // chance: a single bag, a forest of disjoint bags (every separator empty)
 // and the empty relation.
