@@ -8,6 +8,7 @@ import (
 
 	"ajdloss/internal/join"
 	"ajdloss/internal/jointree"
+	"ajdloss/internal/randrel"
 	"ajdloss/internal/relation"
 )
 
@@ -69,7 +70,10 @@ func TestQuickMVDLossParity(t *testing.T) {
 func TestMVDLossParityOnPool(t *testing.T) {
 	attrs := []string{"A", "B", "C", "D", "E"}
 	m := jointree.MVD{X: []string{"A"}, Y: []string{"B", "C"}, Z: []string{"D", "E"}}
-	r := largeRelation(attrs, 12, 40000)
+	r, err := randrel.Model{Attrs: attrs, Domains: []int{12, 12, 12, 12, 12}, N: 40000}.Sample(randrel.NewRand(40000))
+	if err != nil {
+		t.Fatal(err)
+	}
 	cold := r.Clone()
 	want := cold.MustProject("A", "B", "C").JoinCount(cold.MustProject("A", "D", "E"))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
@@ -80,54 +84,6 @@ func TestMVDLossParityOnPool(t *testing.T) {
 			t.Fatalf("GOMAXPROCS=%d: MVDLoss %+v (%v), oracle join %d", procs, got, err, want)
 		}
 	}
-}
-
-// TestLossTreeParityOnPool repeats the ComputeLossTree parity check on a
-// chain of seven bags over 20000 rows, whose count plan fans out on the
-// engine's pool, at GOMAXPROCS 1, 2 and 8.
-func TestLossTreeParityOnPool(t *testing.T) {
-	attrs := []string{"A", "B", "C", "D", "E", "F", "G", "H"}
-	bags := make([][]string, len(attrs)-1)
-	edges := make([][2]int, 0, len(bags)-1)
-	for i := range bags {
-		bags[i] = attrs[i : i+2]
-		if i > 0 {
-			edges = append(edges, [2]int{i - 1, i})
-		}
-	}
-	tree := jointree.MustJoinTree(bags, edges)
-	r := largeRelation(attrs, 8, 20000)
-	rels, err := join.Projections(r.Clone(), tree.Schema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := join.CountTree(tree, rels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, procs := range []int{1, 2, 8} {
-		runtime.GOMAXPROCS(procs)
-		got, err := ComputeLossTree(r.Clone(), tree)
-		if err != nil || got.JoinSize != want {
-			t.Fatalf("GOMAXPROCS=%d: ComputeLossTree %+v (%v), oracle %d", procs, got, err, want)
-		}
-	}
-}
-
-// largeRelation draws about n rows uniformly over attrs with the given
-// domain size (duplicates collapse).
-func largeRelation(attrs []string, domain, n int) *relation.Relation {
-	rng := rand.New(rand.NewPCG(uint64(n), uint64(domain)))
-	r := relation.New(attrs...)
-	row := make(relation.Tuple, len(attrs))
-	for i := 0; i < n; i++ {
-		for j := range row {
-			row[j] = relation.Value(rng.IntN(domain))
-		}
-		r.Insert(row)
-	}
-	return r
 }
 
 // TestQuickLossTreeParity compares ComputeLossTree's join size with

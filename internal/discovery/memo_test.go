@@ -312,20 +312,24 @@ func TestMemoForeignRelationSameGeneration(t *testing.T) {
 // TestMemoConcurrentAppendParity runs readers against generation-pinned views
 // while a writer appends, asserting memo answers stay bit-identical to cold
 // recomputes of each view's own rows. Run under -race this also checks the
-// memo's locking discipline. The base has enough rows (over domains of 40)
-// that Chow-Liu's cold plan levels fan out on the engine's pool.
+// memo's locking discipline. The base has enough distinct rows (about 18800,
+// over domains of 40 and 100) that Chow-Liu's cold plan levels fan out on
+// the engine's pool. D = (7A+B) mod 40 except in about one row in 50, so
+// A,B → D (and A,D → B, B,D → A) hold within MaxG3 and the FD check
+// compares nonzero g₃ values advanced across the appends.
 func TestMemoConcurrentAppendParity(t *testing.T) {
-	wideRow := func(rng *rand.Rand) relation.Tuple {
-		row := make(relation.Tuple, len(memoTestAttrs))
-		for c := range row {
-			row[c] = relation.Value(rng.Intn(40))
+	plantedRow := func(rng *rand.Rand) relation.Tuple {
+		a, b := rng.Intn(40), rng.Intn(40)
+		d := (7*a + b) % 40
+		if rng.Intn(50) == 0 {
+			d = rng.Intn(40)
 		}
-		return row
+		return relation.Tuple{relation.Value(a), relation.Value(b), relation.Value(rng.Intn(100)), relation.Value(d)}
 	}
 	rng := rand.New(rand.NewSource(5))
-	base := make([]relation.Tuple, 0, 18000)
-	for i := 0; i < 18000; i++ {
-		base = append(base, wideRow(rng))
+	base := make([]relation.Tuple, 0, 20000)
+	for i := 0; i < 20000; i++ {
+		base = append(base, plantedRow(rng))
 	}
 	live := relation.FromRows(memoTestAttrs, base)
 	m := NewMemo()
@@ -343,7 +347,7 @@ func TestMemoConcurrentAppendParity(t *testing.T) {
 		for i := 0; i < steps; i++ {
 			batch := make([]relation.Tuple, 1+wrng.Intn(5))
 			for j := range batch {
-				batch[j] = wideRow(wrng)
+				batch[j] = plantedRow(wrng)
 			}
 			if _, err := live.Append(batch); err != nil {
 				t.Error(err)
@@ -382,6 +386,10 @@ func TestMemoConcurrentAppendParity(t *testing.T) {
 				wantFDs, err := fd.Discover(cold, cfg)
 				if err != nil {
 					t.Error(err)
+					return
+				}
+				if len(wantFDs) == 0 {
+					t.Errorf("gen %d: no FD within MaxG3; the parity check compares nothing", v.Generation())
 					return
 				}
 				if fdKey(fds) != fdKey(wantFDs) {

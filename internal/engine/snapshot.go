@@ -418,9 +418,9 @@ func (s *Snapshot) Extend(cols [][]Value, n int) *Snapshot {
 	// Extend parents-first (shorter column sets first): a child's appended ids
 	// are derived from its parent's, and the memo's prefix closure guarantees
 	// the parent entry is present. Entries of one lattice level have no data
-	// dependencies between them, so a level whose appended rows × sets reach
-	// parallelRows runs on the worker pool — results land in per-entry slots
-	// and publish into the memo at the level barrier.
+	// dependencies between them, so a level whose work (see extendWork)
+	// reaches parallelRows runs on the worker pool — results land in
+	// per-entry slots and publish into the memo at the level barrier.
 	sort.Slice(entries, func(i, j int) bool { return len(entries[i].cols) < len(entries[j].cols) })
 	extendOne := func(ent *memoEntry) *memoEntry {
 		if len(ent.cols) == 0 {
@@ -459,7 +459,7 @@ func (s *Snapshot) Extend(cols [][]Value, n int) *Snapshot {
 		}
 		level := entries[lo:hi]
 		extended := make([]*memoEntry, len(level))
-		forEach(len(level), levelWorkers(fresh*len(level), 0), func(i int) {
+		forEach(len(level), levelWorkers(s.extendWork(level, fresh), 0), func(i int) {
 			extended[i] = extendOne(level[i])
 		})
 		for _, ent := range extended {
@@ -468,4 +468,19 @@ func (s *Snapshot) Extend(cols [][]Value, n int) *Snapshot {
 		lo = hi
 	}
 	return child
+}
+
+// extendWork counts the rows Extend scans for one lattice level: the fresh
+// appended rows of every set, plus the parent's n rows for each set whose
+// probe is gone (a second Extend of the same snapshot), which rebuildProbe
+// re-scans.
+func (s *Snapshot) extendWork(level []*memoEntry, fresh int) int {
+	work := 0
+	for _, ent := range level {
+		work += fresh
+		if len(ent.cols) > 0 && ent.next.Load() == nil {
+			work += s.n
+		}
+	}
+	return work
 }

@@ -338,6 +338,44 @@ func TestReextendRebuildsProbe(t *testing.T) {
 	check("parent", parent, base)
 }
 
+// TestReextendWorkCountsRebuilds checks the work Extend counts for a level:
+// the appended rows of every set while the sets still hold their probes,
+// and the parent's rows as well for each set whose probe a first Extend took,
+// since extending that snapshot again rebuilds the probe from all its rows.
+func TestReextendWorkCountsRebuilds(t *testing.T) {
+	attrs := []string{"A", "B", "C"}
+	rows := randRows(8, 600, 3, 12)
+	parent := rowSnapshot(attrs, rows[:500])
+	for _, set := range [][]string{{"A"}, {"B"}, {"A", "B"}, {"A", "C"}} {
+		if _, err := parent.Grouping(set...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	level := func(s *Snapshot, size int) []*memoEntry {
+		var out []*memoEntry
+		for _, ent := range s.memo {
+			if len(ent.cols) == size {
+				out = append(out, ent)
+			}
+		}
+		return out
+	}
+	const fresh = 7
+	if got := parent.extendWork(level(parent, 0), fresh); got != fresh {
+		t.Fatalf("empty set: work %d, want %d (it has no probe to rebuild)", got, fresh)
+	}
+	if got := parent.extendWork(level(parent, 2), fresh); got != 2*fresh {
+		t.Fatalf("probes held: work %d, want %d", got, 2*fresh)
+	}
+	child := extendRows(parent, rows[500:])
+	if got, want := parent.extendWork(level(parent, 2), fresh), 2*(fresh+parent.NumRows()); got != want {
+		t.Fatalf("probes taken: work %d, want %d", got, want)
+	}
+	if got := child.extendWork(level(child, 1), fresh); got != 2*fresh {
+		t.Fatalf("child holds the probes: work %d, want %d", got, 2*fresh)
+	}
+}
+
 // TestHandoffConcurrentReaders: readers compute groupings the memo does not
 // hold yet, on the parent and on each child, while one writer extends the
 // chain and takes every probe it extends. Run under -race in CI.

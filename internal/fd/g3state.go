@@ -68,31 +68,19 @@ func (st *G3State) Advance(r Source, f FD) (g3 float64, ok bool, err error) {
 		st.best = append(st.best, make([]int, grow)...)
 	}
 	// Keep each X-group's most frequent Y-value: a row's X∪Y-group count
-	// raises its X-group's best, and keep follows Σ best. A range of more
-	// rows than X∪Y has groups (a first, full scan) reads the counts from
-	// one flat copy, one load per row instead of At's two.
+	// raises its X-group's best, and keep follows Σ best. best[g] is always
+	// stored, so the scan has no data-dependent branch (on random data a
+	// branch on a new best mispredicts, which cost more than At's loads).
 	rows := len(gxy.IDs) // stored rows; n counts multiplicities
 	best, keep := st.best, st.keep
 	xs, xys := gx.IDs[st.rows:rows], gxy.IDs[st.rows:rows]
-	if len(xys) > gxy.Groups() {
-		counts := gxy.Counts.Flatten()
-		for i, h := range xys {
-			keep = fold(best, xs[i], counts[h], keep)
-		}
-	} else {
-		for i, h := range xys {
-			keep = fold(best, xs[i], gxy.Counts.At(int(h)), keep)
-		}
+	for i, h := range xys {
+		g := xs[i]
+		b := best[g]
+		nb := max(b, gxy.Counts.At(int(h)))
+		best[g] = nb
+		keep += nb - b
 	}
 	st.keep, st.rows = keep, rows
 	return float64(n-st.keep) / float64(n), true, nil
-}
-
-// fold raises best[g] to c if c is larger and returns keep grown by the
-// rise. It always stores, so the scan has no data-dependent branch.
-func fold(best []int, g int32, c, keep int) int {
-	b := best[g]
-	nb := max(b, c)
-	best[g] = nb
-	return keep + nb - b
 }
