@@ -231,11 +231,7 @@ func NewJoinSampler(r *Relation, s *Schema) (*JoinSampler, error) {
 	if err != nil {
 		return nil, err
 	}
-	rels, err := join.Projections(r, s)
-	if err != nil {
-		return nil, err
-	}
-	return join.NewSampler(t, rels)
+	return join.NewSampler(r.Snapshot(), t)
 }
 
 // SampleSpurious draws up to k uniform join tuples and keeps the spurious

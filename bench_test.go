@@ -147,20 +147,9 @@ func benchAblationInstance(b *testing.B) (*jointree.JoinTree, []*relation.Relati
 	return tree, rels
 }
 
-func BenchmarkJoinCount(b *testing.B) {
-	tree, rels := benchAblationInstance(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := join.CountTree(tree, rels); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCountSnapshot is BenchmarkJoinCount's count on the snapshot
-// path, the one every ρ of discovery and analysis takes: CountSnapshot over
-// the relation's memoized bag and separator groupings, which the first
-// iteration computes and every later one reuses.
+// BenchmarkCountSnapshot is the count every ρ of discovery and analysis
+// takes: CountSnapshot over the relation's memoized bag and separator
+// groupings, which the first iteration computes and every later one reuses.
 func BenchmarkCountSnapshot(b *testing.B) {
 	r, tree := benchAblationTree(b)
 	snap := r.Snapshot()
@@ -525,8 +514,8 @@ func BenchmarkCompressionFrontier(b *testing.B) {
 }
 
 func BenchmarkJoinSampler(b *testing.B) {
-	tree, rels := benchAblationInstance(b)
-	s, err := join.NewSampler(tree, rels)
+	r, tree := benchAblationTree(b)
+	s, err := join.NewSampler(r.Snapshot(), tree)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -537,11 +526,15 @@ func BenchmarkJoinSampler(b *testing.B) {
 	}
 }
 
+// BenchmarkJoinSamplerBuild builds the sampler on one snapshot, whose bag
+// and separator groupings the first iteration computes and every later one
+// reuses, as BenchmarkCountSnapshot does.
 func BenchmarkJoinSamplerBuild(b *testing.B) {
-	tree, rels := benchAblationInstance(b)
+	r, tree := benchAblationTree(b)
+	snap := r.Snapshot()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := join.NewSampler(tree, rels); err != nil {
+		if _, err := join.NewSampler(snap, tree); err != nil {
 			b.Fatal(err)
 		}
 	}

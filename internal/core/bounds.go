@@ -1,12 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math"
-
-	"ajdloss/internal/jointree"
-	"ajdloss/internal/relation"
-)
+import "math"
 
 // RhoLowerBound returns the deterministic lower bound on the relative loss
 // implied by Lemma 4.1: from J(T) ≤ log(1+ρ(R,S)) it follows that
@@ -25,27 +19,12 @@ func CFactor(d int) float64 {
 	return 2 * math.Log(fd) / math.Sqrt(fd)
 }
 
-// HFunc is h(t) = t·log(1+t) (Eq. 57), used in the concentration bound of
-// Proposition 5.5.
-func HFunc(t float64) float64 {
-	if t <= 0 {
-		return 0
-	}
-	return t * math.Log1p(t)
-}
-
 // EntropyEpsilon returns the Theorem 5.2 deviation term
 // 20·sqrt(d_A·log³(η/δ)/η): with probability ≥ 1−δ,
 // H(A_S) ≥ log d_A − EntropyEpsilon(d_A, η, δ).
 func EntropyEpsilon(dA, eta int, delta float64) float64 {
 	l := math.Log(float64(eta) / delta)
 	return 20 * math.Sqrt(float64(dA)*l*l*l/float64(eta))
-}
-
-// EntropyQualifyingEta returns the minimum η required by Theorem 5.2
-// (Eq. 40): η ≥ 128·d_A·log(128·d_A/δ).
-func EntropyQualifyingEta(dA int, delta float64) float64 {
-	return 128 * float64(dA) * math.Log(128*float64(dA)/delta)
 }
 
 // MIEpsilon returns the Corollary 5.2.1 deviation term
@@ -85,105 +64,4 @@ func QualifyingN(dA, dC int, delta float64) float64 {
 // degenerate MVD over domains [d_A]×[d_B] with η tuples.
 func RhoBar(dA, dB, eta int) float64 {
 	return float64(dA)*float64(dB)/float64(eta) - 1
-}
-
-// MVDDomains describes the (product) domain sizes of the three components of
-// an MVD C ↠ A|B. For composite components the size is the product of the
-// member attribute domain sizes.
-type MVDDomains struct {
-	DA, DB, DC int
-}
-
-// Canonical returns the domains with A and B swapped if needed so that
-// d_A ≥ d_B, the convention under which the paper's bounds are stated.
-func (d MVDDomains) Canonical() MVDDomains {
-	if d.DA < d.DB {
-		d.DA, d.DB = d.DB, d.DA
-	}
-	return d
-}
-
-// SchemaUpperBound evaluates the Proposition 5.3 schema-level bound for a
-// rooted join tree: with probability ≥ 1−δ,
-//
-//	log(1+ρ(R,S)) ≤ Σᵢ I(Ω_{1:i−1};Ω_{i:m}|Δᵢ) + Σᵢ εᵢ,
-//
-// with εᵢ = ε*(φᵢ, N, δ/(m−1)). domains maps attribute name to its domain
-// size; composite component domains are products (capped at math.MaxInt64 /
-// returned as float64 internally — epsilon formulas take float-sized d).
-type SchemaBound struct {
-	SumCMI     float64
-	SumEpsilon float64
-	Bound      float64 // SumCMI + SumEpsilon
-	Qualified  bool    // every MVD met the Theorem 5.1 qualifying condition
-}
-
-// ComputeSchemaBound evaluates the bound for relation size n and confidence
-// delta, using per-attribute domain sizes.
-func ComputeSchemaBound(r *relation.Relation, rooted *jointree.Rooted, domains map[string]int, delta float64) (*SchemaBound, error) {
-	mvds := rooted.SupportMVDs()
-	if len(mvds) == 0 {
-		return &SchemaBound{Qualified: true}, nil
-	}
-	perMVDDelta := delta / float64(len(mvds))
-	out := &SchemaBound{Qualified: true}
-	n := r.N()
-	for _, m := range mvds {
-		cmi, err := MVDJMeasure(r, m)
-		if err != nil {
-			return nil, err
-		}
-		dom, err := mvdDomains(m, domains)
-		if err != nil {
-			return nil, err
-		}
-		dom = dom.Canonical()
-		out.SumCMI += cmi
-		out.SumEpsilon += EpsilonStar(dom.DA, dom.DC, n, perMVDDelta)
-		if float64(n) < QualifyingN(dom.DA, dom.DC, perMVDDelta) {
-			out.Qualified = false
-		}
-	}
-	out.Bound = out.SumCMI + out.SumEpsilon
-	return out, nil
-}
-
-func mvdDomains(m jointree.MVD, domains map[string]int) (MVDDomains, error) {
-	prod := func(attrs []string, minus []string) (int, error) {
-		skip := make(map[string]struct{}, len(minus))
-		for _, a := range minus {
-			skip[a] = struct{}{}
-		}
-		p := 1
-		for _, a := range attrs {
-			if _, ok := skip[a]; ok {
-				continue
-			}
-			d, ok := domains[a]
-			if !ok {
-				return 0, fmt.Errorf("core: no domain size for attribute %q", a)
-			}
-			if d <= 0 {
-				return 0, fmt.Errorf("core: non-positive domain size %d for attribute %q", d, a)
-			}
-			if p > math.MaxInt32/d {
-				return math.MaxInt32, nil // saturate; epsilon only grows
-			}
-			p *= d
-		}
-		return p, nil
-	}
-	da, err := prod(m.Y, m.X)
-	if err != nil {
-		return MVDDomains{}, err
-	}
-	db, err := prod(m.Z, m.X)
-	if err != nil {
-		return MVDDomains{}, err
-	}
-	dc, err := prod(m.X, nil)
-	if err != nil {
-		return MVDDomains{}, err
-	}
-	return MVDDomains{DA: da, DB: db, DC: dc}, nil
 }

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"ajdloss/internal/infotheory"
+	"ajdloss/internal/join"
 	"ajdloss/internal/jointree"
 	"ajdloss/internal/randrel"
 	"ajdloss/internal/relation"
@@ -514,4 +515,168 @@ func empiricalDist(r *relation.Relation, attrs ...string) (infotheory.Dist, erro
 		d[k] = float64(c) / n
 	}
 	return d, nil
+}
+
+// HFunc is h(t) = t·log(1+t) (Eq. 57), used in the concentration bound of
+// Proposition 5.5.
+func HFunc(t float64) float64 {
+	if t <= 0 {
+		return 0
+	}
+	return t * math.Log1p(t)
+}
+
+// MVDDomains describes the (product) domain sizes of the three components of
+// an MVD C ↠ A|B. For composite components the size is the product of the
+// member attribute domain sizes.
+type MVDDomains struct {
+	DA, DB, DC int
+}
+
+// Canonical returns the domains with A and B swapped if needed so that
+// d_A ≥ d_B, the convention under which the paper's bounds are stated.
+func (d MVDDomains) Canonical() MVDDomains {
+	if d.DA < d.DB {
+		d.DA, d.DB = d.DB, d.DA
+	}
+	return d
+}
+
+// SchemaUpperBound evaluates the Proposition 5.3 schema-level bound for a
+// rooted join tree: with probability ≥ 1−δ,
+//
+//	log(1+ρ(R,S)) ≤ Σᵢ I(Ω_{1:i−1};Ω_{i:m}|Δᵢ) + Σᵢ εᵢ,
+//
+// with εᵢ = ε*(φᵢ, N, δ/(m−1)). domains maps attribute name to its domain
+// size; composite component domains are products (capped at math.MaxInt64 /
+// returned as float64 internally — epsilon formulas take float-sized d).
+type SchemaBound struct {
+	SumCMI     float64
+	SumEpsilon float64
+	Bound      float64 // SumCMI + SumEpsilon
+	Qualified  bool    // every MVD met the Theorem 5.1 qualifying condition
+}
+
+// ComputeSchemaBound evaluates the bound for relation size n and confidence
+// delta, using per-attribute domain sizes.
+func ComputeSchemaBound(r *relation.Relation, rooted *jointree.Rooted, domains map[string]int, delta float64) (*SchemaBound, error) {
+	mvds := rooted.SupportMVDs()
+	if len(mvds) == 0 {
+		return &SchemaBound{Qualified: true}, nil
+	}
+	perMVDDelta := delta / float64(len(mvds))
+	out := &SchemaBound{Qualified: true}
+	n := r.N()
+	for _, m := range mvds {
+		cmi, err := MVDJMeasure(r, m)
+		if err != nil {
+			return nil, err
+		}
+		dom, err := mvdDomains(m, domains)
+		if err != nil {
+			return nil, err
+		}
+		dom = dom.Canonical()
+		out.SumCMI += cmi
+		out.SumEpsilon += EpsilonStar(dom.DA, dom.DC, n, perMVDDelta)
+		if float64(n) < QualifyingN(dom.DA, dom.DC, perMVDDelta) {
+			out.Qualified = false
+		}
+	}
+	out.Bound = out.SumCMI + out.SumEpsilon
+	return out, nil
+}
+
+func mvdDomains(m jointree.MVD, domains map[string]int) (MVDDomains, error) {
+	prod := func(attrs []string, minus []string) (int, error) {
+		skip := make(map[string]struct{}, len(minus))
+		for _, a := range minus {
+			skip[a] = struct{}{}
+		}
+		p := 1
+		for _, a := range attrs {
+			if _, ok := skip[a]; ok {
+				continue
+			}
+			d, ok := domains[a]
+			if !ok {
+				return 0, fmt.Errorf("core: no domain size for attribute %q", a)
+			}
+			if d <= 0 {
+				return 0, fmt.Errorf("core: non-positive domain size %d for attribute %q", d, a)
+			}
+			if p > math.MaxInt32/d {
+				return math.MaxInt32, nil // saturate; epsilon only grows
+			}
+			p *= d
+		}
+		return p, nil
+	}
+	da, err := prod(m.Y, m.X)
+	if err != nil {
+		return MVDDomains{}, err
+	}
+	db, err := prod(m.Z, m.X)
+	if err != nil {
+		return MVDDomains{}, err
+	}
+	dc, err := prod(m.X, nil)
+	if err != nil {
+		return MVDDomains{}, err
+	}
+	return MVDDomains{DA: da, DB: db, DC: dc}, nil
+}
+
+// SatisfiesJD reports whether R ⊨ JD(S), i.e. ρ(R,S) = 0.
+func SatisfiesJD(r *relation.Relation, s *jointree.Schema) (bool, error) {
+	l, err := ComputeLoss(r, s)
+	if err != nil {
+		return false, err
+	}
+	return l.Spurious == 0, nil
+}
+
+// SpuriousTuples materializes the spurious tuple set (⋈ᵢ R[Ωᵢ]) \ R.
+// Intended for small instances and diagnostics; the loss itself is computed
+// without materialization by ComputeLoss.
+func SpuriousTuples(r *relation.Relation, s *jointree.Schema) (*relation.Relation, error) {
+	joined, err := join.AcyclicJoin(r, s)
+	if err != nil {
+		return nil, err
+	}
+	cols := joined.MustColumns(r.Attrs())
+	out := relation.New(r.Attrs()...)
+	buf := make(relation.Tuple, len(cols))
+	for _, t := range joined.Rows() {
+		for i, c := range cols {
+			buf[i] = t[c]
+		}
+		if !r.Contains(buf) {
+			out.Insert(buf)
+		}
+	}
+	return out, nil
+}
+
+// ModelsTree reports whether the empirical distribution of r models the join
+// tree (Definition 2.2): the factorization terms I(Ω_{1:i−1};Ωᵢ|Δᵢ) vanish
+// for every i ∈ [2,m] within tol. These terms telescope to J(T), so modeling
+// is equivalent to J(T) = 0 and hence (Proposition 3.1) to P = P^T.
+func ModelsTree(r infotheory.Source, rooted *jointree.Rooted, tol float64) (bool, error) {
+	for i := 1; i < len(rooted.Order); i++ {
+		mi, err := infotheory.ConditionalMutualInformation(r, rooted.Prefix(i-1), rooted.Bag(i), rooted.Sep[i])
+		if err != nil {
+			return false, err
+		}
+		if mi > tol {
+			return false, nil
+		}
+	}
+	return true, nil
+}
+
+// MVDJMeasure returns J of the 2-bag schema {XY, XZ} of the MVD X ↠ Y|Z,
+// which reduces to the conditional mutual information I(Y;Z|X) (Section 2.2).
+func MVDJMeasure(r infotheory.Source, m jointree.MVD) (float64, error) {
+	return infotheory.ConditionalMutualInformation(r, m.Y, m.Z, m.X)
 }

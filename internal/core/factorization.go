@@ -230,20 +230,3 @@ func (f *Factorization) Dist() (infotheory.Dist, *relation.Relation, error) {
 	}
 	return d, joined, nil
 }
-
-// ModelsTree reports whether the empirical distribution of r models the join
-// tree (Definition 2.2): the factorization terms I(Ω_{1:i−1};Ωᵢ|Δᵢ) vanish
-// for every i ∈ [2,m] within tol. These terms telescope to J(T), so modeling
-// is equivalent to J(T) = 0 and hence (Proposition 3.1) to P = P^T.
-func ModelsTree(r infotheory.Source, rooted *jointree.Rooted, tol float64) (bool, error) {
-	for i := 1; i < len(rooted.Order); i++ {
-		mi, err := infotheory.ConditionalMutualInformation(r, rooted.Prefix(i-1), rooted.Bag(i), rooted.Sep[i])
-		if err != nil {
-			return false, err
-		}
-		if mi > tol {
-			return false, nil
-		}
-	}
-	return true, nil
-}

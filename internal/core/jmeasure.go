@@ -63,12 +63,6 @@ func JMeasureSchema(r infotheory.Source, s *jointree.Schema) (float64, error) {
 	return JMeasure(r, t)
 }
 
-// MVDJMeasure returns J of the 2-bag schema {XY, XZ} of the MVD X ↠ Y|Z,
-// which reduces to the conditional mutual information I(Y;Z|X) (Section 2.2).
-func MVDJMeasure(r infotheory.Source, m jointree.MVD) (float64, error) {
-	return infotheory.ConditionalMutualInformation(r, m.Y, m.Z, m.X)
-}
-
 // Sandwich holds the Theorem 2.2 bounds for a join tree, in the sound form:
 //
 //	max_e I(χ(T_u); χ(T_v) | χ(u)∩χ(v))  ≤  J(T)  ≤  Σ_i I(Ω_{1:i−1}; Ω_{i:m} | Δᵢ).

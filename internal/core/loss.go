@@ -83,37 +83,6 @@ func MVDLoss(r *relation.Relation, m jointree.MVD) (Loss, error) {
 	return lossFromJoinSize(r.N(), size)
 }
 
-// SatisfiesJD reports whether R ⊨ JD(S), i.e. ρ(R,S) = 0.
-func SatisfiesJD(r *relation.Relation, s *jointree.Schema) (bool, error) {
-	l, err := ComputeLoss(r, s)
-	if err != nil {
-		return false, err
-	}
-	return l.Spurious == 0, nil
-}
-
-// SpuriousTuples materializes the spurious tuple set (⋈ᵢ R[Ωᵢ]) \ R.
-// Intended for small instances and diagnostics; the loss itself is computed
-// without materialization by ComputeLoss.
-func SpuriousTuples(r *relation.Relation, s *jointree.Schema) (*relation.Relation, error) {
-	joined, err := join.AcyclicJoin(r, s)
-	if err != nil {
-		return nil, err
-	}
-	cols := joined.MustColumns(r.Attrs())
-	out := relation.New(r.Attrs()...)
-	buf := make(relation.Tuple, len(cols))
-	for _, t := range joined.Rows() {
-		for i, c := range cols {
-			buf[i] = t[c]
-		}
-		if !r.Contains(buf) {
-			out.Insert(buf)
-		}
-	}
-	return out, nil
-}
-
 // MVDTerm is one MVD of a join tree's support together with its loss and
 // conditional mutual information (the ingredients of Proposition 5.1 and
 // Theorem 5.1).

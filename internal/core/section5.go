@@ -11,10 +11,10 @@ import (
 
 // This file makes the proof machinery of Section 5 executable: the entropy
 // decomposition through the functional entropy of Y_S (Eq. 112), the
-// Poissonization bound on hypergeometric probabilities (Lemma B.4), and the
-// per-class size condition of Lemma C.1. The experiments use these to check
-// the paper's internal inequalities on sampled data, not just its headline
-// statements.
+// Poissonization bound on hypergeometric probabilities (Lemma B.4). The
+// experiments use these to check the paper's internal inequalities on
+// sampled data, not just its headline statements; the Jensen gap and the
+// per-class size condition of Lemma C.1 are checked in section5_test.go.
 
 // YSamples returns the paper's {Y_S(i)} values for a two-attribute relation
 // over [dA]×[dB]: Y_S(i) = (1/dB)·Σ_j U_S(i,j) is the fraction of B-cells
@@ -75,22 +75,6 @@ func EntropyDecomposition(r *relation.Relation, aAttr string, dA, dB int) (h, re
 	return h, reconstructed, nil
 }
 
-// JensenEntropyGap returns the gap between the Jensen upper bound log dA and
-// the value reconstructed from Y_S, which equals
-// (dA·dB/η)·Ent(Y_S-empirical) — the functional-entropy term the proof of
-// Proposition 5.4 bounds. It is non-negative.
-func JensenEntropyGap(r *relation.Relation, aAttr string, dA, dB int) (float64, error) {
-	h, err := infotheory.Entropy(r, aAttr)
-	if err != nil {
-		return 0, err
-	}
-	gap := math.Log(float64(dA)) - h
-	if gap < 0 && gap > -1e-9 {
-		gap = 0
-	}
-	return gap, nil
-}
-
 // PoissonizationRatio returns max over the support of
 // P[Z = b] / P[W = b] for Z ~ Hypergeometric(dA·dB, dB, η) and
 // W ~ Poisson(η/dA). Lemma B.4 asserts the ratio is at most 21·dA² whenever
@@ -117,44 +101,4 @@ func PoissonizationRatio(dA, dB, eta int64) (maxRatio float64, bound float64, er
 		}
 	}
 	return maxRatio, 21 * float64(dA) * float64(dA), nil
-}
-
-// ClassSizeCondition evaluates Lemma C.1 on a sampled relation: whether
-// every class ℓ ∈ [dC] of attribute cAttr has at least
-// 128·dA·log(128·dA/δ) tuples — the qualifying condition that lets
-// Corollary 5.2.1 be applied per class in the proof of Theorem 5.1.
-type ClassSizeCondition struct {
-	MinClass  int     // min_ℓ N_S(ℓ)
-	Threshold float64 // 128·dA·log(128·dA/δ)
-	Satisfied bool
-}
-
-// CheckClassSizes evaluates the Lemma C.1 condition for the relation.
-func CheckClassSizes(r *relation.Relation, cAttr string, dA, dC int, delta float64) (ClassSizeCondition, error) {
-	col, ok := r.Pos(cAttr)
-	if !ok {
-		return ClassSizeCondition{}, fmt.Errorf("core: unknown attribute %q", cAttr)
-	}
-	if dC <= 0 {
-		return ClassSizeCondition{}, fmt.Errorf("core: non-positive dC %d", dC)
-	}
-	sizes := make([]int, dC)
-	for _, code := range r.Columns()[col] {
-		v := int(code)
-		if v < 1 || v > dC {
-			return ClassSizeCondition{}, fmt.Errorf("core: value %d of %q outside [%d]", v, cAttr, dC)
-		}
-		sizes[v-1]++
-	}
-	cond := ClassSizeCondition{
-		MinClass:  sizes[0],
-		Threshold: 128 * float64(dA) * math.Log(128*float64(dA)/delta),
-	}
-	for _, s := range sizes {
-		if s < cond.MinClass {
-			cond.MinClass = s
-		}
-	}
-	cond.Satisfied = float64(cond.MinClass) >= cond.Threshold
-	return cond, nil
 }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"ajdloss/internal/infotheory"
 	"ajdloss/internal/randrel"
 	"ajdloss/internal/relation"
 )
@@ -140,4 +142,60 @@ func TestCheckClassSizes(t *testing.T) {
 	if cond2.MinClass != 0 {
 		t.Fatalf("empty class not detected: %+v", cond2)
 	}
+}
+
+// JensenEntropyGap returns the gap between the Jensen upper bound log dA and
+// the value reconstructed from Y_S, which equals
+// (dA·dB/η)·Ent(Y_S-empirical) — the functional-entropy term the proof of
+// Proposition 5.4 bounds. It is non-negative.
+func JensenEntropyGap(r *relation.Relation, aAttr string, dA, dB int) (float64, error) {
+	h, err := infotheory.Entropy(r, aAttr)
+	if err != nil {
+		return 0, err
+	}
+	gap := math.Log(float64(dA)) - h
+	if gap < 0 && gap > -1e-9 {
+		gap = 0
+	}
+	return gap, nil
+}
+
+// ClassSizeCondition evaluates Lemma C.1 on a sampled relation: whether
+// every class ℓ ∈ [dC] of attribute cAttr has at least
+// 128·dA·log(128·dA/δ) tuples — the qualifying condition that lets
+// Corollary 5.2.1 be applied per class in the proof of Theorem 5.1.
+type ClassSizeCondition struct {
+	MinClass  int     // min_ℓ N_S(ℓ)
+	Threshold float64 // 128·dA·log(128·dA/δ)
+	Satisfied bool
+}
+
+// CheckClassSizes evaluates the Lemma C.1 condition for the relation.
+func CheckClassSizes(r *relation.Relation, cAttr string, dA, dC int, delta float64) (ClassSizeCondition, error) {
+	col, ok := r.Pos(cAttr)
+	if !ok {
+		return ClassSizeCondition{}, fmt.Errorf("core: unknown attribute %q", cAttr)
+	}
+	if dC <= 0 {
+		return ClassSizeCondition{}, fmt.Errorf("core: non-positive dC %d", dC)
+	}
+	sizes := make([]int, dC)
+	for _, code := range r.Columns()[col] {
+		v := int(code)
+		if v < 1 || v > dC {
+			return ClassSizeCondition{}, fmt.Errorf("core: value %d of %q outside [%d]", v, cAttr, dC)
+		}
+		sizes[v-1]++
+	}
+	cond := ClassSizeCondition{
+		MinClass:  sizes[0],
+		Threshold: 128 * float64(dA) * math.Log(128*float64(dA)/delta),
+	}
+	for _, s := range sizes {
+		if s < cond.MinClass {
+			cond.MinClass = s
+		}
+	}
+	cond.Satisfied = float64(cond.MinClass) >= cond.Threshold
+	return cond, nil
 }

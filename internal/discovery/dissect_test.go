@@ -133,11 +133,7 @@ func TestDissectPermissiveThresholdStillAcyclic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rels, err := join.Projections(r, cand.Tree.Schema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := join.NewSampler(cand.Tree, rels)
+	s, err := join.NewSampler(r.Snapshot(), cand.Tree)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func DefaultAblation() AblationConfig {
 	return AblationConfig{Attrs: 6, Domain: 8, N: 3000, Seed: 41}
 }
 
-// CountAblation (E10) verifies CountTree against materialization and reports
+// CountAblation (E10) verifies CountAcyclicJoin against materialization and reports
 // the size amplification and wall-clock ratio. (The benchmark harness
 // measures the same pair with testing.B precision; this table records the
 // equality and magnitudes.)

@@ -6,8 +6,8 @@
 //
 // The package provides exact and approximate satisfaction checks (the g₃
 // error measure), Armstrong closure, candidate-key search, levelwise FD
-// discovery, and the classical FD→MVD weakening that links this layer to the
-// paper's AJD machinery.
+// discovery. The classical FD→MVD weakening that links this layer to the
+// paper's AJD machinery is checked in the tests (ToMVD).
 package fd
 
 import (
@@ -17,7 +17,6 @@ import (
 
 	"ajdloss/internal/engine"
 	"ajdloss/internal/infotheory"
-	"ajdloss/internal/jointree"
 )
 
 // Source is what the FD measures need from a data source: the total tuple
@@ -86,60 +85,6 @@ func ConditionalEntropy(r Source, f FD) (float64, error) {
 func G3Error(r Source, f FD) (float64, error) {
 	g3, _, err := new(G3State).Advance(r, f)
 	return g3, err
-}
-
-// Closure returns the attribute closure X⁺ under the given FDs (Armstrong
-// axioms fixpoint).
-func Closure(x []string, fds []FD) []string {
-	in := make(map[string]bool, len(x))
-	var out []string
-	add := func(a string) {
-		if !in[a] {
-			in[a] = true
-			out = append(out, a)
-		}
-	}
-	for _, a := range x {
-		add(a)
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, f := range fds {
-			applies := true
-			for _, a := range f.X {
-				if !in[a] {
-					applies = false
-					break
-				}
-			}
-			if !applies {
-				continue
-			}
-			for _, a := range f.Y {
-				if !in[a] {
-					add(a)
-					changed = true
-				}
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Implies reports whether the FD set logically implies f (via closure).
-func Implies(fds []FD, f FD) bool {
-	cl := Closure(f.X, fds)
-	in := make(map[string]bool, len(cl))
-	for _, a := range cl {
-		in[a] = true
-	}
-	for _, a := range f.Y {
-		if !in[a] {
-			return false
-		}
-	}
-	return true
 }
 
 // IsSuperkey reports whether X determines every attribute of r.
@@ -224,37 +169,4 @@ func subsetOf(a, b []string) bool {
 		}
 	}
 	return true
-}
-
-// ToMVD weakens the FD X → Y into the MVD X ↠ Y | rest over the attribute
-// universe attrs: every FD is an MVD (Fagin 1977), so a satisfied FD yields
-// a lossless two-bag schema {XY, X(Ω\Y)}.
-func ToMVD(f FD, attrs []string) (jointree.MVD, error) {
-	inX := make(map[string]bool, len(f.X))
-	for _, a := range f.X {
-		inX[a] = true
-	}
-	inY := make(map[string]bool, len(f.Y))
-	for _, a := range f.Y {
-		if inX[a] {
-			continue
-		}
-		inY[a] = true
-	}
-	var rest []string
-	for _, a := range attrs {
-		if !inX[a] && !inY[a] {
-			rest = append(rest, a)
-		}
-	}
-	if len(inY) == 0 || len(rest) == 0 {
-		return jointree.MVD{}, fmt.Errorf("fd: FD %v yields a degenerate MVD over %v", f, attrs)
-	}
-	var ys []string
-	for _, a := range attrs {
-		if inY[a] {
-			ys = append(ys, a)
-		}
-	}
-	return jointree.MVD{X: append([]string(nil), f.X...), Y: ys, Z: rest}, nil
 }

@@ -174,9 +174,6 @@ func TestBitsNats(t *testing.T) {
 	if math.Abs(infotheory.Bits(math.Ln2)-1) > 1e-15 {
 		t.Fatal("Bits wrong")
 	}
-	if math.Abs(infotheory.Nats(1)-math.Ln2) > 1e-15 {
-		t.Fatal("Nats wrong")
-	}
 }
 
 func TestFunctionalEntropy(t *testing.T) {

@@ -1,6 +1,8 @@
 package join
 
 import (
+	"math"
+	"math/bits"
 	"math/rand/v2"
 	"runtime"
 	"testing"
@@ -21,36 +23,70 @@ func atEachGOMAXPROCS(t *testing.T, f func(t *testing.T)) {
 	}
 }
 
-// oracleCount is the projection route: CountTree over the bag projections of
-// a cold copy of r, so no grouping is shared with the snapshot count.
-func oracleCount(r *relation.Relation, tree *jointree.JoinTree) (int64, error) {
+// naiveCount is the count's oracle: junction-tree message passing over the
+// bag projections of a cold copy of r, so no grouping is shared with the
+// snapshot count, with messages keyed by the separator values' row key. It
+// shares no code with treePlan and scales to joins too large to
+// materialize.
+func naiveCount(r *relation.Relation, tree *jointree.JoinTree) (int64, error) {
 	rels, err := Projections(r.Clone(), tree.Schema())
 	if err != nil {
 		return 0, err
 	}
-	return CountTree(tree, rels)
+	rooted, err := jointree.Root(tree, 0)
+	if err != nil {
+		return 0, err
+	}
+	// sepKey keys a tuple of rel by its values on the attributes sep.
+	sepKey := func(rel *relation.Relation, tup relation.Tuple, sep []string) string {
+		vals := make(relation.Tuple, len(sep))
+		for j, a := range sep {
+			c, _ := rel.Pos(a)
+			vals[j] = tup[c]
+		}
+		return relation.RowKey(vals)
+	}
+	msgs := make([]map[string]int64, len(rooted.Order))
+	var total int64
+	for pos := len(rooted.Order) - 1; pos >= 0; pos-- {
+		rel := rels[rooted.Order[pos]]
+		msgs[pos] = make(map[string]int64)
+		for _, tup := range rel.Rows() {
+			w := int64(1)
+			for c := pos + 1; c < len(rooted.Order); c++ {
+				if rooted.Parent[c] != pos {
+					continue
+				}
+				hi, lo := bits.Mul64(uint64(w), uint64(msgs[c][sepKey(rel, tup, rooted.Sep[c])]))
+				if hi != 0 || lo > math.MaxInt64 {
+					return 0, ErrOverflow
+				}
+				w = int64(lo)
+			}
+			if pos == 0 {
+				total += w
+			} else {
+				msgs[pos][sepKey(rel, tup, rooted.Sep[pos])] += w
+			}
+		}
+	}
+	return total, nil
 }
 
-// materializedCount is the independent oracle: the size of the join of the
-// bag projections of a cold copy of r, built tuple by tuple. CountTree and
-// CountSnapshot share one counting pass, so agreeing with each other alone
-// would not catch a fault in it.
-func materializedCount(r *relation.Relation, tree *jointree.JoinTree) (int64, error) {
+// materialize is the independent oracle: the join of the bag projections
+// of a cold copy of r, built tuple by tuple.
+func materialize(r *relation.Relation, tree *jointree.JoinTree) (*relation.Relation, error) {
 	rels, err := Projections(r.Clone(), tree.Schema())
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	j, err := MaterializeTree(tree, rels)
-	if err != nil {
-		return 0, err
-	}
-	return int64(j.N()), nil
+	return MaterializeTree(tree, rels)
 }
 
-// TestQuickSnapshotCountParity compares the snapshot count (CountSnapshot
-// and CountAcyclicJoin) and the projection count (CountTree) with the size
-// of the materialized join on random join trees and relations: single bags,
-// empty separators, empty relations and duplicate-heavy domains.
+// TestQuickSnapshotCountParity compares the snapshot count (CountSnapshot,
+// CountAcyclicJoin and the sampler's JoinSize) and the naive count with the
+// size of the materialized join on random join trees and relations: single
+// bags, empty separators, empty relations and duplicate-heavy domains.
 func TestQuickSnapshotCountParity(t *testing.T) {
 	atEachGOMAXPROCS(t, func(t *testing.T) {
 		f := func(seed uint64) bool {
@@ -70,13 +106,14 @@ func TestQuickSnapshotCountParity(t *testing.T) {
 				n = 0
 			}
 			r := randomRelation(rng, tree.Attrs(), domain, n)
-			want, err := materializedCount(r, tree)
+			mat, err := materialize(r, tree)
 			if err != nil {
 				t.Logf("seed %d: materialized oracle: %v", seed, err)
 				return false
 			}
-			if got, err := oracleCount(r, tree); err != nil || got != want {
-				t.Logf("seed %d: CountTree %d (%v), materialized %d", seed, got, err, want)
+			want := int64(mat.N())
+			if got, err := naiveCount(r, tree); err != nil || got != want {
+				t.Logf("seed %d: naive count %d (%v), materialized %d", seed, got, err, want)
 				return false
 			}
 			got, err := CountSnapshot(r.Snapshot(), tree)
@@ -91,6 +128,12 @@ func TestQuickSnapshotCountParity(t *testing.T) {
 				t.Logf("seed %d: CountAcyclicJoin %d (%v), oracle %d", seed, got, err, want)
 				return false
 			}
+			// The sampler runs the same pass and refuses only the empty join.
+			s, err := NewSampler(r.Snapshot(), tree)
+			if (err == nil) != (want > 0) || (err == nil && s.JoinSize() != want) {
+				t.Logf("seed %d: NewSampler %v (%v), oracle %d", seed, s, err, want)
+				return false
+			}
 			return true
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -102,7 +145,8 @@ func TestQuickSnapshotCountParity(t *testing.T) {
 // TestSnapshotCountParityOnPool repeats the parity check on a relation
 // large enough that the count's plan levels fan out on the engine's pool:
 // a chain of seven bags over 20000 rows puts seven groupings of every row
-// on each of its first two levels. CountTree over the bag projections of a
+// on each of its first two levels; the sampler, built on another cold copy,
+// plans the same groupings. The naive count over the bag projections of a
 // cold copy is the oracle; the join is too large to materialize.
 func TestSnapshotCountParityOnPool(t *testing.T) {
 	attrs := []string{"A", "B", "C", "D", "E", "F", "G", "H"}
@@ -116,7 +160,7 @@ func TestSnapshotCountParityOnPool(t *testing.T) {
 	}
 	tree := jointree.MustJoinTree(bags, edges)
 	r := randomRelation(rand.New(rand.NewPCG(8, 9)), attrs, 8, 20000)
-	want, err := oracleCount(r, tree)
+	want, err := naiveCount(r, tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,6 +171,9 @@ func TestSnapshotCountParityOnPool(t *testing.T) {
 		}
 		if got, err := CountAcyclicJoin(view, tree.Schema()); err != nil || got != want {
 			t.Fatalf("CountAcyclicJoin %d (%v), oracle %d", got, err, want)
+		}
+		if s, err := NewSampler(r.Clone().Snapshot(), tree); err != nil || s.JoinSize() != want {
+			t.Fatalf("NewSampler %v (%v), oracle %d", s, err, want)
 		}
 	})
 }
@@ -146,7 +193,7 @@ func TestSnapshotCountEdgeCases(t *testing.T) {
 	}
 	for _, rel := range []*relation.Relation{r, relation.New("A", "B", "C")} {
 		for _, c := range cases {
-			want, err := oracleCount(rel, c.tree)
+			want, err := naiveCount(rel, c.tree)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,10 +6,11 @@
 // be exponentially larger than its inputs; Figure 1 needs joins of size 10⁶
 // whose inputs have 10⁵ rows, and the count is all the loss measure needs).
 //
-// The count is one bottom-up pass over a rooted join tree, written once:
-// CountTree and NewSampler run it over aligned bag projections, and
-// CountSnapshot and CountMVD over a snapshot's memoized bag and separator
-// groupings; the sampler keeps each tuple's weight from the same pass.
+// The count is one bottom-up pass over a rooted join tree, written once, on
+// a snapshot's memoized bag and separator groupings: CountSnapshot and
+// CountMVD return its total, and NewSampler keeps each tuple's weight from
+// the same pass. Its only input is projections of one relation, as the loss
+// measure needs (Lemma 4.1).
 package join
 
 import (
@@ -90,110 +91,100 @@ func AcyclicJoin(r *relation.Relation, s *jointree.Schema) (*relation.Relation, 
 var ErrOverflow = fmt.Errorf("join: cardinality overflows int64")
 
 // treePlan is a rooted join tree in DFS order (parent before child) laid
-// out for the bottom-up count, the one pass behind CountTree, CountSnapshot,
-// CountMVD and NewSampler. Row i of the node at position pos carries
-// up[pos][i], its separator group on the edge to its parent (pos ≥ 1), and
-// down[c][i], its group on the edge to each child c; msgs[c] holds one
-// zeroed slot per group of edge c. With first set, only the first row of each
-// group of first[pos] is a tuple of the node (the snapshot path, where a
-// bag's rows repeat); otherwise every row of rels[pos] is. All message
-// passing runs over dense integer group IDs — no string keys.
+// out for the bottom-up count, the one pass behind CountSnapshot, CountMVD
+// and NewSampler. The tuples at position pos are the groups of bags[pos],
+// each read at its first row. sep[c] maps every row to its group on the
+// separator between c and its parent: a tuple at pos adds its weight to
+// msgs[pos] at sep[pos] and reads each child c's message at sep[c]. msgs[c]
+// holds one slot per group of that separator. All message passing runs
+// over dense integer group IDs: no string keys, no projected relations.
 type treePlan struct {
-	rels     []*relation.Relation // by DFS position; nil on the snapshot path
-	first    []*engine.Grouping   // by DFS position; nil on the projection path
-	children [][]int              // children[pos]: DFS child positions
-	up, down [][]int32
+	bags     []*engine.Grouping // by DFS position
+	children [][]int            // children[pos]: DFS child positions
+	sep      [][]int32          // by DFS position; nil at the root
 	msgs     [][]int64
 }
 
-// newTreePlan roots t at bag 0 and aligns each edge's separator groups
-// between the projections at its two ends.
-func newTreePlan(t *jointree.JoinTree, rels []*relation.Relation) (*treePlan, *jointree.Rooted, error) {
-	if len(rels) != t.Len() {
-		return nil, nil, fmt.Errorf("join: %d relations for %d bags", len(rels), t.Len())
+// planBags lays out the count over a rooted tree given in DFS order
+// (parent[pos] < pos; sep[pos] = bags[pos] ∩ bags[parent[pos]]) on the
+// snapshot's groupings. All of them are planned through one engine plan
+// first, so overlapping bags and separators share refinements. A row's
+// separator group is the same toward the parent and as seen from it, so one
+// table of separator IDs serves both ends of an edge.
+func planBags(snap *engine.Snapshot, bags [][]string, parent []int, sep [][]string) (*treePlan, error) {
+	m := len(bags)
+	plan := snap.Plan()
+	for pos := 0; pos < m; pos++ {
+		if err := plan.AddGrouping(bags[pos]...); err != nil {
+			return nil, fmt.Errorf("join: planning bag %d: %w", pos, err)
+		}
+		if pos > 0 {
+			if err := plan.AddGrouping(sep[pos]...); err != nil {
+				return nil, fmt.Errorf("join: planning separator %d: %w", pos, err)
+			}
+		}
 	}
-	rooted, err := jointree.Root(t, 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	m := len(rooted.Order)
+	plan.Run(0)
 	p := &treePlan{
-		rels:     make([]*relation.Relation, m),
+		bags:     make([]*engine.Grouping, m),
 		children: make([][]int, m),
-		up:       make([][]int32, m),
-		down:     make([][]int32, m),
+		sep:      make([][]int32, m),
 		msgs:     make([][]int64, m),
 	}
 	for pos := 0; pos < m; pos++ {
-		p.rels[pos] = rels[rooted.Order[pos]]
-	}
-	for i := 1; i < m; i++ {
-		par := rooted.Parent[i]
-		p.children[par] = append(p.children[par], i)
-		sep := rooted.Sep[i]
-		down, up, groups, err := relation.AlignGroups(p.rels[par], sep, p.rels[i], sep)
-		if err != nil {
-			return nil, nil, err
+		var err error
+		if p.bags[pos], err = snap.Grouping(bags[pos]...); err != nil {
+			return nil, err
 		}
-		p.up[i], p.down[i], p.msgs[i] = up, down, make([]int64, groups)
+		if pos > 0 {
+			g, err := snap.Grouping(sep[pos]...)
+			if err != nil {
+				return nil, err
+			}
+			p.sep[pos], p.msgs[pos] = g.IDs, make([]int64, g.Groups())
+			p.children[parent[pos]] = append(p.children[parent[pos]], pos)
+		}
 	}
-	return p, rooted, nil
+	return p, nil
 }
 
 // count runs the message passing leaves first and returns the join size.
 // The message on edge c maps each separator group to the number of join
 // extensions in c's subtree consistent with it. A tuple's weight is the
-// product of its children's messages in child order; it is 0 at the first
-// zero message, so a later product that would overflow is never taken. If
-// weights is non-nil, weights[pos][i] receives the weight of row i at pos.
-func (p *treePlan) count(weights [][]int64) (int64, error) {
+// product of its children's messages in child order. If visit is non-nil,
+// it receives every tuple's first row and weight, position by position from
+// the last, rows ascending within a position.
+//
+// Every message is at least 1: each separator group has a row, whose bag
+// group is a tuple of the child agreeing with it, and by induction every
+// tuple's weight is at least 1. So no weight is 0, the overflow check never
+// divides by 0, and overflow is the only error.
+func (p *treePlan) count(visit func(pos int, row int32, w int64)) (int64, error) {
 	var total int64
 	for pos := len(p.children) - 1; pos >= 0; pos-- {
-		var ids []int32
-		n, last := 0, 0
-		if p.first != nil {
-			ids, last = p.first[pos].IDs, p.first[pos].Groups()
-			n = len(ids)
-		} else {
-			n = p.rels[pos].N()
-		}
-		if weights != nil {
-			weights[pos] = make([]int64, n)
-		}
+		ids, last := p.bags[pos].IDs, int32(p.bags[pos].Groups())
 		// Group IDs are numbered in first-occurrence row order, so row i
 		// starts a new group exactly when its ID is the next unseen one,
 		// and no row is left to count once the last group has started.
-		next := int32(0)
-		for i := 0; i < n; i++ {
-			if ids != nil {
-				if ids[i] != next {
-					continue
-				}
-				if next++; int(next) == last {
-					n = i + 1
-				}
+		for i, next := 0, int32(0); next < last; i++ {
+			if ids[i] != next {
+				continue
 			}
+			next++
 			w := int64(1)
 			for _, c := range p.children[pos] {
-				cw := p.msgs[c][p.down[c][i]]
-				if cw == 0 {
-					w = 0
-					break
-				}
+				cw := p.msgs[c][p.sep[c][i]]
 				if w > math.MaxInt64/cw {
 					return 0, ErrOverflow
 				}
 				w *= cw
 			}
-			if w == 0 {
-				continue
-			}
-			if weights != nil {
-				weights[pos][i] = w
+			if visit != nil {
+				visit(pos, int32(i), w)
 			}
 			sum := &total
 			if pos > 0 {
-				sum = &p.msgs[pos][p.up[pos][i]]
+				sum = &p.msgs[pos][p.sep[pos][i]]
 			}
 			if *sum += w; *sum < 0 {
 				return 0, ErrOverflow
@@ -203,14 +194,19 @@ func (p *treePlan) count(weights [][]int64) (int64, error) {
 	return total, nil
 }
 
-// CountTree returns |⋈ᵢ rels[i]| over the join tree without materializing
-// the join, by bottom-up message passing over the aligned projections.
-func CountTree(t *jointree.JoinTree, rels []*relation.Relation) (int64, error) {
-	plan, _, err := newTreePlan(t, rels)
+// planTree roots t at bag 0 and plans the count over it on snap's
+// groupings.
+func planTree(snap *engine.Snapshot, t *jointree.JoinTree) (*treePlan, *jointree.Rooted, error) {
+	rooted, err := jointree.Root(t, 0)
 	if err != nil {
-		return 0, err
+		return nil, nil, err
 	}
-	return plan.count(nil)
+	bags := make([][]string, len(rooted.Order))
+	for pos := range bags {
+		bags[pos] = rooted.Bag(pos)
+	}
+	p, err := planBags(snap, bags, rooted.Parent, rooted.Sep)
+	return p, rooted, err
 }
 
 // CountAcyclicJoin counts the acyclic join cardinality |⋈ᵢ R[Ωᵢ]| of r's
@@ -225,23 +221,18 @@ func CountAcyclicJoin(r *relation.Relation, s *jointree.Schema) (int64, error) {
 }
 
 // CountSnapshot returns |⋈ᵢ R[Ωᵢ]| over the join tree t, where R is the
-// relation snap holds. It is CountTree(t, Projections(R, schema)) computed
-// on the snapshot's memoized groupings instead of on projected relations:
-// each bag's distinct rows are the groups of the bag's grouping, and a
-// separator's group ID is a function of the bag group (the separator is a
-// subset of the bag), so the message passing reads the child and parent
-// separator IDs at the first row of each bag group. No projected relation,
-// row key or cross-relation alignment is built.
+// relation snap holds, on the snapshot's memoized groupings instead of on
+// projected relations: each bag's distinct rows are the groups of the bag's
+// grouping, and a separator's group ID is a function of the bag group (the
+// separator is a subset of the bag), so the message passing reads the child
+// and parent separator IDs at the first row of each bag group. No projected
+// relation, row key or cross-relation alignment is built.
 func CountSnapshot(snap *engine.Snapshot, t *jointree.JoinTree) (int64, error) {
-	rooted, err := jointree.Root(t, 0)
+	p, _, err := planTree(snap, t)
 	if err != nil {
 		return 0, err
 	}
-	bags := make([][]string, len(rooted.Order))
-	for pos, b := range rooted.Order {
-		bags[pos] = t.Bags[b]
-	}
-	return countBags(snap, bags, rooted.Parent, rooted.Sep)
+	return p.count(nil)
 }
 
 // CountMVD returns |Π_{XY}(R) ⋈ Π_{XZ}(R)| for the MVD X ↠ Y|Z, where R is
@@ -256,50 +247,9 @@ func CountMVD(snap *engine.Snapshot, m jointree.MVD) (int64, error) {
 			sep = append(sep, a)
 		}
 	}
-	return countBags(snap, [][]string{left, right}, []int{-1, 0}, [][]string{nil, sep})
-}
-
-// countBags is CountTree over a rooted tree given in DFS order
-// (parent[pos] < pos; sep[pos] = bags[pos] ∩ bags[parent[pos]]), on the
-// snapshot's groupings. All of them are planned through one engine plan
-// first, so overlapping bags and separators share refinements. A row's
-// separator group is the same toward the parent and as seen from it, so
-// up and down are one table of separator IDs.
-func countBags(snap *engine.Snapshot, bags [][]string, parent []int, sep [][]string) (int64, error) {
-	m := len(bags)
-	plan := snap.Plan()
-	for pos := 0; pos < m; pos++ {
-		if err := plan.AddGrouping(bags[pos]...); err != nil {
-			return 0, fmt.Errorf("join: planning bag %d: %w", pos, err)
-		}
-		if pos > 0 {
-			if err := plan.AddGrouping(sep[pos]...); err != nil {
-				return 0, fmt.Errorf("join: planning separator %d: %w", pos, err)
-			}
-		}
-	}
-	plan.Run(0)
-	ids := make([][]int32, m)
-	p := &treePlan{
-		first:    make([]*engine.Grouping, m),
-		children: make([][]int, m),
-		up:       ids,
-		down:     ids,
-		msgs:     make([][]int64, m),
-	}
-	for pos := 0; pos < m; pos++ {
-		var err error
-		if p.first[pos], err = snap.Grouping(bags[pos]...); err != nil {
-			return 0, err
-		}
-		if pos > 0 {
-			g, err := snap.Grouping(sep[pos]...)
-			if err != nil {
-				return 0, err
-			}
-			ids[pos], p.msgs[pos] = g.IDs, make([]int64, g.Groups())
-			p.children[parent[pos]] = append(p.children[parent[pos]], pos)
-		}
+	p, err := planBags(snap, [][]string{left, right}, []int{-1, 0}, [][]string{nil, sep})
+	if err != nil {
+		return 0, err
 	}
 	return p.count(nil)
 }

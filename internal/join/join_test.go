@@ -2,7 +2,6 @@ package join
 
 import (
 	"errors"
-	"fmt"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -125,7 +124,7 @@ func TestCountMatchesMaterializeChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cnt, err := CountTree(tree, rels)
+	cnt, err := CountSnapshot(r.Snapshot(), tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,67 +148,16 @@ func TestCountCrossProduct(t *testing.T) {
 
 func TestCountArityMismatch(t *testing.T) {
 	tree := chainTree(t)
-	if _, err := CountTree(tree, nil); err == nil {
-		t.Fatal("wrong relation count accepted")
-	}
 	if _, err := MaterializeTree(tree, nil); err == nil {
 		t.Fatal("wrong relation count accepted (materialize)")
 	}
+	if _, err := FullReduce(tree, nil); err == nil {
+		t.Fatal("wrong relation count accepted (full reduce)")
+	}
 }
 
-// column returns a one-attribute relation holding the values 1..n.
-func column(attr string, n int) *relation.Relation {
-	r := relation.New(attr)
-	for v := 1; v <= n; v++ {
-		r.Insert(relation.Tuple{relation.Value(v)})
-	}
-	return r
-}
-
-// zeroAndOverflowTree is a root bag {A} holding A = 1 whose children are a
-// bag {A, Z} and two bags {B} and {C}, each the parent of three disjoint
-// 2000-value bags, so each sends the root a message of 2000³ = 8·10⁹ and
-// their product, 6.4·10¹⁹, overflows int64. {A, Z} holds A = 1 when
-// joinable and A = 2 otherwise, which makes its message 0; zeroFirst puts it
-// before the two large children, and otherwise after them.
-func zeroAndOverflowTree(zeroFirst, joinable bool) (*jointree.JoinTree, []*relation.Relation) {
-	a := relation.Value(2)
-	if joinable {
-		a = 1
-	}
-	az := relation.FromRows([]string{"A", "Z"}, []relation.Tuple{{a, 1}})
-	bags := [][]string{{"A"}}
-	rels := []*relation.Relation{column("A", 1)}
-	var edges [][2]int
-	add := func(parent int, bag []string, r *relation.Relation) int {
-		bags, rels = append(bags, bag), append(rels, r)
-		edges = append(edges, [2]int{parent, len(bags) - 1})
-		return len(bags) - 1
-	}
-	if zeroFirst {
-		add(0, []string{"A", "Z"}, az)
-	}
-	for _, hub := range []string{"B", "C"} {
-		h := add(0, []string{hub}, column(hub, 1))
-		for k := 1; k <= 3; k++ {
-			leaf := fmt.Sprintf("%s%d", hub, k)
-			add(h, []string{leaf}, column(leaf, 2000))
-		}
-	}
-	if !zeroFirst {
-		add(0, []string{"A", "Z"}, az)
-	}
-	return jointree.MustJoinTree(bags, edges), rels
-}
-
-// TestCountOverflow checks that the three callers of the one counting pass —
-// CountTree, CountSnapshot and NewSampler — agree on the zero rule, on
-// overflow and on the empty join. A tuple's weight is 0 at its first zero
-// child message, before a later product can overflow; an overflow met
-// before the zero is ErrOverflow. The snapshot path counts projections of
-// one relation, which are globally consistent, so it never sees a zero
-// message: the two ordering cases run on independent relations, and the
-// snapshot path runs on the overflow and empty cases.
+// TestCountOverflow checks that the two callers of the one counting pass —
+// CountSnapshot and NewSampler — agree on overflow and on the empty join.
 func TestCountOverflow(t *testing.T) {
 	// 1000 tuples over seven attributes, each with 1000 distinct values: the
 	// join of the singleton bags is 1000⁷ = 10²¹ > MaxInt64.
@@ -230,46 +178,44 @@ func TestCountOverflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	zeroFirst, zeroFirstRels := zeroAndOverflowTree(true, false)
-	zeroLast, zeroLastRels := zeroAndOverflowTree(false, false)
-	noZero, noZeroRels := zeroAndOverflowTree(true, true)
 	// Every case's join is empty or overflows, so each count is 0 or
 	// ErrOverflow, and the sampler refuses every case.
 	cases := []struct {
 		name    string
 		tree    *jointree.JoinTree
-		rels    []*relation.Relation // nil: the projections of r
-		r       *relation.Relation   // nil: the case has no snapshot form
+		r       *relation.Relation
 		wantErr error
 	}{
-		{"zero before overflow", zeroFirst, zeroFirstRels, nil, nil},
-		{"overflow before zero", zeroLast, zeroLastRels, nil, ErrOverflow},
-		{"overflow, no zero", noZero, noZeroRels, nil, ErrOverflow},
-		{"overflowing snapshot", wideTree, nil, wide, ErrOverflow},
-		{"empty join", chainTree(t), nil, relation.New("A", "B", "C", "D"), nil},
+		{"overflowing snapshot", wideTree, wide, ErrOverflow},
+		{"empty join", chainTree(t), relation.New("A", "B", "C", "D"), nil},
 	}
 	for _, c := range cases {
-		check := func(path string, got int64, err error) {
-			t.Helper()
-			if got != 0 || !errors.Is(err, c.wantErr) || (err != nil) != (c.wantErr != nil) {
-				t.Errorf("%s: %s = %d, %v; want 0, %v", c.name, path, got, err, c.wantErr)
-			}
+		got, err := CountSnapshot(c.r.Snapshot(), c.tree)
+		if got != 0 || !errors.Is(err, c.wantErr) || (err != nil) != (c.wantErr != nil) {
+			t.Errorf("%s: CountSnapshot = %d, %v; want 0, %v", c.name, got, err, c.wantErr)
 		}
-		rels := c.rels
-		if c.r != nil {
-			if rels, err = Projections(c.r, c.tree.Schema()); err != nil {
-				t.Fatal(err)
-			}
-			got, err := CountSnapshot(c.r.Snapshot(), c.tree)
-			check("CountSnapshot", got, err)
-		}
-		got, err := CountTree(c.tree, rels)
-		check("CountTree", got, err)
-		s, err := NewSampler(c.tree, rels)
+		s, err := NewSampler(c.r.Snapshot(), c.tree)
 		if s != nil || err == nil || errors.Is(err, ErrOverflow) != (c.wantErr != nil) {
 			t.Errorf("%s: NewSampler = %v, %v; want an error, ErrOverflow: %v", c.name, s, err, c.wantErr != nil)
 		}
 	}
+}
+
+// GloballyConsistent reports whether the per-bag relations are globally
+// consistent on the join tree: the full reducer removes no tuples. The
+// projections of any relation onto an acyclic schema are always globally
+// consistent (Beeri et al. 1983).
+func GloballyConsistent(t *jointree.JoinTree, rels []*relation.Relation) (bool, error) {
+	reduced, err := FullReduce(t, rels)
+	if err != nil {
+		return false, err
+	}
+	for i := range rels {
+		if reduced[i].N() != rels[i].N() {
+			return false, nil
+		}
+	}
+	return true, nil
 }
 
 func TestFullReduceRemovesDanglers(t *testing.T) {
@@ -364,12 +310,6 @@ func TestFullReduceInconsistentIndependent(t *testing.T) {
 	if !direct.EqualUpToOrder(want) {
 		t.Fatalf("join =\n%vwant\n%v", direct, want)
 	}
-	// The counting path agrees on both the original and the reduced bags.
-	for _, in := range [][]*relation.Relation{rels, reduced} {
-		if n, err := CountTree(tree, in); err != nil || n != 1 {
-			t.Fatalf("CountTree = %d, %v; want 1", n, err)
-		}
-	}
 }
 
 // TestFullReduceEmptyIntersection: a bag whose every tuple dangles reduces
@@ -386,9 +326,6 @@ func TestFullReduceToEmpty(t *testing.T) {
 	}
 	if reduced[0].N() != 0 || reduced[1].N() != 0 {
 		t.Fatalf("reduction left %d/%d tuples", reduced[0].N(), reduced[1].N())
-	}
-	if n, err := CountTree(tree, rels); err != nil || n != 0 {
-		t.Fatalf("CountTree = %d, %v; want 0", n, err)
 	}
 	direct, err := MaterializeTree(tree, rels)
 	if err != nil {
@@ -456,7 +393,7 @@ func TestQuickCountEqualsMaterialize(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		cnt, err := CountTree(tree, rels)
+		cnt, err := CountSnapshot(r.Snapshot(), tree)
 		if err != nil {
 			return false
 		}
@@ -491,11 +428,7 @@ func TestQuickYannakakisAgreesOnArbitraryInputs(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		cnt, err := CountTree(tree, rels)
-		if err != nil {
-			return false
-		}
-		return y.EqualUpToOrder(m) && cnt == int64(m.N())
+		return y.EqualUpToOrder(m)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

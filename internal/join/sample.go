@@ -4,18 +4,21 @@ import (
 	"fmt"
 	"math/rand/v2"
 
+	"ajdloss/internal/engine"
 	"ajdloss/internal/jointree"
 	"ajdloss/internal/relation"
 )
 
-// Sampler draws uniform random tuples from an acyclic join ⋈ᵢ rels[i]
-// without materializing it, by inverting the counting dynamic program: the
-// root tuple is drawn with probability proportional to its number of join
+// Sampler draws uniform random tuples from an acyclic join ⋈ᵢ R[Ωᵢ] without
+// materializing it, by inverting the counting dynamic program: the root
+// tuple is drawn with probability proportional to its number of join
 // extensions, then each child tuple is drawn conditionally on the separator
-// value, top-down. Building the sampler is CountTree's pass, keeping each
-// tuple's weight; each sample then costs O(Σ bag arity) integer indexing
-// plus one weighted choice per bag — the separator buckets are addressed by
-// aligned group-IDs, never by string keys.
+// value, top-down. Building the sampler is CountSnapshot's pass over the
+// snapshot's bag and separator groupings, keeping each tuple's weight; a
+// bag tuple is the first row of its bag group, so each sample costs
+// O(Σ bag arity) integer indexing into the snapshot's columns plus one
+// weighted choice per bag — the separator buckets are addressed by group
+// IDs, never by string keys.
 //
 // Together with the loss machinery this answers "show me some spurious
 // tuples" for joins far too large to enumerate (e.g. Figure 1 at d = 1000,
@@ -25,60 +28,73 @@ type Sampler struct {
 	// the root's one bucket.
 	plan  *treePlan
 	attrs []string // output attribute order (union, DFS-first)
-	// cols[pos] holds the columns of the relation at DFS position pos.
-	cols [][][]relation.Value
-	// weights[pos][i] is the number of join extensions of tuple i of the
-	// relation at DFS position pos into pos's subtree.
-	weights [][]int64
-	// buckets[pos][g] lists tuple indexes of position pos whose aligned
-	// separator group (toward the parent) is g; buckets[0] has one bucket.
-	buckets [][][]int32
+	// cols[pos][j] is the snapshot column of the j-th attribute of the bag
+	// at DFS position pos, and out[pos][j] its index in a sampled tuple.
+	cols [][][]engine.Value
+	out  [][]int
+	// buckets[pos][g] lists the tuples at DFS position pos whose separator
+	// group toward the parent is g, in row order; buckets[0] has one bucket.
+	buckets [][]bucket
 }
 
-// NewSampler prepares uniform sampling from ⋈ᵢ rels[i] over the join tree.
-// It runs the counting pass CountTree runs, keeping every tuple's weight and
-// every edge's message, and then files each tuple of nonzero weight under
-// its separator group. It returns an error if the join is empty, overflows
-// int64, or the inputs mismatch the tree.
-func NewSampler(t *jointree.JoinTree, rels []*relation.Relation) (*Sampler, error) {
-	plan, rooted, err := newTreePlan(t, rels)
+// bucket holds tuples by their first row, with each one's number of join
+// extensions into its subtree.
+type bucket struct {
+	rows    []int32
+	weights []int64
+}
+
+// NewSampler prepares uniform sampling from the join of the projections of
+// the relation snap holds onto the bags of t. It runs CountSnapshot's pass,
+// filing every tuple under its separator group with its weight. It returns
+// an error if the join is empty, overflows int64, or t names an attribute
+// snap lacks.
+func NewSampler(snap *engine.Snapshot, t *jointree.JoinTree) (*Sampler, error) {
+	plan, rooted, err := planTree(snap, t)
 	if err != nil {
 		return nil, err
 	}
 	m := len(rooted.Order)
 	s := &Sampler{
 		plan:    plan,
-		cols:    make([][][]relation.Value, m),
-		weights: make([][]int64, m),
-		buckets: make([][][]int32, m),
+		cols:    make([][][]engine.Value, m),
+		out:     make([][]int, m),
+		buckets: make([][]bucket, m),
 	}
-	total, err := plan.count(s.weights)
+	plan.msgs[0] = make([]int64, 1)
+	for pos := range s.buckets {
+		s.buckets[pos] = make([]bucket, len(plan.msgs[pos]))
+	}
+	total, err := plan.count(func(pos int, row int32, w int64) {
+		g := int32(0)
+		if pos > 0 {
+			g = plan.sep[pos][row]
+		}
+		b := &s.buckets[pos][g]
+		b.rows = append(b.rows, row)
+		b.weights = append(b.weights, w)
+	})
 	if err != nil {
 		return nil, err
 	}
 	if total == 0 {
 		return nil, fmt.Errorf("join: cannot sample from an empty join")
 	}
-	plan.msgs[0] = []int64{total}
+	plan.msgs[0][0] = total
 	// Output attribute order: first occurrence over DFS positions.
-	seen := make(map[string]bool)
+	outPos := make(map[string]int)
+	columns := snap.Columns()
 	for pos := 0; pos < m; pos++ {
 		for _, a := range rooted.Bag(pos) {
-			if !seen[a] {
-				seen[a] = true
+			i, ok := outPos[a]
+			if !ok {
+				i = len(s.attrs)
+				outPos[a] = i
 				s.attrs = append(s.attrs, a)
 			}
-		}
-		s.cols[pos] = plan.rels[pos].Columns()
-		s.buckets[pos] = make([][]int32, len(plan.msgs[pos]))
-		for i, w := range s.weights[pos] {
-			if w != 0 {
-				g := int32(0)
-				if pos > 0 {
-					g = plan.up[pos][i]
-				}
-				s.buckets[pos][g] = append(s.buckets[pos][g], int32(i))
-			}
+			c, _ := snap.Pos(a) // planTree resolved every bag attribute
+			s.cols[pos] = append(s.cols[pos], columns[c])
+			s.out[pos] = append(s.out[pos], i)
 		}
 	}
 	return s, nil
@@ -87,48 +103,41 @@ func NewSampler(t *jointree.JoinTree, rels []*relation.Relation) (*Sampler, erro
 // Attrs returns the attribute order of sampled tuples.
 func (s *Sampler) Attrs() []string { return s.attrs }
 
-// JoinSize returns |⋈ᵢ rels[i]|.
+// JoinSize returns |⋈ᵢ R[Ωᵢ]|.
 func (s *Sampler) JoinSize() int64 { return s.plan.msgs[0][0] }
 
 // Sample draws one tuple uniformly from the join.
 func (s *Sampler) Sample(rng *rand.Rand) relation.Tuple {
 	out := make(relation.Tuple, len(s.attrs))
-	outPos := make(map[string]int, len(s.attrs))
-	for i, a := range s.attrs {
-		outPos[a] = i
-	}
-	s.sampleNode(rng, 0, 0, out, outPos)
+	s.sampleNode(rng, 0, 0, out)
 	return out
 }
 
-// sampleNode picks a tuple of the relation at DFS position pos within the
-// given aligned separator bucket, writes its values into out, and recurses.
-func (s *Sampler) sampleNode(rng *rand.Rand, pos int, group int32, out relation.Tuple, outPos map[string]int) {
-	bucket := s.buckets[pos][group]
+// sampleNode picks a tuple at DFS position pos within the given separator
+// bucket, writes its values into out, and recurses.
+func (s *Sampler) sampleNode(rng *rand.Rand, pos int, group int32, out relation.Tuple) {
+	b := &s.buckets[pos][group]
 	target := rng.Int64N(s.plan.msgs[pos][group])
-	var idx int32 = -1
-	for _, i := range bucket {
-		target -= s.weights[pos][i]
-		if target < 0 {
-			idx = i
+	// The last row is unreachable as a fallback: totals are exact sums of
+	// bucket weights.
+	row := b.rows[len(b.rows)-1]
+	for j, w := range b.weights {
+		if target -= w; target < 0 {
+			row = b.rows[j]
 			break
 		}
 	}
-	if idx < 0 {
-		// Unreachable: totals are exact sums of bucket weights.
-		idx = bucket[len(bucket)-1]
-	}
-	for i, a := range s.plan.rels[pos].Attrs() {
-		out[outPos[a]] = s.cols[pos][i][idx]
+	for j, col := range s.cols[pos] {
+		out[s.out[pos][j]] = col[row]
 	}
 	for _, c := range s.plan.children[pos] {
-		s.sampleNode(rng, c, s.plan.down[c][idx], out, outPos)
+		s.sampleNode(rng, c, s.plan.sep[c][row], out)
 	}
 }
 
 // SampleSpurious draws up to k tuples uniform over the join and returns the
-// ones not contained in r (spurious under the schema that produced the
-// projections). The expected yield per draw is ρ/(1+ρ).
+// ones not contained in r (spurious under the schema the sampler was built
+// on). The expected yield per draw is ρ/(1+ρ).
 func SampleSpurious(s *Sampler, r *relation.Relation, rng *rand.Rand, k int) []relation.Tuple {
 	cols := make([]int, 0, len(r.Attrs()))
 	pos := make(map[string]int, len(s.attrs))

@@ -9,26 +9,9 @@ import (
 	"ajdloss/internal/relation"
 )
 
-func TestSamplerMatchesJoinSupport(t *testing.T) {
-	rng := rand.New(rand.NewPCG(1, 2))
-	r := randomRelation(rng, []string{"A", "B", "C", "D"}, 3, 25)
-	tree := chainTree(t)
-	rels, err := Projections(r, tree.Schema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	mat, err := MaterializeTree(tree, rels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewSampler(tree, rels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.JoinSize() != int64(mat.N()) {
-		t.Fatalf("sampler size %d != join %d", s.JoinSize(), mat.N())
-	}
-	// Every sample is a member of the materialized join (after reordering).
+// checkInJoin draws n tuples from s and fails unless each lies in mat.
+func checkInJoin(t *testing.T, s *Sampler, mat *relation.Relation, rng *rand.Rand, n int) {
+	t.Helper()
 	cols := make([]int, len(mat.Attrs()))
 	pos := map[string]int{}
 	for i, a := range s.Attrs() {
@@ -38,7 +21,7 @@ func TestSamplerMatchesJoinSupport(t *testing.T) {
 		cols[i] = pos[a]
 	}
 	buf := make(relation.Tuple, len(cols))
-	for i := 0; i < 200; i++ {
+	for i := 0; i < n; i++ {
 		tup := s.Sample(rng)
 		for j, c := range cols {
 			buf[j] = tup[c]
@@ -49,12 +32,31 @@ func TestSamplerMatchesJoinSupport(t *testing.T) {
 	}
 }
 
+func TestSamplerMatchesJoinSupport(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	r := randomRelation(rng, []string{"A", "B", "C", "D"}, 3, 25)
+	tree := chainTree(t)
+	mat, err := materialize(r, tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSampler(r.Snapshot(), tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.JoinSize() != int64(mat.N()) {
+		t.Fatalf("sampler size %d != join %d", s.JoinSize(), mat.N())
+	}
+	checkInJoin(t, s, mat, rng, 200)
+}
+
 func TestSamplerUniform(t *testing.T) {
-	// Small join with known size: frequencies must be near-uniform.
-	ab := relation.FromRows([]string{"A", "B"}, []relation.Tuple{{1, 1}, {2, 1}, {3, 2}})
-	bc := relation.FromRows([]string{"B", "C"}, []relation.Tuple{{1, 5}, {1, 6}, {2, 7}})
+	// Small join with known size: frequencies must be near-uniform. The
+	// projections of r are AB = {(1,1),(2,1),(3,2)} and
+	// BC = {(1,5),(1,6),(2,7)}.
+	r := relation.FromRows([]string{"A", "B", "C"}, []relation.Tuple{{1, 1, 5}, {2, 1, 6}, {3, 2, 7}})
 	tree := jointree.MustJoinTree([][]string{{"A", "B"}, {"B", "C"}}, [][2]int{{0, 1}})
-	s, err := NewSampler(tree, []*relation.Relation{ab, bc})
+	s, err := NewSampler(r.Snapshot(), tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,14 +82,13 @@ func TestSamplerUniform(t *testing.T) {
 }
 
 func TestSamplerEmptyJoin(t *testing.T) {
-	ab := relation.FromRows([]string{"A", "B"}, []relation.Tuple{{1, 1}})
-	bc := relation.FromRows([]string{"B", "C"}, []relation.Tuple{{2, 5}})
 	tree := jointree.MustJoinTree([][]string{{"A", "B"}, {"B", "C"}}, [][2]int{{0, 1}})
-	if _, err := NewSampler(tree, []*relation.Relation{ab, bc}); err == nil {
+	if _, err := NewSampler(relation.New("A", "B", "C").Snapshot(), tree); err == nil {
 		t.Fatal("empty join sampler did not error")
 	}
-	if _, err := NewSampler(tree, nil); err == nil {
-		t.Fatal("arity mismatch accepted")
+	r := relation.FromRows([]string{"A", "B"}, []relation.Tuple{{1, 1}})
+	if _, err := NewSampler(r.Snapshot(), tree); err == nil {
+		t.Fatal("unknown attribute accepted")
 	}
 }
 
@@ -100,11 +101,7 @@ func TestSampleSpurious(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rels, err := Projections(r, schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewSampler(tree, rels)
+	s, err := NewSampler(r.Snapshot(), tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,11 +131,7 @@ func TestSamplerLosslessJoinSamplesOriginal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rels, err := Projections(r, schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewSampler(tree, rels)
+	s, err := NewSampler(r.Snapshot(), tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,41 +148,17 @@ func TestSamplerStarTree(t *testing.T) {
 		[][]string{{"A", "B"}, {"B", "C"}, {"B", "D"}},
 		[][2]int{{0, 1}, {0, 2}},
 	)
-	rels := []*relation.Relation{
-		randomRelation(rng, []string{"A", "B"}, 3, 10),
-		randomRelation(rng, []string{"B", "C"}, 3, 10),
-		randomRelation(rng, []string{"B", "D"}, 3, 10),
-	}
-	mat, err := MaterializeTree(tree, rels)
+	r := randomRelation(rng, []string{"A", "B", "C", "D"}, 3, 20)
+	mat, err := materialize(r, tree)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mat.N() == 0 {
-		t.Skip("empty join for this seed")
-	}
-	s, err := NewSampler(tree, rels)
+	s, err := NewSampler(r.Snapshot(), tree)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.JoinSize() != int64(mat.N()) {
 		t.Fatalf("size %d != %d", s.JoinSize(), mat.N())
 	}
-	cols := make([]int, len(mat.Attrs()))
-	pos := map[string]int{}
-	for i, a := range s.Attrs() {
-		pos[a] = i
-	}
-	for i, a := range mat.Attrs() {
-		cols[i] = pos[a]
-	}
-	buf := make(relation.Tuple, len(cols))
-	for i := 0; i < 300; i++ {
-		tup := s.Sample(rng)
-		for j, c := range cols {
-			buf[j] = tup[c]
-		}
-		if !mat.Contains(buf) {
-			t.Fatalf("sample %v outside join", tup)
-		}
-	}
+	checkInJoin(t, s, mat, rng, 300)
 }

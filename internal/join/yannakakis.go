@@ -57,20 +57,3 @@ func YannakakisJoin(t *jointree.JoinTree, rels []*relation.Relation) (*relation.
 	}
 	return MaterializeTree(t, reduced)
 }
-
-// GloballyConsistent reports whether the per-bag relations are globally
-// consistent on the join tree: the full reducer removes no tuples. The
-// projections of any relation onto an acyclic schema are always globally
-// consistent (Beeri et al. 1983).
-func GloballyConsistent(t *jointree.JoinTree, rels []*relation.Relation) (bool, error) {
-	reduced, err := FullReduce(t, rels)
-	if err != nil {
-		return false, err
-	}
-	for i := range rels {
-		if reduced[i].N() != rels[i].N() {
-			return false, nil
-		}
-	}
-	return true, nil
-}

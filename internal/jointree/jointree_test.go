@@ -1,12 +1,15 @@
 package jointree
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"reflect"
 	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"ajdloss/internal/bitset"
 )
 
 func TestNewSchemaValidation(t *testing.T) {
@@ -373,4 +376,62 @@ func TestParseSchema(t *testing.T) {
 	if err != nil || one.Len() != 1 {
 		t.Fatalf("single bag: %v, %v", one, err)
 	}
+}
+
+// BuildJoinTreeMST constructs a join tree by computing a maximum-weight
+// spanning tree over the bag graph with edge weight |Ωᵢ ∩ Ω_j| (Maier's
+// construction). For an acyclic schema the result is a valid join tree; for
+// a cyclic schema validation fails and an error is returned. It serves as an
+// independent cross-check of BuildJoinTree.
+func BuildJoinTreeMST(s *Schema) (*JoinTree, error) {
+	m := s.Len()
+	v := newVocabulary(s)
+	sets := make([]bitset.Set, m)
+	for i, bag := range s.bags {
+		sets[i] = v.set(bag)
+	}
+	type cand struct {
+		w    int
+		u, t int
+	}
+	var cands []cand
+	for i := 0; i < m; i++ {
+		for j := i + 1; j < m; j++ {
+			cands = append(cands, cand{w: sets[i].Intersect(sets[j]).Len(), u: i, t: j})
+		}
+	}
+	// Sort by descending weight (stable selection keeps determinism).
+	for i := 1; i < len(cands); i++ {
+		for j := i; j > 0 && cands[j].w > cands[j-1].w; j-- {
+			cands[j], cands[j-1] = cands[j-1], cands[j]
+		}
+	}
+	parent := make([]int, m)
+	for i := range parent {
+		parent[i] = i
+	}
+	var find func(int) int
+	find = func(x int) int {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	var edges [][2]int
+	for _, c := range cands {
+		ru, rt := find(c.u), find(c.t)
+		if ru != rt {
+			parent[ru] = rt
+			edges = append(edges, [2]int{c.u, c.t})
+			if len(edges) == m-1 {
+				break
+			}
+		}
+	}
+	t := &JoinTree{Bags: s.bags, Edges: edges}
+	if err := t.Validate(); err != nil {
+		return nil, fmt.Errorf("jointree: MST construction failed (schema likely cyclic): %w", err)
+	}
+	return t, nil
 }

@@ -131,21 +131,3 @@ func SampleAB(rng *rand.Rand, dA, dB, eta int) (*relation.Relation, error) {
 	m := Model{Attrs: []string{"A", "B"}, Domains: []int{dA, dB}, N: eta}
 	return m.Sample(rng)
 }
-
-// ClassSizes returns N_S(ℓ) = |σ_{attr=ℓ}(R)| for ℓ ∈ [d], the per-class
-// sizes used in the proof of Theorem 5.1 (each is hypergeometric).
-func ClassSizes(r *relation.Relation, attr string, d int) ([]int, error) {
-	c, ok := r.Pos(attr)
-	if !ok {
-		return nil, fmt.Errorf("randrel: unknown attribute %q", attr)
-	}
-	sizes := make([]int, d)
-	for _, code := range r.Columns()[c] {
-		v := int(code)
-		if v < 1 || v > d {
-			return nil, fmt.Errorf("randrel: value %d of %q outside domain [%d]", v, attr, d)
-		}
-		sizes[v-1]++
-	}
-	return sizes, nil
-}

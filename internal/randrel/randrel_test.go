@@ -128,31 +128,6 @@ func TestMarginalUniformity(t *testing.T) {
 	}
 }
 
-func TestClassSizes(t *testing.T) {
-	rng := NewRand(7)
-	r, err := SampleMVD(rng, 4, 4, 3, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sizes, err := ClassSizes(r, "C", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, s := range sizes {
-		total += s
-	}
-	if total != 30 {
-		t.Fatalf("class sizes sum to %d", total)
-	}
-	if _, err := ClassSizes(r, "Z", 3); err == nil {
-		t.Fatal("unknown attribute did not error")
-	}
-	if _, err := ClassSizes(r, "C", 2); err == nil {
-		t.Fatal("undersized domain did not error")
-	}
-}
-
 func TestDomainProductOverflow(t *testing.T) {
 	m := Model{
 		Attrs:   []string{"A", "B", "C", "D", "E"},

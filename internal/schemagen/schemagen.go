@@ -56,11 +56,6 @@ func Chain(attrs []string, width, overlap int) (*jointree.Schema, error) {
 	return jointree.NewSchema(bags...)
 }
 
-// Star returns the star schema {X∪Y₁, …, X∪Y_k} of the MVD X ↠ Y₁|…|Y_k.
-func Star(x []string, groups ...[]string) (*jointree.Schema, error) {
-	return jointree.MVDSchema(x, groups...)
-}
-
 // RandomJoinTree generates a random join tree with m bags over nAttrs fresh
 // attributes X1..XnAttrs. Each attribute is assigned to a random connected
 // subtree (seeded at node i mod m, grown with probability grow per incident

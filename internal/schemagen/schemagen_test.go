@@ -47,16 +47,6 @@ func TestChain(t *testing.T) {
 	}
 }
 
-func TestStar(t *testing.T) {
-	s, err := Star([]string{"X"}, []string{"U"}, []string{"V"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() != 2 || !jointree.IsAcyclic(s) {
-		t.Fatalf("star = %v", s)
-	}
-}
-
 func TestRandomJoinTreeValid(t *testing.T) {
 	rng := randrel.NewRand(1)
 	for i := 0; i < 50; i++ {

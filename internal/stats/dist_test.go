@@ -274,3 +274,183 @@ func TestFindingF4LemmaD6(t *testing.T) {
 		t.Fatal("y < e accepted")
 	}
 }
+
+// The moments, samplers and Appendix D bounds below check the paper's
+// Section 5 machinery in these tests; no production code calls them.
+
+// HypergeometricMean returns E[Y] = l·M/L.
+func HypergeometricMean(L, M, l int64) float64 {
+	return float64(l) * float64(M) / float64(L)
+}
+
+// HypergeometricVar returns Var[Y] = l·(M/L)·(1−M/L)·(L−l)/(L−1).
+func HypergeometricVar(L, M, l int64) float64 {
+	if L <= 1 {
+		return 0
+	}
+	p := float64(M) / float64(L)
+	return float64(l) * p * (1 - p) * float64(L-l) / float64(L-1)
+}
+
+// HypergeometricSample draws from Hypergeometric(L, M, l) by inverse-CDF
+// using the stable PMF ratio recurrence
+// p(k+1)/p(k) = (M−k)(l−k) / ((k+1)(L−M−l+k+1)).
+func HypergeometricSample(rng *rand.Rand, L, M, l int64) int64 {
+	lo := l + M - L
+	if lo < 0 {
+		lo = 0
+	}
+	hi := l
+	if M < hi {
+		hi = M
+	}
+	if lo >= hi {
+		return lo
+	}
+	u := rng.Float64()
+	k := lo
+	p := HypergeometricPMF(L, M, l, lo)
+	cdf := p
+	for cdf < u && k < hi {
+		num := float64(M-k) * float64(l-k)
+		den := float64(k+1) * float64(L-M-l+k+1)
+		p *= num / den
+		k++
+		cdf += p
+	}
+	return k
+}
+
+// PoissonSample draws from Poisson(λ) exactly: Knuth's product method for
+// small λ, recursively split as a sum of two independent halves for large λ
+// (Poisson additivity keeps this exact).
+func PoissonSample(rng *rand.Rand, lambda float64) int64 {
+	if lambda <= 0 {
+		return 0
+	}
+	var total int64
+	for lambda > 30 {
+		half := lambda / 2
+		total += poissonKnuth(rng, half)
+		lambda -= half
+	}
+	return total + poissonKnuth(rng, lambda)
+}
+
+func poissonKnuth(rng *rand.Rand, lambda float64) int64 {
+	limit := math.Exp(-lambda)
+	p := 1.0
+	var k int64 = -1
+	for p > limit {
+		p *= rng.Float64()
+		k++
+	}
+	return k
+}
+
+// SerflingBound returns the Lemma D.7 tail bound for a hypergeometric
+// Y ~ Hypergeometric(L, M, l): P[Y − E[Y] ≥ ε] ≤ exp(−2ε²/l).
+func SerflingBound(eps float64, l int64) float64 {
+	if l <= 0 {
+		return 1
+	}
+	return math.Exp(-2 * eps * eps / float64(l))
+}
+
+// ChernoffBinomialRelative returns the Lemma D.2 two-sided relative bound
+// for the mean of n i.i.d. Bernoulli(p):
+// P[|mean − p| ≥ ξp] ≤ 2·exp(−ξ²·p·n/3).
+func ChernoffBinomialRelative(xi, p float64, n int64) float64 {
+	b := 2 * math.Exp(-xi*xi*p*float64(n)/3)
+	if b > 1 {
+		return 1
+	}
+	return b
+}
+
+// ChernoffPoissonUpper returns the Lemma D.3 bound for W ~ Poisson(λ):
+// P[W ≥ α·λ] ≤ exp(−α·λ·log(α/e)) for α > 3e (≈ 8.15). It returns 1 when
+// the precondition fails.
+func ChernoffPoissonUpper(alpha, lambda float64) float64 {
+	if alpha <= 3*math.E || lambda <= 0 {
+		return 1
+	}
+	b := math.Exp(-alpha * lambda * math.Log(alpha/math.E))
+	if b > 1 {
+		return 1
+	}
+	return b
+}
+
+// PoissonLipschitzBound returns the Lemma D.4 concentration bound for a
+// 1-Lipschitz function f of W ~ Poisson(λ):
+// P[f(W) − E f(W) > t] ≤ exp(−(t/4)·log(1 + t/(2λ))).
+func PoissonLipschitzBound(t, lambda float64) float64 {
+	if t <= 0 || lambda <= 0 {
+		return 1
+	}
+	b := math.Exp(-(t / 4) * math.Log1p(t/(2*lambda)))
+	if b > 1 {
+		return 1
+	}
+	return b
+}
+
+// GFunc is g(t) = −t·log t (continuously extended with g(0) = 0), the
+// entropy summand the paper's Appendix B manipulates.
+func GFunc(t float64) float64 {
+	if t <= 0 {
+		return 0
+	}
+	return -t * math.Log(t)
+}
+
+// GFuncLipschitzBound returns the two sides of the Lemma D.2 inequality
+// |g(t) − g(s)| ≤ 2·g(|s−t|) for s, t ∈ [0,1].
+//
+// Reproduction finding F3: the inequality as stated FAILS for
+// |s−t| > 1/e (e.g. s = 0.9944, t = 0.0827 gives 0.2005 > 0.1686): the
+// proof's final step needs log(1/(s−t)) ≥ 1. It does hold throughout
+// |s−t| ≤ 1/e, which is the only regime the paper applies it in (the
+// argument is bounded by √(2/d_B) ≤ 1/e under the η ≥ 60·d_A assumption),
+// so no downstream result is affected. Tests pin both facts.
+func GFuncLipschitzBound(s, t float64) (lhs, rhs float64) {
+	d := s - t
+	if d < 0 {
+		d = -d
+	}
+	lhs = GFunc(t) - GFunc(s)
+	if lhs < 0 {
+		lhs = -lhs
+	}
+	return lhs, 2 * GFunc(d)
+}
+
+// LogCondition returns x/log(x) (0 for x ≤ 1), the quantity Lemma D.6
+// manipulates in the qualifying-condition algebra of Theorem 5.2.
+//
+// Reproduction finding F4: Lemma D.6 as stated — "x ≥ y·log y implies
+// x/log x ≥ y" — is FALSE for every y > e (take x = y·log y exactly: then
+// x/log x = y·log y/(log y + log log y) < y; the paper's one-line proof
+// mis-simplifies the fraction). The corrected form needs a factor 2:
+// x ≥ 2·y·log y ⇒ x/log x ≥ y for y ≥ e (verified by LemmaD6Corrected and
+// property tests). Consequence: the Theorem 5.2 qualifying condition
+// derivation (Eq. 286→287/Eq. 40) silently loses a factor ≤ 2 on η; given
+// the 3–6 orders of magnitude of slack measured in E7, this is immaterial
+// in practice but worth recording.
+func LogCondition(x float64) float64 {
+	if x <= 1 {
+		return 0
+	}
+	return x / math.Log(x)
+}
+
+// LemmaD6Corrected reports the corrected Lemma D.6 premise and conclusion
+// for a given y ≥ e: x := 2·y·log y satisfies x/log x ≥ y.
+func LemmaD6Corrected(y float64) (x float64, holds bool) {
+	if y < math.E {
+		return 0, false
+	}
+	x = 2 * y * math.Log(y)
+	return x, LogCondition(x) >= y-1e-9
+}
