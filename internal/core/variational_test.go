@@ -185,7 +185,7 @@ func TestTreeDistributionValidation(t *testing.T) {
 	}
 }
 
-// This file makes the variational statement of Theorem 3.2 testable:
+// The tests above check the variational statement of Theorem 3.2:
 //
 //	J(T) = min_{Q ⊨ T} D_KL(P‖Q), attained at Q = P^T.
 //

@@ -1,8 +1,6 @@
 package join
 
 import (
-	"math"
-	"math/bits"
 	"math/rand/v2"
 	"runtime"
 	"testing"
@@ -27,7 +25,8 @@ func atEachGOMAXPROCS(t *testing.T, f func(t *testing.T)) {
 // bag projections of a cold copy of r, so no grouping is shared with the
 // snapshot count, with messages keyed by the separator values' row key. It
 // shares no code with treePlan and scales to joins too large to
-// materialize.
+// materialize. Its callers keep joins far below 2⁶³, so it does not check
+// overflow.
 func naiveCount(r *relation.Relation, tree *jointree.JoinTree) (int64, error) {
 	rels, err := Projections(r.Clone(), tree.Schema())
 	if err != nil {
@@ -57,11 +56,7 @@ func naiveCount(r *relation.Relation, tree *jointree.JoinTree) (int64, error) {
 				if rooted.Parent[c] != pos {
 					continue
 				}
-				hi, lo := bits.Mul64(uint64(w), uint64(msgs[c][sepKey(rel, tup, rooted.Sep[c])]))
-				if hi != 0 || lo > math.MaxInt64 {
-					return 0, ErrOverflow
-				}
-				w = int64(lo)
+				w *= msgs[c][sepKey(rel, tup, rooted.Sep[c])]
 			}
 			if pos == 0 {
 				total += w
