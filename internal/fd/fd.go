@@ -5,9 +5,9 @@
 // R ⊨ X → Y iff H(Y|X) = 0 under R's empirical distribution.
 //
 // The package provides exact and approximate satisfaction checks (the g₃
-// error measure), Armstrong closure, candidate-key search, levelwise FD
-// discovery. The classical FD→MVD weakening that links this layer to the
-// paper's AJD machinery is checked in the tests (ToMVD).
+// error measure), candidate-key search and levelwise FD discovery. The
+// tests check Armstrong closure (Closure, Implies) and the classical FD→MVD
+// weakening that links this layer to the paper's AJD machinery (ToMVD).
 package fd
 
 import (

@@ -159,25 +159,33 @@ func TestCountArityMismatch(t *testing.T) {
 // TestCountOverflow checks that the two callers of the one counting pass —
 // CountSnapshot and NewSampler — agree on overflow and on the empty join.
 func TestCountOverflow(t *testing.T) {
-	// 1000 tuples over seven attributes, each with 1000 distinct values: the
-	// join of the singleton bags is 1000⁷ = 10²¹ > MaxInt64.
-	attrs := []string{"A", "B", "C", "D", "E", "F", "G"}
+	// 256 tuples over nine attributes, each with 256 distinct values, so
+	// every message and weight is a power of two. On the chain of singleton
+	// bags every tuple has one child, and the message into bag 1, the sum of
+	// 256 weights of 2⁵⁶, overflows. On the star rooted at bag 0 every
+	// message is 2⁸, and each root tuple's weight, the product of eight of
+	// them, overflows. Unchecked, either would wrap to exactly 0 rather than
+	// to a negative number some later check might catch.
+	attrs := []string{"A", "B", "C", "D", "E", "F", "G", "H", "I"}
 	wide := relation.New(attrs...)
 	row := make(relation.Tuple, len(attrs))
-	for i := 0; i < 1000; i++ {
+	for i := 0; i < 256; i++ {
 		for j := range row {
-			row[j] = relation.Value(i + j*1000)
+			row[j] = relation.Value(i + j*256)
 		}
 		wide.Insert(row)
 	}
 	singletons := make([][]string, len(attrs))
+	var chain, star [][2]int
 	for i, a := range attrs {
 		singletons[i] = []string{a}
+		if i > 0 {
+			chain = append(chain, [2]int{i - 1, i})
+			star = append(star, [2]int{0, i})
+		}
 	}
-	wideTree, err := jointree.BuildJoinTree(jointree.MustSchema(singletons...))
-	if err != nil {
-		t.Fatal(err)
-	}
+	wideChain := jointree.MustJoinTree(singletons, chain)
+	wideStar := jointree.MustJoinTree(singletons, star)
 	// Every case's join is empty or overflows, so each count is 0 or
 	// ErrOverflow, and the sampler refuses every case.
 	cases := []struct {
@@ -186,8 +194,9 @@ func TestCountOverflow(t *testing.T) {
 		r       *relation.Relation
 		wantErr error
 	}{
-		{"overflowing snapshot", wideTree, wide, ErrOverflow},
-		{"empty join", chainTree(t), relation.New("A", "B", "C", "D"), nil},
+		{"overflowing sum", wideChain, wide, ErrOverflow},
+		{"overflowing product", wideStar, wide, ErrOverflow},
+		{"empty join", wideChain, relation.New(attrs...), nil},
 	}
 	for _, c := range cases {
 		got, err := CountSnapshot(c.r.Snapshot(), c.tree)

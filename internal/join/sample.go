@@ -32,23 +32,20 @@ type Sampler struct {
 	// at DFS position pos, and out[pos][j] its index in a sampled tuple.
 	cols [][][]engine.Value
 	out  [][]int
-	// buckets[pos][g] lists the tuples at DFS position pos whose separator
-	// group toward the parent is g, in row order; buckets[0] has one bucket.
-	buckets [][]bucket
-}
-
-// bucket holds tuples by their first row, with each one's number of join
-// extensions into its subtree.
-type bucket struct {
-	rows    []int32
-	weights []int64
+	// rows[pos] lists the tuples at DFS position pos by first row, sorted
+	// by separator group toward the parent and by row within a group, and
+	// weights[pos] their numbers of join extensions into pos's subtree.
+	// Bucket g is the range start[pos][g]:start[pos][g+1]; the root has one.
+	rows    [][]int32
+	weights [][]int64
+	start   [][]int32
 }
 
 // NewSampler prepares uniform sampling from the join of the projections of
 // the relation snap holds onto the bags of t. It runs CountSnapshot's pass,
-// filing every tuple under its separator group with its weight. It returns
-// an error if the join is empty, overflows int64, or t names an attribute
-// snap lacks.
+// keeping every tuple's weight, and sorts each bag's tuples into buckets by
+// separator group. It returns an error if the join is empty, overflows
+// int64, or t names an attribute snap lacks.
 func NewSampler(snap *engine.Snapshot, t *jointree.JoinTree) (*Sampler, error) {
 	plan, rooted, err := planTree(snap, t)
 	if err != nil {
@@ -59,20 +56,17 @@ func NewSampler(snap *engine.Snapshot, t *jointree.JoinTree) (*Sampler, error) {
 		plan:    plan,
 		cols:    make([][][]engine.Value, m),
 		out:     make([][]int, m),
-		buckets: make([][]bucket, m),
+		rows:    make([][]int32, m),
+		weights: make([][]int64, m),
+		start:   make([][]int32, m),
 	}
-	plan.msgs[0] = make([]int64, 1)
-	for pos := range s.buckets {
-		s.buckets[pos] = make([]bucket, len(plan.msgs[pos]))
+	for pos, g := range plan.bags {
+		s.rows[pos] = make([]int32, 0, g.Groups())
+		s.weights[pos] = make([]int64, 0, g.Groups())
 	}
 	total, err := plan.count(func(pos int, row int32, w int64) {
-		g := int32(0)
-		if pos > 0 {
-			g = plan.sep[pos][row]
-		}
-		b := &s.buckets[pos][g]
-		b.rows = append(b.rows, row)
-		b.weights = append(b.weights, w)
+		s.rows[pos] = append(s.rows[pos], row)
+		s.weights[pos] = append(s.weights[pos], w)
 	})
 	if err != nil {
 		return nil, err
@@ -80,7 +74,11 @@ func NewSampler(snap *engine.Snapshot, t *jointree.JoinTree) (*Sampler, error) {
 	if total == 0 {
 		return nil, fmt.Errorf("join: cannot sample from an empty join")
 	}
-	plan.msgs[0][0] = total
+	plan.msgs[0] = []int64{total}
+	s.start[0] = []int32{0, int32(len(s.rows[0]))}
+	for pos := 1; pos < m; pos++ {
+		s.bucket(pos)
+	}
 	// Output attribute order: first occurrence over DFS positions.
 	outPos := make(map[string]int)
 	columns := snap.Columns()
@@ -100,6 +98,30 @@ func NewSampler(snap *engine.Snapshot, t *jointree.JoinTree) (*Sampler, error) {
 	return s, nil
 }
 
+// bucket counting-sorts the tuples at DFS position pos, which count visited
+// in row order, by their separator group toward the parent. The sort is
+// stable, so rows stay ascending within a bucket.
+func (s *Sampler) bucket(pos int) {
+	sep, rows, weights := s.plan.sep[pos], s.rows[pos], s.weights[pos]
+	start := make([]int32, len(s.plan.msgs[pos])+1)
+	for _, row := range rows {
+		start[sep[row]]++
+	}
+	for g := 1; g < len(start); g++ {
+		start[g] += start[g-1]
+	}
+	// start[g] is now where bucket g ends; filling each bucket back to front
+	// leaves start[g] where it begins.
+	s.rows[pos] = make([]int32, len(rows))
+	s.weights[pos] = make([]int64, len(rows))
+	for j := len(rows) - 1; j >= 0; j-- {
+		k := &start[sep[rows[j]]]
+		*k--
+		s.rows[pos][*k], s.weights[pos][*k] = rows[j], weights[j]
+	}
+	s.start[pos] = start
+}
+
 // Attrs returns the attribute order of sampled tuples.
 func (s *Sampler) Attrs() []string { return s.attrs }
 
@@ -116,14 +138,14 @@ func (s *Sampler) Sample(rng *rand.Rand) relation.Tuple {
 // sampleNode picks a tuple at DFS position pos within the given separator
 // bucket, writes its values into out, and recurses.
 func (s *Sampler) sampleNode(rng *rand.Rand, pos int, group int32, out relation.Tuple) {
-	b := &s.buckets[pos][group]
+	lo, hi := s.start[pos][group], s.start[pos][group+1]
 	target := rng.Int64N(s.plan.msgs[pos][group])
 	// The last row is unreachable as a fallback: totals are exact sums of
 	// bucket weights.
-	row := b.rows[len(b.rows)-1]
-	for j, w := range b.weights {
+	row := s.rows[pos][hi-1]
+	for j, w := range s.weights[pos][lo:hi] {
 		if target -= w; target < 0 {
-			row = b.rows[j]
+			row = s.rows[pos][lo+int32(j)]
 			break
 		}
 	}
