@@ -559,17 +559,3 @@ func BenchmarkDissect(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkEntropyVector(b *testing.B) {
-	r := benchRelation(b, 2000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev, err := infotheory.NewEntropyVector(r, r.Attrs())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if v := ev.CheckPolymatroid(1e-9); len(v) != 0 {
-			b.Fatal("polymatroid violation")
-		}
-	}
-}

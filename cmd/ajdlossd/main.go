@@ -13,7 +13,7 @@
 //	         [-data dir] [-wal-compact bytes] [-fsync]
 //	         [-default-ns default] [-quota-datasets N] [-quota-rows N]
 //	         [-follow http://primary:8347] [-follow-interval 500ms]
-//	         [-route http://n1:8347,http://n2:8347] [-route-vnodes 128]
+//	         [-route http://n1:8347,http://n2:8347]
 //
 // -data enables durability: every dataset gets a binary columnar checkpoint
 // plus an append-only CRC-checked WAL under the directory, appends are
@@ -148,7 +148,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready fun
 	follow := fs.String("follow", "", "run as a read-only follower of the primary at this base URL")
 	followEvery := fs.Duration("follow-interval", 500*time.Millisecond, "sync interval in -follow mode")
 	route := fs.String("route", "", "run as a stateless router over this comma-separated node URL list")
-	routeVnodes := fs.Int("route-vnodes", 0, "virtual nodes per node on the -route hash ring (0 = default)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -186,7 +185,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready fun
 		if len(nodes) == 0 {
 			return fmt.Errorf("-route needs at least one node URL")
 		}
-		rt := replica.NewRouter(nodes, replica.RouterOptions{Vnodes: *routeVnodes})
+		rt := replica.NewRouter(nodes, replica.RouterOptions{})
 		fmt.Fprintf(stderr, "routing over %d nodes: %s\n", len(nodes), strings.Join(nodes, ", "))
 		return serveHTTP(ctx, *addr, rt.Handler(), *drain, stdout, stderr, ready)
 	}

@@ -1,10 +1,9 @@
 // Package bitset provides a compact fixed-universe bit set used for
-// attribute-set algebra in hypergraph and join-tree algorithms.
+// attribute sets in hypergraph and join-tree algorithms.
 //
 // A Set is a value type: the zero value is the empty set over an empty
-// universe, and all binary operations allocate a fresh result, so Sets can be
-// shared freely across goroutines as long as callers do not mutate them
-// concurrently.
+// universe. Sets can be shared freely across goroutines as long as callers
+// do not mutate them (Add, Remove) concurrently.
 package bitset
 
 import (
@@ -85,57 +84,6 @@ func (s Set) Len() int {
 	return n
 }
 
-// IsEmpty reports whether the set has no elements.
-func (s Set) IsEmpty() bool {
-	for _, w := range s.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Clone returns an independent copy of s.
-func (s Set) Clone() Set {
-	out := Set{words: make([]uint64, len(s.words))}
-	copy(out.words, s.words)
-	return out
-}
-
-// Union returns s ∪ t.
-func (s Set) Union(t Set) Set {
-	long, short := s.words, t.words
-	if len(short) > len(long) {
-		long, short = short, long
-	}
-	out := make([]uint64, len(long))
-	copy(out, long)
-	for i, w := range short {
-		out[i] |= w
-	}
-	return Set{words: out}
-}
-
-// Intersect returns s ∩ t.
-func (s Set) Intersect(t Set) Set {
-	n := min(len(s.words), len(t.words))
-	out := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		out[i] = s.words[i] & t.words[i]
-	}
-	return Set{words: out}
-}
-
-// Diff returns s \ t.
-func (s Set) Diff(t Set) Set {
-	out := make([]uint64, len(s.words))
-	copy(out, s.words)
-	for i := 0; i < len(out) && i < len(t.words); i++ {
-		out[i] &^= t.words[i]
-	}
-	return Set{words: out}
-}
-
 // SubsetOf reports whether every element of s is in t.
 func (s Set) SubsetOf(t Set) bool {
 	for i, w := range s.words {
@@ -150,22 +98,6 @@ func (s Set) SubsetOf(t Set) bool {
 	return true
 }
 
-// Equal reports whether s and t contain the same elements.
-func (s Set) Equal(t Set) bool {
-	return s.SubsetOf(t) && t.SubsetOf(s)
-}
-
-// Intersects reports whether s ∩ t is nonempty.
-func (s Set) Intersects(t Set) bool {
-	n := min(len(s.words), len(t.words))
-	for i := 0; i < n; i++ {
-		if s.words[i]&t.words[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Elems returns the elements of the set in increasing order.
 func (s Set) Elems() []int {
 	out := make([]int, 0, s.Len())
@@ -177,16 +109,6 @@ func (s Set) Elems() []int {
 		}
 	}
 	return out
-}
-
-// Min returns the smallest element and true, or (0, false) if empty.
-func (s Set) Min() (int, bool) {
-	for i, w := range s.words {
-		if w != 0 {
-			return i*wordBits + bits.TrailingZeros64(w), true
-		}
-	}
-	return 0, false
 }
 
 // String renders the set as "{e1, e2, ...}".
@@ -219,11 +141,4 @@ func (s Set) Key() string {
 		}
 	}
 	return b.String()
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

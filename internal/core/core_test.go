@@ -146,6 +146,87 @@ func TestTheorem21LosslessIffJZero(t *testing.T) {
 	}
 }
 
+// ptProb returns P^T(t) (Eq. 10) for a tuple t over r's schema, counting
+// each bag and separator marginal by a scan of r: the lookup reference that
+// reads no group IDs. A tuple whose bag projection never occurs in r gets
+// probability 0.
+func ptProb(r *relation.Relation, rooted *jointree.Rooted, t relation.Tuple) float64 {
+	p := 1.0
+	for i := range rooted.Order {
+		p *= marginal(r, rooted.Bag(i), t)
+	}
+	if p == 0 {
+		return 0
+	}
+	for i := 1; i < len(rooted.Order); i++ {
+		p /= marginal(r, rooted.Sep[i], t)
+	}
+	return p
+}
+
+// marginal returns the share of r's rows that agree with t on attrs.
+func marginal(r *relation.Relation, attrs []string, t relation.Tuple) float64 {
+	cols, pos := r.Columns(), r.MustColumns(attrs)
+	c := 0
+rows:
+	for i := 0; i < r.N(); i++ {
+		for _, p := range pos {
+			if cols[p][i] != t[p] {
+				continue rows
+			}
+		}
+		c++
+	}
+	return float64(c) / float64(r.N())
+}
+
+// ptDist materializes P^T over the support of the acyclic join ⋈ᵢ R[Ωᵢ]
+// (the support of P^T), keyed by encoded rows in r's attribute order, and
+// returns the join too. The join can be much larger than R: keep instances
+// small.
+func ptDist(r *relation.Relation, rooted *jointree.Rooted) (dist, *relation.Relation, error) {
+	rels := make([]*relation.Relation, rooted.Tree.Len())
+	var err error
+	for i, bag := range rooted.Tree.Bags {
+		if rels[i], err = r.Project(bag...); err != nil {
+			return nil, nil, err
+		}
+	}
+	joined, err := join.MaterializeTree(rooted.Tree, rels)
+	if err != nil {
+		return nil, nil, err
+	}
+	cols := joined.MustColumns(r.Attrs())
+	d := make(dist, joined.N())
+	for _, t := range joined.Rows() {
+		// Reorder the join tuple into r's attribute order for evaluation.
+		buf := make(relation.Tuple, len(cols))
+		for i, c := range cols {
+			buf[i] = t[c]
+		}
+		d[relation.RowKey(buf)] = ptProb(r, rooted, buf)
+	}
+	return d, joined, nil
+}
+
+// dist is a finite probability distribution keyed by outcome identity.
+type dist map[string]float64
+
+// validate checks that d sums to 1 within tol and has no negative masses.
+func (d dist) validate(tol float64) error {
+	var sum float64
+	for k, p := range d {
+		if p < 0 {
+			return fmt.Errorf("negative probability %g for outcome %q", p, k)
+		}
+		sum += p
+	}
+	if math.Abs(sum-1) > tol {
+		return fmt.Errorf("distribution sums to %g, want 1 ± %g", sum, tol)
+	}
+	return nil
+}
+
 func TestFactorizationMarginals(t *testing.T) {
 	// Lemma 3.3: P^T preserves every bag and separator marginal of P.
 	tree, r, err := randomInstance(5, 3, 5, 3, 30)
@@ -153,16 +234,29 @@ func TestFactorizationMarginals(t *testing.T) {
 		t.Fatal(err)
 	}
 	rooted := jointree.MustRoot(tree, 0)
+	dist, joined, err := ptDist(r, rooted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dist.validate(1e-6); err != nil {
+		t.Fatal(err)
+	}
+	// On rows of r the scan agrees with the group-ID path: D(P‖P^T) from
+	// ptProb equals KLFromEmpirical (every row has P = 1/n).
 	f, err := NewFactorization(r, rooted)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, joined, err := f.Dist()
+	kl, err := f.KLFromEmpirical()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dist.Validate(1e-6); err != nil {
-		t.Fatal(err)
+	invN, want := 1/float64(r.N()), 0.0
+	for _, tup := range r.Rows() {
+		want += invN * math.Log(invN/ptProb(r, rooted, tup))
+	}
+	if math.Abs(kl-want) > 1e-9 {
+		t.Fatalf("KLFromEmpirical = %v, scan oracle %v", kl, want)
 	}
 	// For every bag, marginal of P^T equals empirical marginal of R.
 	cols := joined.MustColumns(r.Attrs())
@@ -186,7 +280,7 @@ func TestFactorizationMarginals(t *testing.T) {
 			for k, p := range bagIdx {
 				bbuf[k] = buf[p]
 			}
-			got[relation.RowKey(bbuf)] += f.Prob(buf)
+			got[relation.RowKey(bbuf)] += ptProb(r, rooted, buf)
 		}
 		for k, w := range want {
 			if math.Abs(got[k]-w) > 1e-9 {
@@ -202,16 +296,13 @@ func TestFactorizationZeroOutside(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := NewFactorization(r, jointree.MustRoot(tree, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rooted := jointree.MustRoot(tree, 0)
 	// Tuple with values outside the active domain has probability zero.
-	if p := f.Prob(relation.Tuple{9, 9}); p != 0 {
+	if p := ptProb(r, rooted, relation.Tuple{9, 9}); p != 0 {
 		t.Fatalf("P^T(outside) = %v", p)
 	}
 	// Spurious tuple (1,2) has positive probability 1/9.
-	if p := f.Prob(relation.Tuple{1, 2}); math.Abs(p-1.0/9) > 1e-12 {
+	if p := ptProb(r, rooted, relation.Tuple{1, 2}); math.Abs(p-1.0/9) > 1e-12 {
 		t.Fatalf("P^T(spurious) = %v, want 1/9", p)
 	}
 }
@@ -492,7 +583,7 @@ func TestReportString(t *testing.T) {
 // empiricalDist returns the empirical distribution of r restricted to attrs
 // (marginal), keyed by encoded projected rows: the string-keyed oracle the
 // tests hold the factorization's marginals against.
-func empiricalDist(r *relation.Relation, attrs ...string) (infotheory.Dist, error) {
+func empiricalDist(r *relation.Relation, attrs ...string) (dist, error) {
 	cols := make([]int, len(attrs))
 	for i, a := range attrs {
 		p, ok := r.Pos(a)
@@ -510,7 +601,7 @@ func empiricalDist(r *relation.Relation, attrs ...string) (infotheory.Dist, erro
 		counts[relation.RowKey(buf)]++
 	}
 	n := float64(r.N())
-	d := make(infotheory.Dist, len(counts))
+	d := make(dist, len(counts))
 	for k, c := range counts {
 		d[k] = float64(c) / n
 	}
@@ -557,10 +648,26 @@ type SchemaBound struct {
 	Qualified  bool    // every MVD met the Theorem 5.1 qualifying condition
 }
 
+// supportMVDs returns the m−1 MVDs {Δᵢ ↠ Ω_{1:i−1} | Ω_{i:m}} for
+// i ∈ [2,m] of a rooted tree (Eq. 9), indexed by i−2: the literal
+// prefix/suffix support of Eq. 28 (finding F1).
+func supportMVDs(r *jointree.Rooted) []jointree.MVD {
+	m := len(r.Order)
+	out := make([]jointree.MVD, 0, m-1)
+	for i := 1; i < m; i++ {
+		out = append(out, jointree.MVD{
+			X: append([]string(nil), r.Sep[i]...),
+			Y: r.Prefix(i - 1),
+			Z: r.Suffix(i),
+		})
+	}
+	return out
+}
+
 // ComputeSchemaBound evaluates the bound for relation size n and confidence
 // delta, using per-attribute domain sizes.
 func ComputeSchemaBound(r *relation.Relation, rooted *jointree.Rooted, domains map[string]int, delta float64) (*SchemaBound, error) {
-	mvds := rooted.SupportMVDs()
+	mvds := supportMVDs(rooted)
 	if len(mvds) == 0 {
 		return &SchemaBound{Qualified: true}, nil
 	}

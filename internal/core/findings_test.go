@@ -67,7 +67,7 @@ func TestFindingF1SuffixSupportIllFormed(t *testing.T) {
 		[][2]int{{0, 1}, {0, 2}},
 	)
 	rooted := jointree.MustRoot(tree, 0)
-	mvds := rooted.SupportMVDs()
+	mvds := supportMVDs(rooted)
 	// For i=2 (the bag {X,A}): prefix = {X,Y}, suffix = {X,A,Y,B} — they
 	// share Y ∉ Δ₂ = {X}.
 	m := mvds[0]

@@ -11,8 +11,6 @@
 package core
 
 import (
-	"fmt"
-
 	"ajdloss/internal/infotheory"
 	"ajdloss/internal/jointree"
 )
@@ -123,23 +121,4 @@ func ComputeSandwich(r infotheory.Source, rooted *jointree.Rooted) (*Sandwich, e
 	}
 	s.J = j
 	return s, nil
-}
-
-// Check verifies max ≤ J ≤ sum — and the exact telescoping identity — up to
-// tol, returning an error describing the first violation.
-func (s *Sandwich) Check(tol float64) error {
-	if s.Max > s.J+tol {
-		return fmt.Errorf("core: Theorem 2.2 violated: max edge term %.12f > J %.12f", s.Max, s.J)
-	}
-	if s.J > s.Sum+tol {
-		return fmt.Errorf("core: Theorem 2.2 violated: J %.12f > sum %.12f", s.J, s.Sum)
-	}
-	var exact float64
-	for _, t := range s.ExactTerms {
-		exact += t
-	}
-	if diff := exact - s.J; diff > tol || diff < -tol {
-		return fmt.Errorf("core: telescoping identity violated: Σ exact terms %.12f != J %.12f", exact, s.J)
-	}
-	return nil
 }

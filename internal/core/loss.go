@@ -143,15 +143,3 @@ func ComputeDecomposition(r *relation.Relation, rooted *jointree.Rooted) (*Decom
 	}
 	return d, nil
 }
-
-// Check reports whether the Proposition 5.1 inequality holds within tol,
-// returning a descriptive error when it does not. Per finding F2 a violation
-// is rare but possible, so callers should treat the error as an observation,
-// not a bug.
-func (d *Decomposition) Check(tol float64) error {
-	if d.Schema.LogOnePlusRho() > d.SumLogLoss+tol {
-		return fmt.Errorf("core: Proposition 5.1 violated (finding F2): log(1+ρ(R,S))=%.12f > Σ log(1+ρ(R,φ))=%.12f",
-			d.Schema.LogOnePlusRho(), d.SumLogLoss)
-	}
-	return nil
-}

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"ajdloss/internal/infotheory"
 	"ajdloss/internal/jointree"
 	"ajdloss/internal/randrel"
 	"ajdloss/internal/relation"
@@ -57,7 +56,7 @@ func TestRandomTreeDistributionIsDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dist.Validate(1e-9); err != nil {
+	if err := dist.validate(1e-9); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -347,7 +346,7 @@ func projectCols(t relation.Tuple, cols []int) string {
 
 // Dist materializes Q over the full product domain; intended for tests with
 // tiny domains. It errors if the enumeration exceeds maxCells.
-func (td *TreeDistribution) Dist(maxCells int) (infotheory.Dist, []relation.Tuple, error) {
+func (td *TreeDistribution) Dist(maxCells int) (dist, []relation.Tuple, error) {
 	cells := 1
 	for _, a := range td.attrs {
 		cells *= td.domains[a]
@@ -356,7 +355,7 @@ func (td *TreeDistribution) Dist(maxCells int) (infotheory.Dist, []relation.Tupl
 		}
 	}
 	tuples := enumerate(td.domainsOf(td.attrs))
-	d := make(infotheory.Dist, len(tuples))
+	d := make(dist, len(tuples))
 	var total float64
 	for _, t := range tuples {
 		p := td.Prob(t)

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"strings"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -152,8 +152,9 @@ func TestSetMaxProcsCap(t *testing.T) {
 var kernelSets = [][]string{{"A"}, {"A", "B"}, {"B", "C", "D"}, {"A", "B", "C", "D"}, {"B"}, {"C", "D"}, {"A", "C"}, {"A", "B", "C"}}
 
 // oracleGrouping groups the first n rows of cols by the columns of attrs
-// (in any order) with a string-keyed map: ids in order of first occurrence,
-// counts summing weights (1 per row when weights is nil).
+// (in any order) with a map keyed by the rows' values: ids in order of first
+// occurrence, counts summing weights (1 per row when weights is nil). A set
+// has at most four columns.
 func oracleGrouping(attrs []string, cols [][]Value, n int, weights []int64, set []string) *Grouping {
 	var pos []int
 	for c, a := range attrs {
@@ -163,19 +164,18 @@ func oracleGrouping(attrs []string, cols [][]Value, n int, weights []int64, set 
 			}
 		}
 	}
-	seen := make(map[string]int32)
+	seen := make(map[[4]Value]int32)
 	g := &Grouping{IDs: make([]int32, n)}
 	var counts []int
-	var key strings.Builder
 	for i := 0; i < n; i++ {
-		key.Reset()
-		for _, c := range pos {
-			fmt.Fprintf(&key, "%d,", cols[c][i])
+		var key [4]Value
+		for k, c := range pos {
+			key[k] = cols[c][i]
 		}
-		id, ok := seen[key.String()]
+		id, ok := seen[key]
 		if !ok {
 			id = int32(len(counts))
-			seen[key.String()] = id
+			seen[key] = id
 			counts = append(counts, 0)
 		}
 		g.IDs[i] = id
@@ -192,19 +192,18 @@ func oracleGrouping(attrs []string, cols [][]Value, n int, weights []int64, set 
 // kernelRows draws up to n distinct rows over four columns. Column c takes
 // values in [lo[c], lo[c]+dom[c]); a zero lo puts 0 in the domain, a
 // negative one forces map probes.
-func kernelRows(rng *rand.Rand, n int, lo, dom []Value, seen map[string]bool) []Tuple {
+func kernelRows(rng *rand.Rand, n int, lo, dom []Value, seen map[[4]Value]bool) []Tuple {
 	var rows []Tuple
 	for try := 0; try < 4*n && len(rows) < n; try++ {
-		t := make(Tuple, len(dom))
-		for c := range t {
-			t[c] = lo[c] + Value(rng.Intn(int(dom[c])))
+		var k [4]Value
+		for c := range k {
+			k[c] = lo[c] + Value(rng.Intn(int(dom[c])))
 		}
-		k := fmt.Sprint(t)
 		if seen[k] {
 			continue
 		}
 		seen[k] = true
-		rows = append(rows, t)
+		rows = append(rows, Tuple(k[:]))
 	}
 	return rows
 }
@@ -252,7 +251,7 @@ func TestQuickRefineKernelParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got.IDs) != len(want.IDs) || fmt.Sprint(got.IDs, got.Counts.Flatten()) != fmt.Sprint(want.IDs, want.Counts.Flatten()) {
+			if !slices.Equal(got.IDs, want.IDs) || !slices.Equal(got.Counts.Flatten(), want.Counts.Flatten()) {
 				t.Logf("%s %v: ids/counts %v %v, oracle %v %v", label, set, got.IDs, got.Counts.Flatten(), want.IDs, want.Counts.Flatten())
 				return false
 			}
@@ -273,7 +272,7 @@ func TestQuickRefineKernelParity(t *testing.T) {
 				lo[c] = -2
 			}
 		}
-		seen := make(map[string]bool)
+		seen := make(map[[4]Value]bool)
 		base := kernelRows(rng, 50+rng.Intn(350), lo, dom, seen)
 		if len(base) == 0 {
 			return true

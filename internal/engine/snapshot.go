@@ -87,9 +87,8 @@ type memoEntry struct {
 //     shared between parent and child only ever see writes beyond the
 //     parent's row count.
 type Snapshot struct {
-	attrs []string
-	pos   map[string]int
-	cols  [][]Value // cols[c][row], each clipped to len = cap = n
+	pos  map[string]int
+	cols [][]Value // cols[c][row], each clipped to len = cap = n
 
 	weights []int64 // per-row multiplicity; nil means all 1
 	n       int     // number of stored (distinct) rows
@@ -143,7 +142,6 @@ func newSnapshot(attrs []string, cols [][]Value, n int, weights []int64, total i
 		pos[a] = i
 	}
 	s := &Snapshot{
-		attrs:   attrs,
 		pos:     pos,
 		cols:    make([][]Value, len(attrs)),
 		weights: weights,
@@ -174,10 +172,6 @@ func valueRange(col []Value, lo, hi Value) (Value, Value) {
 	}
 	return lo, hi
 }
-
-// Attrs returns the attribute names in schema order. Callers must not modify
-// the returned slice.
-func (s *Snapshot) Attrs() []string { return s.attrs }
 
 // N returns the total number of tuples counted with multiplicity — the
 // infotheory.Source contract.
@@ -399,7 +393,6 @@ func (s *Snapshot) Extend(cols [][]Value, n int) *Snapshot {
 	s.mu.Unlock()
 
 	child := &Snapshot{
-		attrs:   s.attrs,
 		pos:     s.pos,
 		cols:    make([][]Value, len(cols)),
 		n:       n,

@@ -21,10 +21,9 @@ import (
 
 // Source is what the FD measures need from a data source: the total tuple
 // count and schema (via infotheory.Source and Attrs) plus memoized group-ID
-// partitions. relation.Relation and engine.Snapshot both satisfy it, so FD
-// checks run equally against a live relation or a frozen point-in-time
-// snapshot. The g₃ machinery assumes N() equals the number of stored rows
-// (unweighted sources); weighted multisets are outside its contract.
+// partitions. relation.Relation satisfies it. The g₃ machinery assumes N()
+// equals the number of stored rows (unweighted sources); weighted multisets
+// are outside its contract.
 type Source interface {
 	infotheory.Source
 	Attrs() []string

@@ -1,16 +1,14 @@
 // Package infotheory implements the information-theoretic measures the paper
-// builds on: entropies of empirical distributions of relation projections,
-// conditional mutual information, KL divergence, and functional entropy.
+// builds on: entropies of empirical distributions of relation projections
+// and (conditional) mutual information. The tests check KL divergence,
+// functional entropy and the polymatroid axioms against them.
 //
 // All measures are returned in nats (natural log). Figure 1 of the paper is
 // plotted in nats (its asymptote is ln(1.1) ≈ 0.0953 for ρ = 0.1); use Bits
 // to convert where binary units are preferred.
 package infotheory
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Source is anything that exposes an empirical distribution over named
 // attributes: a relation instance (uniform over its tuples) or a multiset
@@ -180,33 +178,4 @@ func MustCMI(r Source, a, b, c []string) float64 {
 		panic(err)
 	}
 	return v
-}
-
-// Dist is a finite probability distribution keyed by outcome identity.
-type Dist map[string]float64
-
-// Validate checks that d sums to 1 within tol and has no negative masses.
-func (d Dist) Validate(tol float64) error {
-	var sum float64
-	for k, p := range d {
-		if p < 0 {
-			return fmt.Errorf("infotheory: negative probability %g for outcome %q", p, k)
-		}
-		sum += p
-	}
-	if math.Abs(sum-1) > tol {
-		return fmt.Errorf("infotheory: distribution sums to %g, want 1 ± %g", sum, tol)
-	}
-	return nil
-}
-
-// Entropy returns the Shannon entropy of d in nats.
-func (d Dist) Entropy() float64 {
-	var h float64
-	for _, p := range d {
-		if p > 0 {
-			h -= p * math.Log(p)
-		}
-	}
-	return h
 }

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"ajdloss/internal/infotheory"
+	"ajdloss/internal/randrel"
 	"ajdloss/internal/relation"
 )
 
@@ -96,6 +97,24 @@ func TestPolymatroidOnMultiset(t *testing.T) {
 	for mask := 0; mask < 8; mask++ {
 		if math.Abs(ev.H(mask)-ev2.H(mask)) > 1e-12 {
 			t.Fatalf("entropy not scale-invariant at mask %d", mask)
+		}
+	}
+}
+
+func BenchmarkEntropyVector(b *testing.B) {
+	model := randrel.Model{Attrs: []string{"A", "B", "C"}, Domains: []int{64, 64, 8}, N: 2000}
+	r, err := model.Sample(randrel.NewRand(7))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ev, err := infotheory.NewEntropyVector(r, r.Attrs())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if v := ev.CheckPolymatroid(1e-9); len(v) != 0 {
+			b.Fatal("polymatroid violation")
 		}
 	}
 }

@@ -212,13 +212,28 @@ func TestRootedEnumeration(t *testing.T) {
 	if got := r.Suffix(0); len(got) != 5 {
 		t.Fatalf("Suffix(0) = %v", got)
 	}
-	mvds := r.SupportMVDs()
-	if len(mvds) != 3 {
-		t.Fatalf("support has %d MVDs", len(mvds))
-	}
 	if _, err := Root(tree, 9); err == nil {
 		t.Fatal("bad root accepted")
 	}
+}
+
+// DeltaEqualsPrefixIntersection verifies the running-intersection identity
+// Δᵢ = Ω_{1:(i−1)} ∩ Ωᵢ stated in Section 2.3.
+func (r *Rooted) DeltaEqualsPrefixIntersection() error {
+	for i := 1; i < len(r.Order); i++ {
+		want := intersectAttrs(r.Prefix(i-1), r.Bag(i))
+		got := append([]string(nil), r.Sep[i]...)
+		sort.Strings(got)
+		if len(want) != len(got) {
+			return fmt.Errorf("jointree: Δ_%d mismatch: parent∩bag=%v prefix∩bag=%v", i+1, got, want)
+		}
+		for k := range want {
+			if want[k] != got[k] {
+				return fmt.Errorf("jointree: Δ_%d mismatch: parent∩bag=%v prefix∩bag=%v", i+1, got, want)
+			}
+		}
+	}
+	return nil
 }
 
 func TestRootAnyNodeDeltaInvariant(t *testing.T) {
@@ -397,7 +412,13 @@ func BuildJoinTreeMST(s *Schema) (*JoinTree, error) {
 	var cands []cand
 	for i := 0; i < m; i++ {
 		for j := i + 1; j < m; j++ {
-			cands = append(cands, cand{w: sets[i].Intersect(sets[j]).Len(), u: i, t: j})
+			w := 0
+			for _, e := range sets[i].Elems() {
+				if sets[j].Contains(e) {
+					w++
+				}
+			}
+			cands = append(cands, cand{w: w, u: i, t: j})
 		}
 	}
 	// Sort by descending weight (stable selection keeps determinism).

@@ -130,21 +130,6 @@ func (r *Rooted) Suffix(i int) []string {
 	return out
 }
 
-// SupportMVDs returns the m−1 MVDs {Δᵢ ↠ Ω_{1:i−1} | Ω_{i:m}} for i ∈ [2,m]
-// (Eq. 9). The returned slice is indexed by i−2.
-func (r *Rooted) SupportMVDs() []MVD {
-	m := len(r.Order)
-	out := make([]MVD, 0, m-1)
-	for i := 1; i < m; i++ {
-		out = append(out, MVD{
-			X: append([]string(nil), r.Sep[i]...),
-			Y: r.Prefix(i - 1),
-			Z: r.Suffix(i),
-		})
-	}
-	return out
-}
-
 // EdgeMVDs returns Beeri et al.'s support: one MVD per tree edge,
 // φ_{u,v} = χ(u)∩χ(v) ↠ χ(T_u) | χ(T_v).
 func (t *JoinTree) EdgeMVDs() []MVD {
@@ -154,24 +139,4 @@ func (t *JoinTree) EdgeMVDs() []MVD {
 		out = append(out, MVD{X: t.Separator(e), Y: uSide, Z: vSide})
 	}
 	return out
-}
-
-// DeltaEqualsPrefixIntersection verifies the running-intersection identity
-// Δᵢ = Ω_{1:(i−1)} ∩ Ωᵢ stated in Section 2.3; used as a sanity check in
-// tests and when validating user-supplied trees.
-func (r *Rooted) DeltaEqualsPrefixIntersection() error {
-	for i := 1; i < len(r.Order); i++ {
-		want := intersectAttrs(r.Prefix(i-1), r.Bag(i))
-		got := append([]string(nil), r.Sep[i]...)
-		sort.Strings(got)
-		if len(want) != len(got) {
-			return fmt.Errorf("jointree: Δ_%d mismatch: parent∩bag=%v prefix∩bag=%v", i+1, got, want)
-		}
-		for k := range want {
-			if want[k] != got[k] {
-				return fmt.Errorf("jointree: Δ_%d mismatch: parent∩bag=%v prefix∩bag=%v", i+1, got, want)
-			}
-		}
-	}
-	return nil
 }

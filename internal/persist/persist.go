@@ -133,9 +133,6 @@ func fileExists(path string) bool {
 	return err == nil && !fi.IsDir()
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // CompactAt returns the WAL size that should trigger background compaction,
 // or a non-positive value when size-triggered compaction is disabled.
 func (s *Store) CompactAt() int64 { return s.compactAt }

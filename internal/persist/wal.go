@@ -53,9 +53,6 @@ type DatasetStore struct {
 	lastCkpt atomic.Int64 // generation of the latest checkpoint, 0 if none
 }
 
-// Name returns the dataset name this store belongs to.
-func (d *DatasetStore) Name() string { return d.name }
-
 // WALBytes returns the current WAL size in bytes.
 func (d *DatasetStore) WALBytes() int64 { return d.walBytes.Load() }
 

@@ -42,8 +42,6 @@ const maxTransferBytes = 512 << 20
 type FollowerOptions struct {
 	// Interval between sync passes in Run; default 500ms.
 	Interval time.Duration
-	// Client used against the primary; default a client with a 30s timeout.
-	Client *http.Client
 	// Logf, when set, receives one line per failed sync pass.
 	Logf func(format string, args ...any)
 }
@@ -79,19 +77,15 @@ func NewFollower(svc *service.Service, primaryURL string, opts FollowerOptions) 
 	if opts.Interval <= 0 {
 		opts.Interval = 500 * time.Millisecond
 	}
-	client := opts.Client
-	if client == nil {
-		// The poll loop hits the same primary every interval; the shared
-		// router transport keeps that connection persistent instead of
-		// re-dialing per poll.
-		client = &http.Client{Timeout: 30 * time.Second, Transport: routerTransport}
-	}
 	return &Follower{
 		svc:     svc,
 		primary: primaryURL,
-		client:  client,
-		opts:    opts,
-		known:   make(map[datasetKey]bool),
+		// The poll loop hits the same primary every interval; the shared
+		// router transport keeps that connection persistent instead of
+		// re-dialing per poll.
+		client: &http.Client{Timeout: 30 * time.Second, Transport: routerTransport},
+		opts:   opts,
+		known:  make(map[datasetKey]bool),
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -99,19 +100,16 @@ const batchBody = `{"dataset":"block","queries":[{"kind":"entropy","attrs":["A",
 func TestRingDeterministicAndComplete(t *testing.T) {
 	nodes := []string{"http://n1", "http://n2", "http://n3"}
 	reversed := []string{"http://n3", "http://n2", "http://n1"}
-	r1 := NewRing(nodes, 0)
-	r2 := NewRing(reversed, 0)
+	r1 := NewRing(nodes)
+	r2 := NewRing(reversed)
 	for i := 0; i < 1000; i++ {
 		key := fmt.Sprintf("ns%d/dataset%d", i%7, i)
-		if got, want := r2.Node(key), r1.Node(key); got != want {
-			t.Fatalf("ring order sensitivity: key %q -> %q vs %q", key, got, want)
-		}
 		succ := r1.Successors(key)
+		if got := r2.Successors(key); !slices.Equal(got, succ) {
+			t.Fatalf("ring order sensitivity: key %q -> %q vs %q", key, got, succ)
+		}
 		if len(succ) != len(nodes) {
 			t.Fatalf("Successors(%q) returned %d nodes, want %d", key, len(succ), len(nodes))
-		}
-		if succ[0] != r1.Node(key) {
-			t.Fatalf("Successors(%q)[0] = %q, want owner %q", key, succ[0], r1.Node(key))
 		}
 		seen := map[string]bool{}
 		for _, n := range succ {
@@ -123,13 +121,16 @@ func TestRingDeterministicAndComplete(t *testing.T) {
 	}
 }
 
+// ownerOf returns the node owning key: the head of its failover order.
+func ownerOf(r *Ring, key string) string { return r.Successors(key)[0] }
+
 func TestRingDistribution(t *testing.T) {
 	nodes := []string{"http://n1", "http://n2", "http://n3"}
-	r := NewRing(nodes, 0)
+	r := NewRing(nodes)
 	counts := map[string]int{}
 	const keys = 9000
 	for i := 0; i < keys; i++ {
-		counts[r.Node(fmt.Sprintf("default/dataset-%d", i))]++
+		counts[ownerOf(r, fmt.Sprintf("default/dataset-%d", i))]++
 	}
 	for _, n := range nodes {
 		// A perfectly even split is 1/3; with 128 vnodes each share should be
@@ -141,13 +142,13 @@ func TestRingDistribution(t *testing.T) {
 }
 
 func TestRingResizeMovesKeysOnlyToNewNode(t *testing.T) {
-	before := NewRing([]string{"http://n1", "http://n2", "http://n3"}, 0)
-	after := NewRing([]string{"http://n1", "http://n2", "http://n3", "http://n4"}, 0)
+	before := NewRing([]string{"http://n1", "http://n2", "http://n3"})
+	after := NewRing([]string{"http://n1", "http://n2", "http://n3", "http://n4"})
 	moved := 0
 	const keys = 4000
 	for i := 0; i < keys; i++ {
 		key := fmt.Sprintf("default/dataset-%d", i)
-		was, is := before.Node(key), after.Node(key)
+		was, is := ownerOf(before, key), ownerOf(after, key)
 		if was == is {
 			continue
 		}
@@ -247,6 +248,7 @@ func TestRouterRoutesToOwnerAndMergesListings(t *testing.T) {
 	t.Cleanup(tsB.Close)
 
 	rt := NewRouter([]string{tsA.URL, tsB.URL}, RouterOptions{})
+	ring := NewRing([]string{tsA.URL, tsB.URL}) // the router's placement
 	byURL := map[string]*service.Service{tsA.URL: svcA, tsB.URL: svcB}
 
 	// Find two dataset names the ring assigns to different nodes, register
@@ -255,7 +257,7 @@ func TestRouterRoutesToOwnerAndMergesListings(t *testing.T) {
 	owners := map[string]bool{}
 	for i := 0; len(names) < 2 && i < 100; i++ {
 		name := fmt.Sprintf("shard%d", i)
-		owner := rt.Ring().Node("default/" + name)
+		owner := ownerOf(ring, "default/"+name)
 		if owners[owner] {
 			continue
 		}
@@ -344,7 +346,7 @@ func TestRouterReadFailover(t *testing.T) {
 	t.Cleanup(router.Close)
 
 	// Kill the owner; reads must fail over to the survivor.
-	if rt.Ring().Node("default/block") == tsA.URL {
+	if ownerOf(NewRing([]string{tsA.URL, tsB.URL}), "default/block") == tsA.URL {
 		tsA.Close()
 	} else {
 		tsB.Close()
@@ -407,11 +409,12 @@ func benchCluster(b *testing.B, shards int) (*httptest.Server, []string, []*http
 	tsB := httptest.NewServer(service.NewHandler(svcB))
 	b.Cleanup(tsB.Close)
 	rt := NewRouter([]string{tsA.URL, tsB.URL}, RouterOptions{})
+	ring := NewRing([]string{tsA.URL, tsB.URL}) // the router's placement
 	byURL := map[string]*service.Service{tsA.URL: svcA, tsB.URL: svcB}
 	names := make([]string, shards)
 	for i := range names {
 		names[i] = fmt.Sprintf("shard%d", i)
-		owner := rt.Ring().Node("default/" + names[i])
+		owner := ownerOf(ring, "default/"+names[i])
 		mustRegister(b, byURL[owner], "default", names[i], blockCSV(3, 2, 2))
 	}
 	router := httptest.NewServer(rt.Handler())

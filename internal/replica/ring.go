@@ -6,10 +6,11 @@ import (
 	"strconv"
 )
 
-// defaultVnodes is how many virtual points each node claims on the ring.
-// 128 keeps the per-node share within a few percent of even for small
-// clusters while the whole ring still builds in microseconds.
-const defaultVnodes = 128
+// vnodes is how many virtual points each node claims on the ring. 128 keeps
+// the per-node share within a few percent of even for small clusters while
+// the whole ring still builds in microseconds. Every router must use the
+// same count, or two routers over one node set place keys differently.
+const vnodes = 128
 
 // Ring is a consistent-hash ring over node base URLs. Keys (we use
 // "{namespace}/{dataset}") map to the first virtual node clockwise from the
@@ -26,14 +27,10 @@ type ringSlot struct {
 	node int // index into nodes
 }
 
-// NewRing builds a ring over the given nodes with vnodes virtual points per
-// node (0 means the default). Node order does not matter: placement depends
-// only on the node names, so every router over the same node set agrees on
-// every key.
-func NewRing(nodes []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = defaultVnodes
-	}
+// NewRing builds a ring over the given nodes. Node order does not matter:
+// placement depends only on the node names, so every router over the same
+// node set agrees on every key.
+func NewRing(nodes []string) *Ring {
 	r := &Ring{nodes: append([]string(nil), nodes...)}
 	r.slots = make([]ringSlot, 0, len(nodes)*vnodes)
 	for i, n := range r.nodes {
@@ -55,11 +52,6 @@ func NewRing(nodes []string, vnodes int) *Ring {
 
 // Nodes returns the ring's node set in construction order.
 func (r *Ring) Nodes() []string { return r.nodes }
-
-// Node returns the node owning key.
-func (r *Ring) Node(key string) string {
-	return r.nodes[r.slots[r.find(key)].node]
-}
 
 // Successors returns every node in ring order starting at key's owner, each
 // node once: the failover order for reads when the owner is down.

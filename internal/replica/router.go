@@ -36,8 +36,6 @@ var routerTransport = &http.Transport{
 
 // RouterOptions configure a Router; the zero value is usable.
 type RouterOptions struct {
-	// Vnodes per node on the hash ring; 0 means the default (128).
-	Vnodes int
 	// Client used against the nodes; default a client with a 60s timeout.
 	Client *http.Client
 }
@@ -60,11 +58,8 @@ func NewRouter(nodes []string, opts RouterOptions) *Router {
 	if client == nil {
 		client = &http.Client{Timeout: 60 * time.Second, Transport: routerTransport}
 	}
-	return &Router{ring: NewRing(nodes, opts.Vnodes), client: client}
+	return &Router{ring: NewRing(nodes), client: client}
 }
-
-// Ring exposes the router's hash ring (the daemon logs the node set at boot).
-func (rt *Router) Ring() *Ring { return rt.ring }
 
 // Handler returns the router's HTTP surface. It mirrors the node API:
 // dataset-keyed routes are proxied to the owning node, GET /v1/{ns}/datasets

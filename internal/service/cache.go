@@ -98,13 +98,6 @@ func (c *lruCache) Len() int {
 	return c.ll.Len()
 }
 
-// OwnerLen returns the number of cached entries held by one owner.
-func (c *lruCache) OwnerLen(owner string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.perOwner[owner]
-}
-
 // RemovePrefix drops every entry whose key starts with prefix; used when a
 // dataset is deregistered (namespace+dataset prefix) so its results cannot
 // be served afterwards, and usable per tenant (namespace prefix alone).

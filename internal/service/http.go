@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -237,12 +238,13 @@ func queryList(s string) []string {
 	return out
 }
 
-// queryFloat parses a non-negative numeric query parameter; absent means
-// def. The parameter name is part of both error messages — a request with
-// several numeric parameters must not make the caller guess which one was
-// bad — and negatives are rejected here, once, instead of surfacing later as
+// queryFloat parses a finite, non-negative numeric query parameter; absent
+// means def. The parameter name is part of every error message — a request
+// with several numeric parameters must not make the caller guess which one
+// was bad. Negatives are rejected here, once, instead of surfacing later as
 // a confusing domain error (a negative discovery target or separator budget
-// has no meaning anywhere in the API).
+// has no meaning anywhere in the API). NaN and ±Inf, which ParseFloat
+// accepts, are rejected too: JSON cannot encode them in the answer.
 func queryFloat(name, s string, def float64) (float64, error) {
 	if s == "" {
 		return def, nil
@@ -250,6 +252,9 @@ func queryFloat(name, s string, def float64) (float64, error) {
 	v, err := strconv.ParseFloat(s, 64)
 	if err != nil {
 		return 0, fmt.Errorf("service: bad numeric parameter %s=%q", name, s)
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("service: parameter %s must be finite, got %s", name, s)
 	}
 	if v < 0 {
 		return 0, fmt.Errorf("service: parameter %s must be non-negative, got %s", name, s)

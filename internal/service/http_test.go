@@ -310,3 +310,25 @@ func TestHTTPBatch(t *testing.T) {
 		}
 	}
 }
+
+// TestDiscoverRejectsNonFiniteTarget: strconv.ParseFloat accepts NaN and
+// ±Inf, and a NaN target reached discovery, cached its view and then failed
+// to encode after the 200 was sent (an empty body). Both routes must answer
+// 400 naming the parameter, and nothing may be cached.
+func TestDiscoverRejectsNonFiniteTarget(t *testing.T) {
+	s := newTestService(t, 16)
+	srv := httptest.NewServer(NewHandler(s))
+	t.Cleanup(srv.Close)
+	for _, prefix := range []string{"", "/v1/default"} {
+		for _, target := range []string{"NaN", "Inf", "%2BInf", "-Inf", "infinity"} {
+			url := srv.URL + prefix + "/discover?dataset=block&target=" + target
+			code, body := doReq(t, "GET", url, "")
+			if code != http.StatusBadRequest || !strings.Contains(body["error"].(string), "target") {
+				t.Fatalf("GET %s: %d %v, want 400 naming target", url, code, body)
+			}
+		}
+	}
+	if n := s.cache.Len(); n != 0 {
+		t.Fatalf("rejected requests left %d cached results", n)
+	}
+}

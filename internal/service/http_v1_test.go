@@ -270,7 +270,7 @@ func TestHTTPJSONFallback(t *testing.T) {
 // over-quota registrations and appends 429 without side effects.
 func TestV1QuotaEnforcement(t *testing.T) {
 	s := New(32)
-	s.Registry().SetQuotas("q", Quotas{MaxDatasets: 2, MaxRows: 30})
+	s.Registry().SetDefaultQuotas(Quotas{MaxDatasets: 2, MaxRows: 30})
 	srv := httptest.NewServer(NewHandler(s))
 	t.Cleanup(srv.Close)
 

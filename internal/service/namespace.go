@@ -170,9 +170,6 @@ func (g *Registry) allNamespaces() []*namespace {
 	return out
 }
 
-// HasNamespace reports whether the namespace exists.
-func (g *Registry) HasNamespace(ns string) bool { return g.lookupNS(ns) != nil }
-
 // DefaultNamespace returns the namespace the unversioned legacy API aliases.
 func (g *Registry) DefaultNamespace() string {
 	return *g.defaultNS.Load()
@@ -188,20 +185,10 @@ func (g *Registry) SetDefaultNamespace(ns string) {
 }
 
 // SetDefaultQuotas sets the quotas applied to namespaces created from now
-// on; namespaces that already exist keep theirs (use SetQuotas to change
-// one).
+// on; namespaces that already exist keep theirs.
 func (g *Registry) SetDefaultQuotas(q Quotas) {
 	g.mu.Lock()
 	g.defaultQuota = q
-	g.mu.Unlock()
-}
-
-// SetQuotas sets one namespace's quotas, creating the namespace if needed.
-// Lowering a quota below current holdings only blocks growth; nothing is
-// evicted.
-func (g *Registry) SetQuotas(ns string, q Quotas) {
-	g.mu.Lock()
-	g.ensureNSLocked(ns).setQuotas(q)
 	g.mu.Unlock()
 }
 

@@ -164,3 +164,10 @@ func TestHTTPCrossTenantCacheIsolation(t *testing.T) {
 		t.Fatalf("tenant a stats: %v", st)
 	}
 }
+
+// OwnerLen returns the number of cached entries held by one owner.
+func (c *lruCache) OwnerLen(owner string) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.perOwner[owner]
+}

@@ -45,15 +45,6 @@ func (s *Service) SetPrimary(url string) {
 	s.reg.primary.Store(&url)
 }
 
-// Primary returns the primary URL this node follows, or "" when it is not a
-// follower.
-func (s *Service) Primary() string {
-	if p := s.reg.primary.Load(); p != nil {
-		return *p
-	}
-	return ""
-}
-
 // FollowerError returns the typed redirect error when this node is a
 // follower, nil otherwise. HTTP write routes whose service call cannot carry
 // an error (DELETE returns only a bool) guard with it explicitly.

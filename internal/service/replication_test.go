@@ -141,8 +141,9 @@ func TestFollowerRejectsWrites(t *testing.T) {
 	s := newTestService(t, 16)
 	const primaryURL = "http://primary.invalid:7777"
 	s.SetPrimary(primaryURL)
-	if s.Primary() != primaryURL {
-		t.Fatalf("Primary() = %q", s.Primary())
+	var np *NotPrimaryError
+	if err := s.FollowerError(); !errors.As(err, &np) || np.Primary != primaryURL {
+		t.Fatalf("FollowerError() = %v, want a redirect to %q", err, primaryURL)
 	}
 
 	if _, err := s.Registry().RegisterIn("default", "other", strings.NewReader("A\n1\n"), true); !errors.Is(err, ErrNotPrimary) {
@@ -213,7 +214,7 @@ func TestFollowerRejectsWrites(t *testing.T) {
 // budget, and the namespace row total must return to zero.
 func TestRemoveReleasesQuotaRows(t *testing.T) {
 	s := New(16)
-	s.Registry().SetQuotas("tenant", Quotas{MaxRows: 15})
+	s.Registry().SetDefaultQuotas(Quotas{MaxRows: 15})
 	for i := 0; i < 50; i++ {
 		if _, err := s.Registry().RegisterIn("tenant", "d", strings.NewReader(blockCSV(3, 2, 2)), true); err != nil {
 			t.Fatalf("cycle %d: register: %v (row budget leaked by remove)", i, err)
@@ -234,7 +235,7 @@ func TestRemoveReleasesQuotaRows(t *testing.T) {
 // balance back to zero.
 func TestRemoveAppendRaceNoQuotaLeak(t *testing.T) {
 	s := New(16)
-	s.Registry().SetQuotas("tenant", Quotas{MaxRows: 1000})
+	s.Registry().SetDefaultQuotas(Quotas{MaxRows: 1000})
 
 	// Deterministic interleaving first: stale pointer, remove, append.
 	d, err := s.Registry().RegisterIn("tenant", "d", strings.NewReader("A,B\n1,2\n"), true)
@@ -290,7 +291,7 @@ func TestRemoveAppendRaceNoQuotaLeak(t *testing.T) {
 // quota.
 func TestAppendWALFailureReleasesQuota(t *testing.T) {
 	s, _ := newDurableService(t, t.TempDir(), 16)
-	s.Registry().SetQuotas("tenant", Quotas{MaxRows: 20})
+	s.Registry().SetDefaultQuotas(Quotas{MaxRows: 20})
 	d, err := s.Registry().RegisterIn("tenant", "d", strings.NewReader("A,B\n1,2\n"), true)
 	if err != nil {
 		t.Fatal(err)

@@ -314,7 +314,7 @@ func TestStatsCountRejected(t *testing.T) {
 			{"POST", "/v1/nope/batch", `{"dataset":"d","queries":[{"kind":"entropy","attrs":["A"]}]}`, 1, 0, 1},
 			{"POST", "/v1/nope/datasets/d/append", "1,2,3\n", 0, 1, 0},
 		} {
-			if !s.Registry().HasNamespace("default") || strings.HasPrefix(q.path, "/v1/nope/") {
+			if _, ok := s.Registry().NamespaceStats("default"); !ok || strings.HasPrefix(q.path, "/v1/nope/") {
 				unattributed.Requests += q.requests
 				unattributed.Appends += q.appends
 				unattributed.Batches += q.batch
