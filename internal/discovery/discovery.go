@@ -276,8 +276,11 @@ type MVDCandidate struct {
 // and a second holds the candidates' star bags and the full attribute set
 // for J. The sets overlap heavily across separators, and a plan refines each
 // exactly once, parents-first, spreading only the levels that scan enough
-// rows over the engine's pool. The separator scans and the J sums then read
-// the memo serially, in a fixed order, so the output is deterministic.
+// rows over the engine's pool. The deepest sets, X∪a∪b with |X| = maxSep,
+// are read only for their entropy unless a star bag extends one, so the
+// first plan declares them leaves and the engine keeps only their counts.
+// The separator scans and the J sums then read the memo serially, in a fixed
+// order, so the output is deterministic.
 func FindMVDs(r *relation.Relation, maxSep int, threshold float64) ([]MVDCandidate, error) {
 	attrs := r.Attrs()
 	n := len(attrs)
@@ -294,6 +297,12 @@ func FindMVDs(r *relation.Relation, maxSep int, threshold float64) ([]MVDCandida
 		if len(rests[k]) < 2 {
 			continue
 		}
+		// No separator refines X∪{a,b} at |X| = maxSep, so those sets are
+		// planned as leaves, counts without row ids.
+		addPair := plan.AddEntropy
+		if len(sep) == maxSep {
+			addPair = plan.AddLeafEntropy
+		}
 		if err := plan.AddEntropy(sep...); err != nil {
 			return nil, err
 		}
@@ -304,7 +313,7 @@ func FindMVDs(r *relation.Relation, maxSep int, threshold float64) ([]MVDCandida
 			}
 			for _, b := range rests[k][i+1:] {
 				buf = withAttrs(buf, sep, a, b)
-				if err := plan.AddEntropy(buf...); err != nil {
+				if err := addPair(buf...); err != nil {
 					return nil, err
 				}
 			}

@@ -19,23 +19,77 @@ import (
 	"ajdloss/internal/schemagen"
 )
 
-// findMVDsOracle is the per-separator path FindMVDs replaced: each
-// separator's candidate comes from separatorMVD, whose dependence graph
-// (oracleComponents) asks infotheory.ConditionalMutualInformation for four
-// entropies per pair, and whose J is computed on demand. Nothing is
-// planned.
-func findMVDsOracle(r *relation.Relation, maxSep int, threshold float64) ([]MVDCandidate, error) {
-	snap := r.Snapshot()
-	attrs := r.Attrs()
+// cmiTable is the per-separator path FindMVDs replaced, for one relation
+// and one maxSep: every separator X of size ≤ maxSep with the attributes
+// outside it, and each I(a;b|X) asked whole of
+// infotheory.ConditionalMutualInformation, four entropies per pair. Nothing
+// is planned. The table is built once and serves every threshold.
+type cmiTable struct {
+	snap  *engine.Snapshot
+	seps  [][]string
+	rests [][]string
+	cmis  [][]float64 // per separator, pairs (i<j) of its rest in row-major order
+}
+
+func newCMITable(r *relation.Relation, maxSep int) (*cmiTable, error) {
+	tab := &cmiTable{snap: r.Snapshot()}
+	for _, sep := range subsetsUpTo(r.Attrs(), maxSep) {
+		rest := exclude(r.Attrs(), sep)
+		var cmis []float64
+		for i := range rest {
+			for j := i + 1; j < len(rest); j++ {
+				v, err := infotheory.ConditionalMutualInformation(tab.snap, rest[i:i+1], rest[j:j+1], sep)
+				if err != nil {
+					return nil, err
+				}
+				cmis = append(cmis, v)
+			}
+		}
+		tab.seps = append(tab.seps, sep)
+		tab.rests = append(tab.rests, rest)
+		tab.cmis = append(tab.cmis, cmis)
+	}
+	return tab, nil
+}
+
+// dataCMIs returns a few of the table's CMI values: the smallest, the median
+// and the largest. As thresholds they put at least one pair exactly at the
+// strict > edge test.
+func (tab *cmiTable) dataCMIs() []float64 {
+	var vals []float64
+	for _, cmis := range tab.cmis {
+		vals = append(vals, cmis...)
+	}
+	if len(vals) == 0 {
+		return nil
+	}
+	sort.Float64s(vals)
+	return []float64{vals[0], vals[len(vals)/2], vals[len(vals)-1]}
+}
+
+// findMVDs is the oracle's answer at one threshold: each separator's
+// candidate comes from the components of its dependence graph, and its J is
+// computed on demand.
+func (tab *cmiTable) findMVDs(threshold float64) ([]MVDCandidate, error) {
 	var out []MVDCandidate
-	for _, sep := range subsetsUpTo(attrs, maxSep) {
-		c, err := separatorMVD(snap, attrs, sep, threshold)
+	for k, sep := range tab.seps {
+		rest := tab.rests[k]
+		if len(rest) < 2 {
+			continue
+		}
+		comps := oracleComponents(rest, tab.cmis[k], threshold)
+		if len(comps) < 2 {
+			continue
+		}
+		schema, err := jointree.MVDSchema(sep, comps...)
 		if err != nil {
 			return nil, err
 		}
-		if c != nil {
-			out = append(out, *c)
+		j, err := core.JMeasureSchema(tab.snap, schema)
+		if err != nil {
+			return nil, err
 		}
+		out = append(out, MVDCandidate{X: sep, Groups: comps, J: j})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].J != out[j].J {
@@ -46,33 +100,10 @@ func findMVDsOracle(r *relation.Relation, maxSep int, threshold float64) ([]MVDC
 	return out, nil
 }
 
-// separatorMVD splits the attributes outside sep into the components of
-// the conditional-dependence graph given sep; it returns nil when fewer than
-// two components (so no MVD) arise.
-func separatorMVD(snap *engine.Snapshot, attrs, sep []string, threshold float64) (*MVDCandidate, error) {
-	rest := exclude(attrs, sep)
-	if len(rest) < 2 {
-		return nil, nil
-	}
-	comps, err := oracleComponents(snap, rest, sep, threshold)
-	if err != nil || len(comps) < 2 {
-		return nil, err
-	}
-	schema, err := jointree.MVDSchema(sep, comps...)
-	if err != nil {
-		return nil, err
-	}
-	j, err := core.JMeasureSchema(snap, schema)
-	if err != nil {
-		return nil, err
-	}
-	return &MVDCandidate{X: sep, Groups: comps, J: j}, nil
-}
-
 // oracleComponents partitions rest into connected components of the graph
-// with an edge (a,b) whenever I(a;b|sep) > threshold, each CMI computed
-// whole by infotheory.ConditionalMutualInformation.
-func oracleComponents(r infotheory.Source, rest, sep []string, threshold float64) ([][]string, error) {
+// with an edge (a,b) whenever I(a;b|sep) > threshold, reading each CMI from
+// cmis (pairs in row-major order).
+func oracleComponents(rest []string, cmis []float64, threshold float64) [][]string {
 	n := len(rest)
 	parent := make([]int, n)
 	for i := range parent {
@@ -86,15 +117,13 @@ func oracleComponents(r infotheory.Source, rest, sep []string, threshold float64
 		}
 		return x
 	}
+	k := 0
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			mi, err := infotheory.ConditionalMutualInformation(r, []string{rest[i]}, []string{rest[j]}, sep)
-			if err != nil {
-				return nil, err
-			}
-			if mi > threshold {
+			if cmis[k] > threshold {
 				parent[find(i)] = find(j)
 			}
+			k++
 		}
 	}
 	groups := make(map[int][]string)
@@ -111,7 +140,7 @@ func oracleComponents(r infotheory.Source, rest, sep []string, threshold float64
 	for _, root := range roots {
 		out = append(out, groups[root])
 	}
-	return out, nil
+	return out
 }
 
 // diffMVDs describes the first difference between two candidate lists, or
@@ -169,71 +198,63 @@ func mvdTestRelation(seed uint64) (*relation.Relation, error) {
 	return r, nil
 }
 
-// dataCMIs returns a few of the relation's own values of I(a;b|X) over the
-// separators FindMVDs scans: the smallest, the median and the largest. As
-// thresholds they put at least one pair exactly at the strict > edge test.
-func dataCMIs(t *testing.T, r *relation.Relation, maxSep int) []float64 {
-	t.Helper()
-	var vals []float64
-	for _, sep := range subsetsUpTo(r.Attrs(), maxSep) {
-		rest := exclude(r.Attrs(), sep)
-		for i := range rest {
-			for j := i + 1; j < len(rest); j++ {
-				v, err := infotheory.ConditionalMutualInformation(r, rest[i:i+1], rest[j:j+1], sep)
-				if err != nil {
-					t.Fatal(err)
-				}
-				vals = append(vals, v)
-			}
-		}
-	}
-	if len(vals) == 0 {
-		return nil
-	}
-	sort.Float64s(vals)
-	return []float64{vals[0], vals[len(vals)/2], vals[len(vals)-1]}
-}
-
 // TestQuickFindMVDsOracleParity compares FindMVDs, which plans every entropy
 // it reads and sums each CMI from entropies read once per separator, with
 // the per-separator oracle on a copy of the relation that shares no memo
 // with it: random and planted relations, maxsep 0–3, thresholds 0, 1e-9 and
-// the data's own CMI values, at GOMAXPROCS 1, 2 and 8.
+// the data's own CMI values, at GOMAXPROCS 1, 2 and 8. The oracle does not
+// depend on GOMAXPROCS, so its table is built once per (relation, maxsep);
+// each GOMAXPROCS setting runs FindMVDs on a fresh copy of the relation,
+// maxsep 0–3 in turn, as a caller would.
 func TestQuickFindMVDsOracleParity(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, procs := range []int{1, 2, 8} {
-		runtime.GOMAXPROCS(procs)
-		f := func(seed uint64) bool {
-			seed %= 1 << 12
-			r, err := mvdTestRelation(seed)
-			if err != nil {
-				// An empty planted join; nothing to compare.
-				return true
-			}
-			cold := r.Clone()
-			for maxSep := 0; maxSep <= 3 && maxSep < len(r.Attrs()); maxSep++ {
-				thresholds := append([]float64{0, 1e-9}, dataCMIs(t, cold, maxSep)...)
-				for _, th := range thresholds {
-					want, err := findMVDsOracle(cold, maxSep, th)
-					if err != nil {
-						t.Logf("seed %d: oracle: %v", seed, err)
-						return false
-					}
-					got, err := FindMVDs(r, maxSep, th)
-					if err != nil {
-						t.Logf("seed %d: FindMVDs: %v", seed, err)
-						return false
-					}
-					if d := diffMVDs(got, want); d != "" {
-						t.Logf("GOMAXPROCS=%d seed %d maxsep %d threshold %v: %s", procs, seed, maxSep, th, d)
-						return false
-					}
-				}
-			}
+	f := func(seed uint64) bool {
+		seed %= 1 << 12
+		r, err := mvdTestRelation(seed)
+		if err != nil {
+			// An empty planted join; nothing to compare.
 			return true
 		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-			t.Fatal(err)
+		cold := r.Clone()
+		type oracleCase struct {
+			maxSep    int
+			threshold float64
+			want      []MVDCandidate
 		}
+		var cases []oracleCase
+		for maxSep := 0; maxSep <= 3 && maxSep < len(r.Attrs()); maxSep++ {
+			tab, err := newCMITable(cold, maxSep)
+			if err != nil {
+				t.Logf("seed %d: oracle: %v", seed, err)
+				return false
+			}
+			for _, th := range append([]float64{0, 1e-9}, tab.dataCMIs()...) {
+				want, err := tab.findMVDs(th)
+				if err != nil {
+					t.Logf("seed %d: oracle: %v", seed, err)
+					return false
+				}
+				cases = append(cases, oracleCase{maxSep, th, want})
+			}
+		}
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			warm := r.Clone()
+			for _, c := range cases {
+				got, err := FindMVDs(warm, c.maxSep, c.threshold)
+				if err != nil {
+					t.Logf("seed %d: FindMVDs: %v", seed, err)
+					return false
+				}
+				if d := diffMVDs(got, c.want); d != "" {
+					t.Logf("GOMAXPROCS=%d seed %d maxsep %d threshold %v: %s", procs, seed, c.maxSep, c.threshold, d)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -202,13 +202,13 @@ func BenchmarkRefineDense(b *testing.B) {
 			}
 			snap := NewSnapshotAt([]string{"P", "V"}, cols, n, 1)
 			parent := snap.grouping([]int{0})
-			if _, pr := snap.refine(parent, 1); pr.dense == nil {
+			if _, pr := snap.refine(parent, 1, true); pr.dense == nil {
 				b.Fatalf("%d parents × width %d: want a dense probe", parent.Groups(), snap.probeWidth(1))
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				refineSink, _ = snap.refine(parent, 1)
+				refineSink, _ = snap.refine(parent, 1, true)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
 		})

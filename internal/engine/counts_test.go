@@ -206,7 +206,7 @@ func TestCountChunkMemoParity(t *testing.T) {
 		for key, ent := range cur.memo {
 			label := fmt.Sprintf("%d rows, set %v", n, ent.cols)
 			sameGrouping(t, label, ent.g, cold.grouping(ent.cols))
-			if h, w := cur.groupEntropy(ent.cols), cold.groupEntropy(ent.cols); h != w {
+			if h, w := cur.groupEntropy(ent.cols, true), cold.groupEntropy(ent.cols, true); h != w {
 				t.Fatalf("%s: entropy %v, cold %v", label, h, w)
 			}
 			pc := parent.memo[key].g.Counts

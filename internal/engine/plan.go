@@ -26,6 +26,10 @@ type planNode struct {
 	key     string
 	cols    []int
 	entropy bool
+	// leaf: every request for the node came through AddLeafEntropy, and no
+	// other node of the plan has it as a prefix. Such a node is memoized
+	// count-only.
+	leaf bool
 }
 
 // Plan returns an empty plan against the snapshot.
@@ -36,38 +40,48 @@ func (s *Snapshot) Plan() *Plan {
 // AddGrouping requests the grouping of the attribute set (and, implicitly,
 // of every sorted prefix of it). Duplicate adds are free.
 func (p *Plan) AddGrouping(attrs ...string) error {
-	_, err := p.add(attrs, false)
-	return err
+	return p.add(attrs, false, false)
 }
 
 // AddEntropy requests the entropy (and grouping) of the attribute set.
 func (p *Plan) AddEntropy(attrs ...string) error {
-	_, err := p.add(attrs, true)
-	return err
+	return p.add(attrs, true, false)
 }
 
-func (p *Plan) add(attrs []string, entropy bool) (*planNode, error) {
+// AddLeafEntropy requests the entropy of the attribute set, declaring that
+// the caller reads nothing else of it. Unless another request of the plan
+// needs its grouping (AddGrouping or AddEntropy of the set, or any request
+// the set is a sorted prefix of), the set is memoized count-only: its counts
+// and probe, no row ids. A later read of its grouping fills the ids in one
+// pass over the rows, so declare only sets that are seldom refined or
+// joined afterwards.
+func (p *Plan) AddLeafEntropy(attrs ...string) error {
+	return p.add(attrs, true, true)
+}
+
+func (p *Plan) add(attrs []string, entropy, leaf bool) error {
 	cols, err := p.snap.sortedColumns(attrs)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// Close under sorted prefixes so every node's refinement parent is a plan
 	// node of the previous level.
 	for l := 0; l < len(cols); l++ {
-		p.addCols(cols[:l], false)
+		p.addCols(cols[:l], false, false)
 	}
-	return p.addCols(cols, entropy), nil
+	p.addCols(cols, entropy, leaf)
+	return nil
 }
 
-func (p *Plan) addCols(cols []int, entropy bool) *planNode {
+func (p *Plan) addCols(cols []int, entropy, leaf bool) {
 	key := colsKey(cols)
 	n, ok := p.nodes[key]
 	if !ok {
-		n = &planNode{key: key, cols: append([]int(nil), cols...)}
+		n = &planNode{key: key, cols: append([]int(nil), cols...), leaf: leaf}
 		p.nodes[key] = n
 	}
 	n.entropy = n.entropy || entropy
-	return n
+	n.leaf = n.leaf && leaf
 }
 
 // Len returns the number of distinct lattice nodes the plan will touch
@@ -96,7 +110,7 @@ func (p *Plan) Run(workers int) {
 		forEach(len(nodes), levelWorkers(work, workers), func(i int) {
 			n := nodes[i]
 			if n.entropy {
-				p.snap.groupEntropy(n.cols)
+				p.snap.groupEntropy(n.cols, !n.leaf)
 			} else {
 				p.snap.grouping(n.cols)
 			}
@@ -105,9 +119,9 @@ func (p *Plan) Run(workers int) {
 }
 
 // pending returns the nodes of one plan level the memo does not answer yet,
-// and their work in rows: every row for a grouping still to be refined, and
-// the group count of a memoized grouping whose entropy is still to be
-// summed.
+// and their work in rows: every row for a grouping still to be refined or a
+// requested grouping's ids still to be filled, and the group count of a
+// memoized grouping whose entropy is still to be summed.
 func (s *Snapshot) pending(nodes []*planNode) ([]*planNode, int) {
 	out := nodes[:0]
 	work := 0
@@ -116,7 +130,7 @@ func (s *Snapshot) pending(nodes []*planNode) ([]*planNode, int) {
 	for _, n := range nodes {
 		ent, ok := s.memo[n.key]
 		switch {
-		case !ok:
+		case !ok, !n.entropy && ent.g.IDs == nil:
 			work += s.n
 		case !n.entropy:
 			continue

@@ -12,7 +12,8 @@ import (
 // the serial scan that refines one lattice node. When the probe is dense,
 // every (parent id, value) pair of the scan lies inside the table, so the
 // scan is one indexed load per row with no range checks or map fallback; it
-// assigns ids in one pass and counts groups in a second. Parallelism
+// assigns ids in one pass and counts groups in a second, or, for a
+// count-only grouping, counts in the pass that assigns. Parallelism
 // lives one level up, across the independent nodes of a plan level and
 // across batch queries. A single scan is not split across workers: inside
 // levels that already run in parallel, per-chunk probe tables and a merge
@@ -142,16 +143,36 @@ func (p *probe) insert(parent int32, val Value, id int32) {
 // and independent of the worker count. The probe is returned alongside so
 // Extend can probe it for appended rows: incremental and from-scratch
 // construction assign identical ids because both follow stored row order.
-// A first pass assigns the ids; a second sums each group's rows (or row
-// weights) into Counts, whose chunks share one backing array.
-func (s *Snapshot) refine(parent *Grouping, col int) (*Grouping, *probe) {
+//
+// With withIDs, a first pass assigns the ids and a second sums each group's
+// rows (or row weights) into Counts, whose chunks share one backing array.
+// Without it (unweighted snapshots only; a weighted one builds its ids
+// anyway) the grouping is count-only: one pass assigns each row's id in the
+// probe and counts it, and no row id is stored. The probe still maps every
+// row to its id, so fill and Extend can recover them.
+func (s *Snapshot) refine(parent *Grouping, col int, withIDs bool) (*Grouping, *probe) {
 	pr := newProbe(parent.Groups(), s.probeWidth(col), denseProbeBudget(s.n), parent.Groups()*2)
+	pids, column := parent.IDs[:s.n], s.cols[col][:s.n]
+	if !withIDs && s.weights == nil {
+		var tally []int
+		var groups int
+		if pr.dense != nil {
+			tally = make([]int, min(s.n, len(pr.dense)))
+			groups = countDense(pr, pids, column, tally)
+		} else {
+			tally = make([]int, s.n)
+			groups = refineMap(pr, pids, column, nil, tally)
+		}
+		counts, flat := newCounts(groups)
+		copy(flat, tally)
+		return &Grouping{Counts: counts}, pr
+	}
 	ids := make([]int32, s.n, s.n+extendHeadroom(s.n))
 	var groups int
 	if pr.dense != nil {
-		groups = refineDense(pr, parent.IDs[:s.n], s.cols[col][:s.n], ids)
+		groups = refineDense(pr, pids, column, ids)
 	} else {
-		groups = refineMap(pr, parent.IDs[:s.n], s.cols[col][:s.n], ids)
+		groups = refineMap(pr, pids, column, ids, nil)
 	}
 	counts, flat := newCounts(groups)
 	if s.weights == nil {
@@ -169,7 +190,9 @@ func (s *Snapshot) refine(parent *Grouping, col int) (*Grouping, *probe) {
 // refineDense is refine's id pass over a dense probe sized for every parent
 // group and every value of the column, so each (parent id, value) pair
 // indexes the table directly. It writes each row's child id into ids and
-// returns the number of child groups.
+// returns the number of child groups. Whether a row opens a new group
+// follows the data, so the pass has no branch on it: the next id is picked
+// by a conditional move and the slot is stored on every row.
 func refineDense(pr *probe, pids []int32, column []Value, ids []int32) int {
 	dense, width := pr.dense, int(pr.width)
 	ids = ids[:len(pids)]
@@ -177,19 +200,38 @@ func refineDense(pr *probe, pids []int32, column []Value, ids []int32) int {
 	var groups int32
 	for i, pid := range pids {
 		slot := &dense[int(pid)*width+int(column[i])]
-		id := *slot
+		id, next := *slot, groups+1
 		if id == 0 {
-			groups++
-			id = groups
-			*slot = id
+			id, groups = next, next
 		}
+		*slot = id
 		ids[i] = id - 1
 	}
 	return int(groups)
 }
 
-// refineMap is refine's id pass over a map-form probe.
-func refineMap(pr *probe, pids []int32, column []Value, ids []int32) int {
+// countDense is refineDense for a count-only grouping: it adds one to
+// tally[id] for each row's child id instead of storing the id. tally must
+// have room for every child group.
+func countDense(pr *probe, pids []int32, column []Value, tally []int) int {
+	dense, width := pr.dense, int(pr.width)
+	column = column[:len(pids)]
+	var groups int32
+	for i, pid := range pids {
+		slot := &dense[int(pid)*width+int(column[i])]
+		id, next := *slot, groups+1
+		if id == 0 {
+			id, groups = next, next
+		}
+		*slot = id
+		tally[id-1]++
+	}
+	return int(groups)
+}
+
+// refineMap is refine's id pass over a map-form probe. It stores each row's
+// child id into ids, or counts it in tally when ids is nil.
+func refineMap(pr *probe, pids []int32, column []Value, ids []int32, tally []int) int {
 	var groups int32
 	for i, pid := range pids {
 		v := column[i]
@@ -199,18 +241,27 @@ func refineMap(pr *probe, pids []int32, column []Value, ids []int32) int {
 			pr.insert(pid, v, id)
 			groups++
 		}
-		ids[i] = id
+		if ids != nil {
+			ids[i] = id
+		} else {
+			tally[id]++
+		}
 	}
 	return int(groups)
 }
 
 // rebuildProbe reconstructs the probe of g, the refinement of parent by
-// column col, over this snapshot's n rows: one insert per row, no lookups.
-// parent may cover more rows than the snapshot (the child's grouping of the
-// prefix set); only its first n ids are read, and they equal this
-// snapshot's. Extend needs it only when the probe has already moved to
-// another child, i.e. on a second Extend of the same snapshot.
+// column col, over this snapshot's n rows: one insert per row, no lookups,
+// or a count-only refinement when g holds no row ids. parent may cover more
+// rows than the snapshot (the child's grouping of the prefix set); only its
+// first n ids are read, and they equal this snapshot's. Extend needs it only
+// when the probe has already moved on: to another child, on a second Extend
+// of the same snapshot, or to a reader that filled g's ids.
 func (s *Snapshot) rebuildProbe(parent, g *Grouping, col int) *probe {
+	if g.IDs == nil {
+		_, pr := s.refine(parent, col, false)
+		return pr
+	}
 	pr := newProbe(parent.Groups(), s.probeWidth(col), denseProbeBudget(s.n), g.Groups())
 	column := s.cols[col]
 	for i := 0; i < s.n; i++ {

@@ -55,11 +55,18 @@ func (g *Grouping) Groups() int { return g.Counts.Len() }
 // extension needs: the sorted column set it projects onto (to order
 // extensions parents-first) and the probe refine built, keyed by
 // (parent group id, column value). g and cols are immutable once published.
-// next is writer-side state that moves down the snapshot chain: Extend takes
-// it with Swap(nil), probes it in place for the appended rows and stores it
-// in the child's entry, so a snapshot keeps no probe once it has been
-// extended (a second Extend of it rebuilds one, see rebuildProbe). Readers
-// never touch next.
+//
+// An entry is count-only when g.IDs is nil: a set planned only for its
+// entropy (Plan.AddLeafEntropy) keeps its counts and its probe, and no row
+// ids. The first read of its grouping fills the ids from the probe into a
+// new entry, which replaces it in the memo.
+//
+// next is the probe, and it has one owner at a time: whoever takes it with
+// Swap(nil). Extend takes it, probes it in place for the appended rows and
+// stores it in the child's entry, so a snapshot keeps no probe once it has
+// been extended (a second Extend of it rebuilds one, see rebuildProbe). A
+// reader takes it only to fill a count-only entry, and stores it in the
+// filled entry. Nothing else touches next.
 type memoEntry struct {
 	g    *Grouping
 	cols []int
@@ -270,43 +277,80 @@ func (s *Snapshot) GroupEntropy(attrs ...string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return s.groupEntropy(cols), nil
+	return s.groupEntropy(cols, true), nil
 }
 
 // grouping returns the memoized grouping for the sorted column set, computing
 // it by refining the grouping of the prefix cols[:len-1] with the last
 // column. The recursion guarantees the memo is prefix-closed: every prefix of
-// a cached set is cached too (Extend and the planner rely on this).
+// a cached set is cached too (Extend and the planner rely on this), and holds
+// its row ids.
 func (s *Snapshot) grouping(cols []int) *Grouping {
-	return s.groupingKeyed(colsKey(cols), cols)
+	key := colsKey(cols)
+	ent := s.entry(key, cols, true)
+	if ent.g.IDs == nil {
+		ent = s.publish(key, s.fill(ent))
+	}
+	return ent.g
 }
 
-// groupingKeyed is grouping with the memo key precomputed, so callers that
-// already rendered it (groupEntropy renders it for its own memo) do not pay
-// for it twice.
-func (s *Snapshot) groupingKeyed(key string, cols []int) *Grouping {
+// entry returns the memo entry of the sorted column set under key, refining
+// it from its prefix's grouping when the memo lacks it: with row ids, or
+// count-only when withIDs is false. A cached entry is returned as it is,
+// count-only or not.
+func (s *Snapshot) entry(key string, cols []int, withIDs bool) *memoEntry {
 	s.mu.Lock()
 	ent, ok := s.memo[key]
 	s.mu.Unlock()
 	if ok {
-		return ent.g
+		return ent
 	}
 	if len(cols) == 0 {
 		ent = &memoEntry{g: s.trivialGrouping()}
 	} else {
 		parent := s.grouping(cols[:len(cols)-1])
-		g, next := s.refine(parent, cols[len(cols)-1])
+		g, next := s.refine(parent, cols[len(cols)-1], withIDs)
 		ent = &memoEntry{g: g, cols: append([]int(nil), cols...)}
 		ent.next.Store(next)
 	}
+	return s.publish(key, ent)
+}
+
+// publish stores ent under key unless another goroutine won the race to
+// compute the set; the values are identical either way. An entry with row
+// ids replaces a count-only one, never the reverse.
+func (s *Snapshot) publish(key string, ent *memoEntry) *memoEntry {
 	s.mu.Lock()
-	if cached, ok := s.memo[key]; ok {
-		ent = cached // another goroutine won the race; keep its value
-	} else {
-		s.memo[key] = ent
+	defer s.mu.Unlock()
+	if cached, ok := s.memo[key]; ok && (cached.g.IDs != nil || ent.g.IDs == nil) {
+		return cached
 	}
-	s.mu.Unlock()
-	return ent.g
+	s.memo[key] = ent
+	return ent
+}
+
+// fill returns a copy of the count-only entry ent with its row ids. When ent
+// still holds its probe, fill takes it and gathers each row's id from it, so
+// the ids are those refine assigned; the counts are shared. When Extend or
+// another reader took the probe first, fill refines the set again. The new
+// entry holds the probe.
+func (s *Snapshot) fill(ent *memoEntry) *memoEntry {
+	parent := s.grouping(ent.cols[:len(ent.cols)-1])
+	col := ent.cols[len(ent.cols)-1]
+	out := &memoEntry{cols: ent.cols}
+	pr := ent.next.Swap(nil)
+	if pr == nil {
+		out.g, pr = s.refine(parent, col, true)
+	} else {
+		ids := make([]int32, s.n, s.n+extendHeadroom(s.n))
+		column := s.cols[col]
+		for i, pid := range parent.IDs[:s.n] {
+			ids[i] = pr.lookup(pid, column[i])
+		}
+		out.g = &Grouping{IDs: ids, Counts: ent.g.Counts}
+	}
+	out.next.Store(pr)
+	return out
 }
 
 // trivialGrouping is the grouping on the empty attribute set: every row in
@@ -325,11 +369,12 @@ func singleCount(total int) Counts {
 }
 
 // groupEntropy returns the entropy (nats) of the distribution assigning
-// probability Counts.At(g)/total to each group, memoized per column set. It
-// sums the c·log c terms chunk by chunk in group order, the order
+// probability Counts.At(g)/total to each group, memoized per column set. A
+// set the memo lacks is refined with row ids, or count-only when withIDs is
+// false. It sums the c·log c terms chunk by chunk in group order, the order
 // infotheory.EntropyFromCounts sums a flat slice in, so the two agree to the
 // bit.
-func (s *Snapshot) groupEntropy(cols []int) float64 {
+func (s *Snapshot) groupEntropy(cols []int, withIDs bool) float64 {
 	key := colsKey(cols)
 	s.mu.Lock()
 	h, ok := s.entropy[key]
@@ -337,7 +382,7 @@ func (s *Snapshot) groupEntropy(cols []int) float64 {
 	if ok {
 		return h
 	}
-	g := s.groupingKeyed(key, cols)
+	g := s.entry(key, cols, withIDs).g
 	var sum float64
 	g.Counts.Each(func(part []int) { sum = infotheory.AddCLogC(sum, part) })
 	h = infotheory.EntropyFromCLogC(sum, s.total)
@@ -362,8 +407,11 @@ func (s *Snapshot) groupEntropy(cols []int) float64 {
 // the chunk table (one pointer per chunk). The other chunks are shared with
 // this snapshot. Once a set's slabs would outnumber its chunks, the Extend
 // copies all of its chunks instead (see Counts), so the copy stays O(batch)
-// amortized. A second Extend of the same snapshot finds the probe gone and
-// rebuilds it in O(n) per set; the answers are the same either way.
+// amortized. A count-only set stays count-only: its appended rows' ids go
+// into a slice of the batch's size, never one of n rows. A second Extend of
+// the same snapshot finds the probe gone and rebuilds it in O(n) per set, as
+// does an Extend after a reader filled a count-only set; the answers are the
+// same either way.
 //
 // The parent snapshot is left untouched: its groupings, counts and entropies
 // keep answering queries for readers that grabbed it before the extension.
@@ -428,7 +476,15 @@ func (s *Snapshot) Extend(cols [][]Value, n int) *Snapshot {
 			next = s.rebuildProbe(parent, ent.g, col)
 		}
 		groups := ent.g.Groups()
-		ids := ent.g.IDs[:s.n:cap(ent.g.IDs)]
+		// A count-only entry stays count-only: its batch ids go to a slice
+		// of the batch's size, read only by extendCounts.
+		var ids []int32
+		if ent.g.IDs != nil {
+			ids = ent.g.IDs[:s.n:cap(ent.g.IDs)]
+		} else {
+			ids = make([]int32, 0, fresh)
+		}
+		base := len(ids)
 		for i := s.n; i < child.n; i++ {
 			pid := parent.IDs[i]
 			v := column[i]
@@ -440,8 +496,11 @@ func (s *Snapshot) Extend(cols [][]Value, n int) *Snapshot {
 			}
 			ids = append(ids, id)
 		}
-		counts := extendCounts(ent.g.Counts, ids[s.n:], groups)
-		out := &memoEntry{g: &Grouping{IDs: ids, Counts: counts}, cols: ent.cols}
+		g := &Grouping{Counts: extendCounts(ent.g.Counts, ids[base:], groups)}
+		if ent.g.IDs != nil {
+			g.IDs = ids
+		}
+		out := &memoEntry{g: g, cols: ent.cols}
 		out.next.Store(next)
 		return out
 	}

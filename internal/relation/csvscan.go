@@ -76,18 +76,23 @@ func lengthNL(b []byte) int {
 	return 0
 }
 
+// line returns the next line that is not blank, read as readLine reads it;
+// io.EOF means the input holds no further record. A line with a quote is
+// parsed by parseQuoted, which may read more lines.
+func (s *csvScanner) line() ([]byte, error) {
+	for {
+		line, err := s.readLine()
+		if err == nil && len(line) == lengthNL(line) {
+			continue // skip empty lines
+		}
+		return line, err
+	}
+}
+
 // next reads the next record into s.fields. It returns io.EOF when the
 // input holds no further record.
 func (s *csvScanner) next() error {
-	var line []byte
-	var errRead error
-	for errRead == nil {
-		line, errRead = s.readLine()
-		if errRead == nil && len(line) == lengthNL(line) {
-			continue // skip empty lines
-		}
-		break
-	}
+	line, errRead := s.line()
 	if errRead == io.EOF {
 		return io.EOF
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math/bits"
 	"strings"
 )
 
@@ -13,11 +14,11 @@ import (
 // (domains are 1-based to mirror the paper's [d] convention).
 //
 // A field of at most 7 bytes is packed with its length into one uint64 and
-// looked up in a map keyed by that integer, which hashes and compares one
-// word instead of a string; longer fields live in a string map. Either way
-// each attribute has exactly one dictionary, which every encoding path
-// (ReadCSV, Encode and NewEncoderFromDictionaries) reads through lookup and
-// extends through add.
+// looked up in a flat open-addressed table keyed by that integer, which
+// hashes and compares one word instead of a string; longer fields live in a
+// string map. Either way each attribute has exactly one dictionary, which
+// every encoding path (ReadCSV, Encode and NewEncoderFromDictionaries) reads
+// through lookup and extends through add.
 type Encoder struct {
 	attrs []string
 	dicts []dictionary
@@ -32,7 +33,7 @@ const maxPackedField = 7
 // of at most maxPackedField bytes under their packed keys, long the fields
 // too long to pack.
 type dictionary struct {
-	short map[uint64]Value
+	short packedTable
 	long  map[string]Value
 }
 
@@ -47,12 +48,67 @@ func packField[F string | []byte](f F) uint64 {
 	return k
 }
 
+// packedTable is an open-addressed hash table from packed keys to values,
+// probed linearly and kept at most half full. A slot with value 0 is empty
+// (values start at 1), so every key, the empty field's 0 included, can be
+// stored. Slots are hashed with the row table's per-process random keys,
+// so an upload cannot be crafted to make its fields collide.
+type packedTable struct {
+	slots []packedSlot
+	used  int
+}
+
+type packedSlot struct {
+	key uint64
+	val Value
+}
+
+// packedHome returns the first slot of key k in a table of mask+1 slots.
+func packedHome(k uint64, mask int) int {
+	hi, lo := bits.Mul64(k^rowHashKeys[0], rowHashKeys[1])
+	return int(hi^lo) & mask
+}
+
+// get returns the value of key k, or 0 when k is absent.
+func (t *packedTable) get(k uint64) Value {
+	if len(t.slots) == 0 {
+		return 0
+	}
+	mask := len(t.slots) - 1
+	for i := packedHome(k, mask); ; i = (i + 1) & mask {
+		if sl := &t.slots[i]; sl.val == 0 || sl.key == k {
+			return sl.val
+		}
+	}
+}
+
+// put records k -> v; k must be absent.
+func (t *packedTable) put(k uint64, v Value) {
+	if 2*(t.used+1) > len(t.slots) {
+		old := t.slots
+		t.slots = make([]packedSlot, max(16, 2*len(old)))
+		t.used = 0
+		for _, sl := range old {
+			if sl.val != 0 {
+				t.put(sl.key, sl.val)
+			}
+		}
+	}
+	mask := len(t.slots) - 1
+	i := packedHome(k, mask)
+	for t.slots[i].val != 0 {
+		i = (i + 1) & mask
+	}
+	t.slots[i] = packedSlot{key: k, val: v}
+	t.used++
+}
+
 // lookup returns the value of field f in d, or 0 when f is absent.
 func lookup[F string | []byte](d *dictionary, f F) Value {
 	if len(f) > maxPackedField {
 		return d.long[string(f)]
 	}
-	return d.short[packField(f)]
+	return d.short.get(packField(f))
 }
 
 // insert records s -> v; s must be absent from d.
@@ -64,20 +120,16 @@ func (d *dictionary) insert(s string, v Value) {
 		d.long[s] = v
 		return
 	}
-	d.short[packField(s)] = v
+	d.short.put(packField(s), v)
 }
 
 // NewEncoder returns an Encoder for the given attributes.
 func NewEncoder(attrs []string) *Encoder {
-	e := &Encoder{
+	return &Encoder{
 		attrs: append([]string(nil), attrs...),
 		dicts: make([]dictionary, len(attrs)),
 		rev:   make([][]string, len(attrs)),
 	}
-	for i := range e.dicts {
-		e.dicts[i].short = make(map[uint64]Value)
-	}
-	return e
 }
 
 // Attrs returns the attribute names in schema order.
@@ -100,6 +152,43 @@ func (e *Encoder) Encode(record []string) (Tuple, error) {
 // next value of that attribute when the dictionary does not hold it yet.
 func encodeField[F string | []byte](e *Encoder, i int, f F) Value {
 	if v := lookup(&e.dicts[i], f); v != 0 {
+		return v
+	}
+	return e.add(i, string(f))
+}
+
+// encodeRecord encodes line, one record without quotes or line end, into
+// row. It packs each field while it scans for the comma that ends it and
+// looks the field up there, so each byte is read once. It returns the
+// record's field count; row holds the record only when that is len(row).
+func (e *Encoder) encodeRecord(line []byte, row Tuple) int {
+	f, start := 0, 0
+	var k uint64
+	for i, c := range line {
+		if c != ',' {
+			// Bytes past the seventh shift out; such a field is not packed.
+			k |= uint64(c) << (8 * uint(i-start))
+			continue
+		}
+		if f < len(row) {
+			row[f] = e.encodePacked(f, line[start:i], k)
+		}
+		f++
+		start, k = i+1, 0
+	}
+	if f < len(row) {
+		row[f] = e.encodePacked(f, line[start:], k)
+	}
+	return f + 1
+}
+
+// encodePacked is encodeField for field f of attribute i, whose bytes k
+// holds packed as packField packs them, without its length.
+func (e *Encoder) encodePacked(i int, f []byte, k uint64) Value {
+	if len(f) > maxPackedField {
+		return encodeField(e, i, f)
+	}
+	if v := e.dicts[i].short.get(k | uint64(len(f))<<56); v != 0 {
 		return v
 	}
 	return e.add(i, string(f))
@@ -194,9 +283,10 @@ func ValidateHeader(attrs []string) error {
 //
 // The stream is parsed with encoding/csv's grammar (see csvScanner) after
 // one leading UTF-8 byte order mark is skipped. Each record is encoded in
-// place: its fields are looked up in the dictionaries without allocating,
-// a duplicate row is dropped by the row table, and a new row's codes are
-// appended straight to the relation's columns.
+// place: a record without quotes is encoded in the pass that splits it
+// (encodeRecord), a record with quotes is unescaped first, a duplicate row
+// is dropped by the row table, and a new row's codes are appended straight
+// to the relation's columns.
 func ReadCSV(r io.Reader, header bool) (*Relation, *Encoder, error) {
 	sc := newCSVScanner(r)
 	sc.skipBOM()
@@ -213,7 +303,6 @@ func ReadCSV(r io.Reader, header bool) (*Relation, *Encoder, error) {
 		if err := ValidateHeader(attrs); err != nil {
 			return nil, nil, err
 		}
-		err = sc.next()
 	} else {
 		attrs = make([]string, len(sc.fields))
 		for i := range attrs {
@@ -223,19 +312,40 @@ func ReadCSV(r io.Reader, header bool) (*Relation, *Encoder, error) {
 	enc := NewEncoder(attrs)
 	rel := New(attrs...)
 	row := make(Tuple, len(attrs))
-	for ; err == nil; err = sc.next() {
-		if len(sc.fields) != len(row) {
-			return nil, nil, fmt.Errorf("relation: record has %d fields, schema has %d", len(sc.fields), len(row))
+	encodeFields := func() int {
+		if len(sc.fields) == len(row) {
+			for i, f := range sc.fields {
+				row[i] = encodeField(enc, i, f)
+			}
 		}
-		for i, f := range sc.fields {
-			row[i] = encodeField(enc, i, f)
+		return len(sc.fields)
+	}
+	if !header {
+		encodeFields()
+		rel.insert(row)
+	}
+	for {
+		line, err := sc.line()
+		if err == io.EOF {
+			return rel, enc, nil
+		}
+		var fields int
+		if bytes.IndexByte(line, '"') >= 0 {
+			if err := sc.parseQuoted(line, err); err != nil {
+				return nil, nil, err
+			}
+			fields = encodeFields()
+		} else {
+			if err != nil {
+				return nil, nil, err
+			}
+			fields = enc.encodeRecord(line[:len(line)-lengthNL(line)], row)
+		}
+		if fields != len(row) {
+			return nil, nil, fmt.Errorf("relation: record has %d fields, schema has %d", fields, len(row))
 		}
 		rel.insert(row)
 	}
-	if err != io.EOF {
-		return nil, nil, err
-	}
-	return rel, enc, nil
 }
 
 // ReadCSVRows reads a headerless CSV stream of data records, as accepted by

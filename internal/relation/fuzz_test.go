@@ -22,6 +22,14 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add([]byte(`"x,y",z`+"\n1,2\n"), true)
 	f.Add([]byte(""), true)
 	f.Add([]byte("A,B\nab,seven77\nab\x00,eight888\nab,seven77\n日本語,é\n"), true) // packed-key edges
+	// One-pass encoding edges: \r\n line ends, 7- and 8-byte fields next to
+	// their prefixes, empty fields, a record longer than the header, and a
+	// dictionary grown past its first packed-table resize.
+	f.Add([]byte("A,B\r\nsevenxx,eightxxx\r\nseven,eight\r\n\r\nsevenxx,eightxxy\r\n"), true)
+	f.Add([]byte("A,B,C\n,,\nx,,\n,,y\n,\"\",\n,,\n"), true)
+	f.Add([]byte("A,B\n1,2\n3,4,5\n"), true)
+	f.Add([]byte("1,2\n3,4,5,6\n"), false)
+	f.Add([]byte("A,B\n1,x\n2,x\n3,x\n4,x\n5,x\n6,x\n7,x\n8,x\n9,x\n10,x\n11,y\n3,x\n12,y\n"), true)
 	f.Fuzz(func(t *testing.T, data []byte, header bool) {
 		rel, enc, err := ReadCSV(bytes.NewReader(data), header)
 		wantRel, wantEnc, wantErr := readCSVOracle(bytes.NewReader(bytes.TrimPrefix(data, []byte(utf8BOM))), header)

@@ -197,12 +197,21 @@ func queryBool(s string) (bool, error) {
 	return v, nil
 }
 
+// writeJSON answers status with v as indented JSON. v is encoded before the
+// status is written, so a value JSON cannot encode (a NaN or an infinity)
+// answers 500 with a JSON error instead of status with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		status = http.StatusInternalServerError
+		buf.Reset()
+		_ = enc.Encode(map[string]string{"error": "encode response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(buf.Bytes())
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {

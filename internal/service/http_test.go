@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -330,5 +331,28 @@ func TestDiscoverRejectsNonFiniteTarget(t *testing.T) {
 	}
 	if n := s.cache.Len(); n != 0 {
 		t.Fatalf("rejected requests left %d cached results", n)
+	}
+}
+
+// TestWriteJSONEncodeFailure: a value JSON cannot encode answers 500 with a
+// JSON error, never the requested status with an empty body, and a value
+// that encodes is written whole under the requested status.
+func TestWriteJSONEncodeFailure(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]any{"j": math.NaN()})
+	var body map[string]string
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatalf("NaN answer is not JSON: %q (%v)", rec.Body.String(), err)
+	}
+	if rec.Code != http.StatusInternalServerError || !strings.Contains(body["error"], "NaN") {
+		t.Fatalf("NaN answer: %d %q, want 500 with an error naming NaN", rec.Code, rec.Body.String())
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("Content-Type %q", ct)
+	}
+	rec = httptest.NewRecorder()
+	writeJSON(rec, http.StatusCreated, map[string]float64{"j": 0.5})
+	if rec.Code != http.StatusCreated || rec.Body.String() != "{\n  \"j\": 0.5\n}\n" {
+		t.Fatalf("encodable answer: %d %q", rec.Code, rec.Body.String())
 	}
 }
