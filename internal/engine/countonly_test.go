@@ -69,10 +69,17 @@ func checkCounts(t *testing.T, label string, s, cold *Snapshot, sets [][]string)
 }
 
 // checkFilled reads every set's grouping from s, which fills count-only
-// entries, and compares ids and counts with cold's.
+// entries, and compares ids and counts with cold's. A filled entry replaces
+// the count-only one, whose probe the read must leave in place: only Extend
+// takes probes.
 func checkFilled(t *testing.T, label string, s, cold *Snapshot, sets [][]string) {
 	t.Helper()
 	for _, set := range sets {
+		before := memoEntryOf(t, s, set)
+		var probe *probe
+		if before != nil {
+			probe = before.next.Load()
+		}
 		got, err := s.Grouping(set...)
 		if err != nil {
 			t.Fatal(err)
@@ -82,15 +89,18 @@ func checkFilled(t *testing.T, label string, s, cold *Snapshot, sets [][]string)
 		if ent := memoEntryOf(t, s, set); ent.g != got {
 			t.Fatalf("%s %v: the filled grouping is not the memo's", label, set)
 		}
+		if before != nil && before.next.Load() != probe {
+			t.Fatalf("%s %v: the read moved the entry's probe", label, set)
+		}
 	}
 }
 
 // TestCountOnlyFillParity plans leaf entropies on snapshots whose probes take
 // each form (dense, map for a negative value, map past the dense budget),
 // checks the leaves are memoized count-only with a cold snapshot's counts
-// and entropies, then fills their ids through the probes and compares them
-// with the cold snapshot's. A set also requested whole, or as a prefix of
-// another request, is not a leaf.
+// and entropies, then fills their ids and compares them with the cold
+// snapshot's. A set also requested whole, or as a prefix of another
+// request, is not a leaf.
 func TestCountOnlyFillParity(t *testing.T) {
 	attrs := []string{"A", "B", "C", "D"}
 	forms := map[string][]Tuple{
@@ -117,7 +127,7 @@ func TestCountOnlyFillParity(t *testing.T) {
 		checkFilled(t, name, s, cold, leafSets)
 		for _, set := range leafSets {
 			if memoEntryOf(t, s, set).next.Load() == nil {
-				t.Fatalf("%s %v: fill dropped the probe", name, set)
+				t.Fatalf("%s %v: the filled entry holds no probe", name, set)
 			}
 		}
 	}
@@ -149,12 +159,12 @@ func TestCountOnlyFillParity(t *testing.T) {
 // TestCountOnlyExtendParity extends count-only entries over ten appends,
 // some bringing values past the dense probes' width and new parent groups.
 // Each link must keep them count-only with a cold rebuild's counts and
-// entropies. The last link, whose probes have absorbed every append, fills
-// its ids from them, and a middle link, whose probes its child took, refines
-// them again; both must equal a cold rebuild's, and so must an extension of
-// the filled link. Re-extending a link (its probes taken) must keep the
-// sets count-only with a cold rebuild's counts; it reuses the id headroom
-// of the later links, so it runs last.
+// entropies. The last link, whose probes have absorbed every append, and a
+// middle link, whose probes its child took, fill their ids; both must equal
+// a cold rebuild's, and so must an extension of the filled link.
+// Re-extending a link (its probes taken) must keep the sets count-only with
+// a cold rebuild's counts; it reuses the id headroom of the later links, so
+// it runs last.
 func TestCountOnlyExtendParity(t *testing.T) {
 	attrs := []string{"A", "B", "C", "D"}
 	base := randRows(14, 400, 4, 6)
@@ -189,9 +199,8 @@ func TestCountOnlyExtendParity(t *testing.T) {
 }
 
 // TestCountOnlyFillRacesExtend fills count-only entries on a snapshot while
-// Extend takes their probes: whichever takes a probe first, the readers'
-// ids and the child's counts and ids must equal cold rebuilds'. Run under
-// -race in CI.
+// Extend takes their probes: whichever runs first, the readers' ids and the
+// child's counts and ids must equal cold rebuilds'. Run under -race in CI.
 func TestCountOnlyFillRacesExtend(t *testing.T) {
 	attrs := []string{"A", "B", "C", "D"}
 	rows := randRows(15, 500, 4, 7)
@@ -222,4 +231,40 @@ func TestCountOnlyFillRacesExtend(t *testing.T) {
 		checkCounts(t, fmt.Sprintf("round %d child", round), child, childCold, leafSets)
 		checkFilled(t, fmt.Sprintf("round %d child", round), child, childCold, leafSets)
 	}
+}
+
+// TestCountOnlyPrefixFilledAtItsLevel plans, on a snapshot whose memo holds
+// a count-only set with its entropy, a set that extends it. The count-only
+// prefix is pending work at its own level, where it is filled once, and the
+// new leaf is memoized count-only.
+func TestCountOnlyPrefixFilledAtItsLevel(t *testing.T) {
+	attrs := []string{"A", "B", "C", "D"}
+	rows := randRows(17, 400, 4, 6)
+	s := rowSnapshot(attrs, rows)
+	abc := []string{"A", "B", "C"}
+	planLeaves(t, s, [][]string{abc})
+	checkCountOnly(t, "first plan", s, rowSnapshot(attrs, rows), [][]string{abc})
+
+	p := s.Plan()
+	for _, set := range [][]string{abc, {"A", "B", "C", "D"}} {
+		if err := p.AddLeafEntropy(set...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var level []*planNode
+	for _, n := range p.nodes {
+		if len(n.cols) == 3 {
+			level = append(level, n)
+		}
+	}
+	if nodes, work := s.pending(level); len(nodes) != 1 || work != s.NumRows() {
+		t.Fatalf("count-only prefix: %d pending nodes, work %d; want 1, %d", len(nodes), work, s.NumRows())
+	}
+	p.Run(0)
+	if memoEntryOf(t, s, abc).g.IDs == nil {
+		t.Fatalf("%v is a prefix of the plan, but is still count-only after Run", abc)
+	}
+	cold := rowSnapshot(attrs, rows)
+	checkCountOnly(t, "second plan", s, cold, [][]string{{"A", "B", "C", "D"}})
+	checkFilled(t, "second plan", s, cold, [][]string{abc, {"A", "B", "C", "D"}})
 }

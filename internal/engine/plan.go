@@ -26,10 +26,13 @@ type planNode struct {
 	key     string
 	cols    []int
 	entropy bool
-	// leaf: every request for the node came through AddLeafEntropy, and no
-	// other node of the plan has it as a prefix. Such a node is memoized
-	// count-only.
-	leaf bool
+	// leaf: no request for the node itself came through anything but
+	// AddLeafEntropy. prefix: another node of the plan has it as a sorted
+	// prefix, and that node's refinement reads its row ids. A leaf that is
+	// no prefix is memoized count-only; a prefix gets its row ids at its own
+	// level, so the level above never fills them concurrently.
+	leaf   bool
+	prefix bool
 }
 
 // Plan returns an empty plan against the snapshot.
@@ -52,9 +55,9 @@ func (p *Plan) AddEntropy(attrs ...string) error {
 // the caller reads nothing else of it. Unless another request of the plan
 // needs its grouping (AddGrouping or AddEntropy of the set, or any request
 // the set is a sorted prefix of), the set is memoized count-only: its counts
-// and probe, no row ids. A later read of its grouping fills the ids in one
-// pass over the rows, so declare only sets that are seldom refined or
-// joined afterwards.
+// and probe, no row ids. A later read of its grouping refines the set
+// again with ids, so declare only sets that are seldom refined or joined
+// afterwards.
 func (p *Plan) AddLeafEntropy(attrs ...string) error {
 	return p.add(attrs, true, true)
 }
@@ -67,21 +70,24 @@ func (p *Plan) add(attrs []string, entropy, leaf bool) error {
 	// Close under sorted prefixes so every node's refinement parent is a plan
 	// node of the previous level.
 	for l := 0; l < len(cols); l++ {
-		p.addCols(cols[:l], false, false)
+		p.node(cols[:l]).prefix = true
 	}
-	p.addCols(cols, entropy, leaf)
+	n := p.node(cols)
+	n.entropy = n.entropy || entropy
+	n.leaf = n.leaf && leaf
 	return nil
 }
 
-func (p *Plan) addCols(cols []int, entropy, leaf bool) {
+// node returns the plan node of the sorted column set, adding it when the
+// plan lacks it.
+func (p *Plan) node(cols []int) *planNode {
 	key := colsKey(cols)
 	n, ok := p.nodes[key]
 	if !ok {
-		n = &planNode{key: key, cols: append([]int(nil), cols...), leaf: leaf}
+		n = &planNode{key: key, cols: append([]int(nil), cols...), leaf: true}
 		p.nodes[key] = n
 	}
-	n.entropy = n.entropy || entropy
-	n.leaf = n.leaf && leaf
+	return n
 }
 
 // Len returns the number of distinct lattice nodes the plan will touch
@@ -109,19 +115,24 @@ func (p *Plan) Run(workers int) {
 		nodes, work := p.snap.pending(levels[l])
 		forEach(len(nodes), levelWorkers(work, workers), func(i int) {
 			n := nodes[i]
+			if n.needsIDs() {
+				p.snap.grouping(n.cols)
+			}
 			if n.entropy {
 				p.snap.groupEntropy(n.cols, !n.leaf)
-			} else {
-				p.snap.grouping(n.cols)
 			}
 		})
 	}
 }
 
+// needsIDs reports whether the node's row ids are read: it was requested
+// as a grouping, or the level above refines it.
+func (n *planNode) needsIDs() bool { return !n.entropy || n.prefix }
+
 // pending returns the nodes of one plan level the memo does not answer yet,
-// and their work in rows: every row for a grouping still to be refined or a
-// requested grouping's ids still to be filled, and the group count of a
-// memoized grouping whose entropy is still to be summed.
+// and their work in rows: every row for a grouping still to be refined, or
+// memoized count-only while its row ids are needed, and the group count of
+// a memoized grouping whose entropy is still to be summed.
 func (s *Snapshot) pending(nodes []*planNode) ([]*planNode, int) {
 	out := nodes[:0]
 	work := 0
@@ -130,7 +141,7 @@ func (s *Snapshot) pending(nodes []*planNode) ([]*planNode, int) {
 	for _, n := range nodes {
 		ent, ok := s.memo[n.key]
 		switch {
-		case !ok, !n.entropy && ent.g.IDs == nil:
+		case !ok, n.needsIDs() && ent.g.IDs == nil:
 			work += s.n
 		case !n.entropy:
 			continue

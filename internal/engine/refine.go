@@ -149,21 +149,19 @@ func (p *probe) insert(parent int32, val Value, id int32) {
 // Without it (unweighted snapshots only; a weighted one builds its ids
 // anyway) the grouping is count-only: one pass assigns each row's id in the
 // probe and counts it, and no row id is stored. The probe still maps every
-// row to its id, so fill and Extend can recover them.
+// row to its id, so Extend can place appended rows.
 func (s *Snapshot) refine(parent *Grouping, col int, withIDs bool) (*Grouping, *probe) {
 	pr := newProbe(parent.Groups(), s.probeWidth(col), denseProbeBudget(s.n), parent.Groups()*2)
 	pids, column := parent.IDs[:s.n], s.cols[col][:s.n]
 	if !withIDs && s.weights == nil {
 		var tally []int
-		var groups int
 		if pr.dense != nil {
 			tally = make([]int, min(s.n, len(pr.dense)))
-			groups = countDense(pr, pids, column, tally)
+			tally = tally[:countDense(pr, pids, column, tally)]
 		} else {
-			tally = make([]int, s.n)
-			groups = refineMap(pr, pids, column, nil, tally)
+			tally = countMap(pr, pids, column)
 		}
-		counts, flat := newCounts(groups)
+		counts, flat := newCounts(len(tally))
 		copy(flat, tally)
 		return &Grouping{Counts: counts}, pr
 	}
@@ -172,7 +170,7 @@ func (s *Snapshot) refine(parent *Grouping, col int, withIDs bool) (*Grouping, *
 	if pr.dense != nil {
 		groups = refineDense(pr, pids, column, ids)
 	} else {
-		groups = refineMap(pr, pids, column, ids, nil)
+		groups = refineMap(pr, pids, column, ids)
 	}
 	counts, flat := newCounts(groups)
 	if s.weights == nil {
@@ -229,9 +227,8 @@ func countDense(pr *probe, pids []int32, column []Value, tally []int) int {
 	return int(groups)
 }
 
-// refineMap is refine's id pass over a map-form probe. It stores each row's
-// child id into ids, or counts it in tally when ids is nil.
-func refineMap(pr *probe, pids []int32, column []Value, ids []int32, tally []int) int {
+// refineMap is refine's id pass over a map-form probe.
+func refineMap(pr *probe, pids []int32, column []Value, ids []int32) int {
 	var groups int32
 	for i, pid := range pids {
 		v := column[i]
@@ -241,13 +238,26 @@ func refineMap(pr *probe, pids []int32, column []Value, ids []int32, tally []int
 			pr.insert(pid, v, id)
 			groups++
 		}
-		if ids != nil {
-			ids[i] = id
-		} else {
-			tally[id]++
-		}
+		ids[i] = id
 	}
 	return int(groups)
+}
+
+// countMap is refineMap for a count-only grouping: it returns each child
+// group's row count, indexed by id, grown as groups open.
+func countMap(pr *probe, pids []int32, column []Value) []int {
+	var tally []int
+	for i, pid := range pids {
+		v := column[i]
+		id := pr.lookup(pid, v)
+		if id < 0 {
+			id = int32(len(tally))
+			pr.insert(pid, v, id)
+			tally = append(tally, 0)
+		}
+		tally[id]++
+	}
+	return tally
 }
 
 // rebuildProbe reconstructs the probe of g, the refinement of parent by
@@ -255,8 +265,8 @@ func refineMap(pr *probe, pids []int32, column []Value, ids []int32, tally []int
 // or a count-only refinement when g holds no row ids. parent may cover more
 // rows than the snapshot (the child's grouping of the prefix set); only its
 // first n ids are read, and they equal this snapshot's. Extend needs it only
-// when the probe has already moved on: to another child, on a second Extend
-// of the same snapshot, or to a reader that filled g's ids.
+// when the probe has already moved to another child, i.e. on a second Extend
+// of the same snapshot.
 func (s *Snapshot) rebuildProbe(parent, g *Grouping, col int) *probe {
 	if g.IDs == nil {
 		_, pr := s.refine(parent, col, false)

@@ -58,15 +58,14 @@ func (g *Grouping) Groups() int { return g.Counts.Len() }
 //
 // An entry is count-only when g.IDs is nil: a set planned only for its
 // entropy (Plan.AddLeafEntropy) keeps its counts and its probe, and no row
-// ids. The first read of its grouping fills the ids from the probe into a
-// new entry, which replaces it in the memo.
+// ids. The first read of its grouping refines the set again with row ids
+// into a new entry, which replaces it in the memo.
 //
-// next is the probe, and it has one owner at a time: whoever takes it with
-// Swap(nil). Extend takes it, probes it in place for the appended rows and
-// stores it in the child's entry, so a snapshot keeps no probe once it has
-// been extended (a second Extend of it rebuilds one, see rebuildProbe). A
-// reader takes it only to fill a count-only entry, and stores it in the
-// filled entry. Nothing else touches next.
+// next is writer-side state that moves down the snapshot chain: Extend takes
+// it with Swap(nil), probes it in place for the appended rows and stores it
+// in the child's entry, so a snapshot keeps no probe once it has been
+// extended (a second Extend of it rebuilds one, see rebuildProbe). Readers
+// never touch next.
 type memoEntry struct {
 	g    *Grouping
 	cols []int
@@ -286,23 +285,19 @@ func (s *Snapshot) GroupEntropy(attrs ...string) (float64, error) {
 // a cached set is cached too (Extend and the planner rely on this), and holds
 // its row ids.
 func (s *Snapshot) grouping(cols []int) *Grouping {
-	key := colsKey(cols)
-	ent := s.entry(key, cols, true)
-	if ent.g.IDs == nil {
-		ent = s.publish(key, s.fill(ent))
-	}
-	return ent.g
+	return s.entry(colsKey(cols), cols, true).g
 }
 
 // entry returns the memo entry of the sorted column set under key, refining
 // it from its prefix's grouping when the memo lacks it: with row ids, or
 // count-only when withIDs is false. A cached entry is returned as it is,
-// count-only or not.
+// unless withIDs asks for the row ids of a count-only one: then the set is
+// refined again with ids, into an entry that replaces it.
 func (s *Snapshot) entry(key string, cols []int, withIDs bool) *memoEntry {
 	s.mu.Lock()
 	ent, ok := s.memo[key]
 	s.mu.Unlock()
-	if ok {
+	if ok && (ent.g.IDs != nil || !withIDs) {
 		return ent
 	}
 	if len(cols) == 0 {
@@ -313,44 +308,16 @@ func (s *Snapshot) entry(key string, cols []int, withIDs bool) *memoEntry {
 		ent = &memoEntry{g: g, cols: append([]int(nil), cols...)}
 		ent.next.Store(next)
 	}
-	return s.publish(key, ent)
-}
-
-// publish stores ent under key unless another goroutine won the race to
-// compute the set; the values are identical either way. An entry with row
-// ids replaces a count-only one, never the reverse.
-func (s *Snapshot) publish(key string, ent *memoEntry) *memoEntry {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	// Another goroutine may have won the race to compute the set; keep its
+	// value, unless it is count-only and ent holds row ids.
 	if cached, ok := s.memo[key]; ok && (cached.g.IDs != nil || ent.g.IDs == nil) {
-		return cached
-	}
-	s.memo[key] = ent
-	return ent
-}
-
-// fill returns a copy of the count-only entry ent with its row ids. When ent
-// still holds its probe, fill takes it and gathers each row's id from it, so
-// the ids are those refine assigned; the counts are shared. When Extend or
-// another reader took the probe first, fill refines the set again. The new
-// entry holds the probe.
-func (s *Snapshot) fill(ent *memoEntry) *memoEntry {
-	parent := s.grouping(ent.cols[:len(ent.cols)-1])
-	col := ent.cols[len(ent.cols)-1]
-	out := &memoEntry{cols: ent.cols}
-	pr := ent.next.Swap(nil)
-	if pr == nil {
-		out.g, pr = s.refine(parent, col, true)
+		ent = cached
 	} else {
-		ids := make([]int32, s.n, s.n+extendHeadroom(s.n))
-		column := s.cols[col]
-		for i, pid := range parent.IDs[:s.n] {
-			ids[i] = pr.lookup(pid, column[i])
-		}
-		out.g = &Grouping{IDs: ids, Counts: ent.g.Counts}
+		s.memo[key] = ent
 	}
-	out.next.Store(pr)
-	return out
+	s.mu.Unlock()
+	return ent
 }
 
 // trivialGrouping is the grouping on the empty attribute set: every row in
@@ -369,22 +336,25 @@ func singleCount(total int) Counts {
 }
 
 // groupEntropy returns the entropy (nats) of the distribution assigning
-// probability Counts.At(g)/total to each group, memoized per column set. A
-// set the memo lacks is refined with row ids, or count-only when withIDs is
-// false. It sums the c·log c terms chunk by chunk in group order, the order
+// probability Counts.At(g)/total to each group, memoized per column set. It
+// reads only counts, so a count-only entry serves as it is; a set the memo
+// lacks is refined with row ids, or count-only when withIDs is false. It sums the c·log c terms chunk by chunk in group order, the order
 // infotheory.EntropyFromCounts sums a flat slice in, so the two agree to the
 // bit.
 func (s *Snapshot) groupEntropy(cols []int, withIDs bool) float64 {
 	key := colsKey(cols)
 	s.mu.Lock()
 	h, ok := s.entropy[key]
+	ent := s.memo[key]
 	s.mu.Unlock()
 	if ok {
 		return h
 	}
-	g := s.entry(key, cols, withIDs).g
+	if ent == nil {
+		ent = s.entry(key, cols, withIDs)
+	}
 	var sum float64
-	g.Counts.Each(func(part []int) { sum = infotheory.AddCLogC(sum, part) })
+	ent.g.Counts.Each(func(part []int) { sum = infotheory.AddCLogC(sum, part) })
 	h = infotheory.EntropyFromCLogC(sum, s.total)
 	s.mu.Lock()
 	s.entropy[key] = h
@@ -409,9 +379,8 @@ func (s *Snapshot) groupEntropy(cols []int, withIDs bool) float64 {
 // copies all of its chunks instead (see Counts), so the copy stays O(batch)
 // amortized. A count-only set stays count-only: its appended rows' ids go
 // into a slice of the batch's size, never one of n rows. A second Extend of
-// the same snapshot finds the probe gone and rebuilds it in O(n) per set, as
-// does an Extend after a reader filled a count-only set; the answers are the
-// same either way.
+// the same snapshot finds the probe gone and rebuilds it in O(n) per set; the
+// answers are the same either way.
 //
 // The parent snapshot is left untouched: its groupings, counts and entropies
 // keep answering queries for readers that grabbed it before the extension.
